@@ -169,7 +169,9 @@ type CovertConfig struct {
 	PayloadBits int
 	// Payload transmits specific bits instead of a random payload.
 	Payload []byte
-	// Code selects the error-control code (default Hamming(7,4)).
+	// Code selects the error-control code. The zero value is
+	// covert.CodeNone (raw bits); set covert.CodeHamming74 for the
+	// paper's Hamming(7,4).
 	Code covert.Coding
 	// Background adds the §IV-C2 resource-intensive background
 	// process on the target.

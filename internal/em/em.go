@@ -15,8 +15,8 @@ package em
 import (
 	"fmt"
 	"math"
+	"runtime"
 
-	"pmuleak/internal/dsp"
 	"pmuleak/internal/sim"
 	"pmuleak/internal/vrm"
 	"pmuleak/internal/xrand"
@@ -132,9 +132,27 @@ func (c Config) SampleCount(horizon sim.Time) int {
 	return int(horizon.Seconds() * c.SampleRate)
 }
 
+// renderBlock is how many envelope buckets the pulse walk gets ahead
+// of the sample loop between hand-offs.
+const renderBlock = 1 << 14
+
 // Render converts a VRM pulse train into an IQ baseband stream over
 // [0, horizon). The result has Config.SampleCount(horizon) samples.
-func Render(pulses []vrm.Pulse, horizon sim.Time, cfg Config, rng *xrand.Source) []complex128 {
+//
+// The train is never materialized: each pulse's charge goes straight
+// into its envelope bucket as the train is walked, and the sample loop
+// smooths and renders buckets once they are final. With more than one
+// P the walk runs on its own goroutine, a block ahead of the sample
+// loop, and has exited when Render returns. The walk draws only from
+// the train's random source and the sample loop only from rng, so the
+// output does not depend on the overlap.
+//
+// A bucket is final once the walk is a switching period (of
+// cfg.SwitchingFreqHz) past it, which vrm.Train's walk order
+// guarantees for a VRM switching at that frequency. Render panics if a
+// pulse lands in a bucket already marked final, or if the train
+// panics.
+func Render(train vrm.Train, horizon sim.Time, cfg Config, rng *xrand.Source) []complex128 {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -143,45 +161,150 @@ func Render(pulses []vrm.Pulse, horizon sim.Time, cfg Config, rng *xrand.Source)
 	if n == 0 {
 		return out
 	}
+	env := newEnvelope(horizon, n, cfg)
+	syn := newSynth(cfg, rng)
+	if runtime.GOMAXPROCS(0) > 1 {
+		// One slot per hand-over (each moves the watermark a block, or
+		// to the end), so the walk never blocks on the sample loop.
+		env.ready = make(chan int, env.used/renderBlock+1)
+		go func() {
+			defer close(env.ready)
+			defer func() { env.panicked = recover() }()
+			train(env.add)
+		}()
+		for final := range env.ready {
+			syn.render(out, env.rate, syn.renderable(final))
+		}
+	} else {
+		train(env.add)
+	}
+	syn.render(out, env.rate, n)
+	if env.panicked != nil {
+		panic(env.panicked)
+	}
+	if env.late {
+		panic("em: pulse train is out of walk order for its switching frequency")
+	}
+	return out
+}
 
-	// Emission envelope: charge-flow per sample, smoothed over a few
-	// switching periods.
+// envelope is the emission envelope built from a pulse train as it is
+// walked: the per-bucket charge flow of vrm.EnergyRate, trimmed or
+// zero-padded to one bucket per output sample.
+type envelope struct {
+	rate      []float64
+	dt        sim.Time // bucket width
+	dtSeconds float64
+	used      int // buckets that can take charge: min(⌈horizon/dt⌉, len(rate))
+	// Watermark. No pulse of the train lands more than lag before one
+	// emitted ahead of it, so buckets below final take no more charge.
+	// The walk advances final in steps of renderBlock, once a pulse
+	// reaches nextAt, and hands it to the sample loop on ready (nil
+	// when the walk runs first).
+	lag    sim.Time
+	final  int
+	nextAt sim.Time
+	ready  chan int
+
+	late     bool // a pulse landed below final
+	panicked any  // the train's panic, re-raised by Render
+}
+
+func newEnvelope(horizon sim.Time, n int, cfg Config) *envelope {
+	// The bucket width is the sample period rounded to whole ns: 417 ns
+	// against 416.67 ns at 2.4 MS/s, 800 ppm long (80 ppm at 240 kS/s).
+	// So the emission runs ahead of the sample clock by that much, and
+	// the last ~0.08% of a 2.4 MS/s capture gets none (383 samples of
+	// 0.2 s). Kept bit for bit: correcting it changes every report.
 	dt := sim.FromSeconds(1 / cfg.SampleRate)
 	if dt < 1 {
 		dt = 1
 	}
-	env := vrm.EnergyRate(pulses, horizon, dt)
-	if len(env) > n {
-		env = env[:n]
+	e := &envelope{rate: make([]float64, n), dt: dt, dtSeconds: dt.Seconds(), used: n}
+	if buckets := int((horizon + dt - 1) / dt); buckets < n {
+		e.used = buckets
 	}
-	for len(env) < n {
-		env = append(env, 0)
+	e.lag = sim.FromSeconds(1 / cfg.SwitchingFreqHz)
+	e.nextAt = e.lag + sim.Time(renderBlock)*dt
+	return e
+}
+
+// add accumulates one pulse into its bucket exactly as vrm.EnergyRate
+// does: same index, same quotient, in train order.
+func (e *envelope) add(p vrm.Pulse) {
+	if p.At >= e.nextAt {
+		e.advance(p.At)
 	}
+	idx := int(p.At / e.dt)
+	switch {
+	case idx < 0 || idx >= e.used:
+	case idx < e.final:
+		e.late = true
+	default:
+		e.rate[idx] += p.Charge / e.dtSeconds
+	}
+}
+
+// advance marks final every bucket that lies wholly before at - lag.
+func (e *envelope) advance(at sim.Time) {
+	e.final = int((at - e.lag) / e.dt)
+	if e.final >= e.used {
+		e.final = e.used
+		e.nextAt = math.MaxInt64
+	} else {
+		e.nextAt = e.lag + sim.Time(e.final+renderBlock)*e.dt
+	}
+	if e.ready != nil {
+		e.ready <- e.final
+	}
+}
+
+// oscillator renders one harmonic of the switching frequency.
+type oscillator struct {
+	phase float64 // current phase (radians)
+	step  float64 // deterministic phase increment per sample
+	kfrac float64 // harmonic number (phase noise scales with it)
+	amp   float64 // relative amplitude (1/k falloff)
+}
+
+// synth is Render's sample loop: dsp.MovingAverage's running window
+// over the envelope, then harmonic oscillators sharing a common
+// phase-noise random walk. It renders in pieces as envelope buckets
+// become final, carrying its state from one piece to the next.
+type synth struct {
+	cfg            Config
+	rng            *xrand.Source
+	oscs           []oscillator
+	driftPerSample float64
+	// Spread-spectrum dither: a reflected random walk of the
+	// fundamental within +/- FreqDitherHz.
+	wander, wanderStep float64
+	// The smoothing window sums env[lo:hi]: width w, centred half
+	// samples back.
+	w, half, lo, hi int
+	sum             float64
+	next            int // next sample to render
+}
+
+func newSynth(cfg Config, rng *xrand.Source) *synth {
+	s := &synth{cfg: cfg, rng: rng}
 	// The emission path acts as a resonant filter: the envelope cannot
 	// change faster than a few switching periods. At low sample rates a
 	// floor of a few samples also removes the artificial per-sample
 	// pulse-count aliasing that would otherwise spread the carrier.
-	smoothSamples := int(cfg.EnvelopeSmoothPeriods * cfg.SampleRate / cfg.SwitchingFreqHz)
-	if smoothSamples < 4 {
-		smoothSamples = 4
+	s.w = int(cfg.EnvelopeSmoothPeriods * cfg.SampleRate / cfg.SwitchingFreqHz)
+	if s.w < 4 {
+		s.w = 4
 	}
-	env = dsp.MovingAverage(env, smoothSamples)
+	s.half = s.w / 2
 
-	// Harmonic oscillators sharing a common phase-noise random walk.
-	type osc struct {
-		phase float64 // current phase (radians)
-		step  float64 // deterministic phase increment per sample
-		kfrac float64 // harmonic number (phase noise scales with it)
-		amp   float64 // relative amplitude (1/k falloff)
-	}
 	usable := 0.46 * cfg.SampleRate
-	var oscs []osc
 	for k := 1; k <= cfg.Harmonics; k++ {
 		off := float64(k)*cfg.SwitchingFreqHz - cfg.CenterFreqHz
 		if math.Abs(off) > usable {
 			continue
 		}
-		oscs = append(oscs, osc{
+		s.oscs = append(s.oscs, oscillator{
 			phase: rng.Uniform(0, 2*math.Pi),
 			step:  2 * math.Pi * off / cfg.SampleRate,
 			kfrac: float64(k),
@@ -189,11 +312,8 @@ func Render(pulses []vrm.Pulse, horizon sim.Time, cfg Config, rng *xrand.Source)
 		})
 	}
 
-	driftPerSample := cfg.CarrierDriftHzPerS / cfg.SampleRate
+	s.driftPerSample = cfg.CarrierDriftHzPerS / cfg.SampleRate
 
-	// Spread-spectrum dither: a reflected random walk of the
-	// fundamental within +/- FreqDitherHz.
-	var wander, wanderStep float64
 	if cfg.FreqDitherHz > 0 {
 		rate := cfg.FreqDitherRateHz
 		if rate <= 0 {
@@ -201,30 +321,63 @@ func Render(pulses []vrm.Pulse, horizon sim.Time, cfg Config, rng *xrand.Source)
 		}
 		// Per-sample step sized so the walk crosses the full range at
 		// roughly the requested rate.
-		wanderStep = cfg.FreqDitherHz * math.Sqrt(rate/cfg.SampleRate)
-		wander = rng.Uniform(-cfg.FreqDitherHz, cfg.FreqDitherHz)
+		s.wanderStep = cfg.FreqDitherHz * math.Sqrt(rate/cfg.SampleRate)
+		s.wander = rng.Uniform(-cfg.FreqDitherHz, cfg.FreqDitherHz)
 	}
+	return s
+}
 
-	for i := 0; i < n; i++ {
+// renderable returns how many samples can be rendered once the
+// envelope buckets below final are final: a sample's smoothing window
+// reaches w-half-1 buckets past it.
+func (s *synth) renderable(final int) int {
+	return max(final+s.half-s.w+1, 0)
+}
+
+// render renders samples up to (not including) upTo.
+func (s *synth) render(out []complex128, env []float64, upTo int) {
+	cfg := &s.cfg
+	n := len(out)
+	oscs := s.oscs
+	w, half, lo, hi, sum := s.w, s.half, s.lo, s.hi, s.sum
+	for i := s.next; i < upTo; i++ {
+		// One step of dsp.MovingAverage, adds before subtracts.
+		wantLo, wantHi := i-half, i-half+w
+		if wantLo < 0 {
+			wantLo = 0
+		}
+		if wantHi > n {
+			wantHi = n
+		}
+		for hi < wantHi {
+			sum += env[hi]
+			hi++
+		}
+		for lo < wantLo {
+			sum -= env[lo]
+			lo++
+		}
+		smoothed := sum / float64(w)
+
 		var dn float64
 		if cfg.PhaseNoiseSigma > 0 {
-			dn = rng.Normal(0, cfg.PhaseNoiseSigma)
+			dn = s.rng.Normal(0, cfg.PhaseNoiseSigma)
 		}
-		if wanderStep > 0 {
-			wander += rng.Normal(0, wanderStep)
-			if wander > cfg.FreqDitherHz {
-				wander = 2*cfg.FreqDitherHz - wander
-			} else if wander < -cfg.FreqDitherHz {
-				wander = -2*cfg.FreqDitherHz - wander
+		if s.wanderStep > 0 {
+			s.wander += s.rng.Normal(0, s.wanderStep)
+			if s.wander > cfg.FreqDitherHz {
+				s.wander = 2*cfg.FreqDitherHz - s.wander
+			} else if s.wander < -cfg.FreqDitherHz {
+				s.wander = -2*cfg.FreqDitherHz - s.wander
 			}
-			dn += 2 * math.Pi * wander / cfg.SampleRate
+			dn += 2 * math.Pi * s.wander / cfg.SampleRate
 		}
-		if driftPerSample != 0 {
+		if s.driftPerSample != 0 {
 			// Linear frequency drift: the accumulated offset after i
 			// samples is drift * i / fs Hz.
-			dn += 2 * math.Pi * driftPerSample * float64(i) / cfg.SampleRate
+			dn += 2 * math.Pi * s.driftPerSample * float64(i) / cfg.SampleRate
 		}
-		a := cfg.EmitterGain * env[i]
+		a := cfg.EmitterGain * smoothed
 		var acc complex128
 		for j := range oscs {
 			o := &oscs[j]
@@ -235,12 +388,13 @@ func Render(pulses []vrm.Pulse, horizon sim.Time, cfg Config, rng *xrand.Source)
 			} else if o.phase < -math.Pi {
 				o.phase += 2 * math.Pi
 			}
-			s, c := math.Sincos(o.phase)
-			acc += complex(a*o.amp*c, a*o.amp*s)
+			sn, c := math.Sincos(o.phase)
+			acc += complex(a*o.amp*c, a*o.amp*sn)
 		}
 		out[i] = acc
 	}
-	return out
+	s.next = max(s.next, upTo)
+	s.lo, s.hi, s.sum = lo, hi, sum
 }
 
 // RMS returns the root-mean-square magnitude of an IQ stream.

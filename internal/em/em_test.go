@@ -2,13 +2,24 @@ package em
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"pmuleak/internal/dsp"
 	"pmuleak/internal/sim"
 	"pmuleak/internal/vrm"
 	"pmuleak/internal/xrand"
 )
+
+// replay walks a prepared pulse slice as a train.
+func replay(pulses []vrm.Pulse) vrm.Train {
+	return func(emit func(vrm.Pulse)) {
+		for _, p := range pulses {
+			emit(p)
+		}
+	}
+}
 
 // fullLoadPulses builds a constant full-load pulse train at the config's
 // switching frequency.
@@ -83,7 +94,7 @@ func TestRenderSpikesAtHarmonics(t *testing.T) {
 	cfg.PhaseNoiseSigma = 0
 	horizon := 20 * sim.Millisecond
 	pulses := fullLoadPulses(cfg, horizon, 20/cfg.SwitchingFreqHz)
-	iq := Render(pulses, horizon, cfg, xrand.New(1))
+	iq := Render(replay(pulses), horizon, cfg, xrand.New(1))
 
 	psd := dsp.WelchPSD(iq, 4096)
 	fundBin := dsp.FrequencyBin(cfg.SwitchingFreqHz-cfg.CenterFreqHz, 4096, cfg.SampleRate)
@@ -112,8 +123,8 @@ func TestRenderAmplitudeTracksLoad(t *testing.T) {
 	horizon := 10 * sim.Millisecond
 	strong := fullLoadPulses(cfg, horizon, 20/cfg.SwitchingFreqHz)
 	weak := fullLoadPulses(cfg, horizon, 0.5/cfg.SwitchingFreqHz)
-	strongIQ := Render(strong, horizon, cfg, xrand.New(2))
-	weakIQ := Render(weak, horizon, cfg, xrand.New(2))
+	strongIQ := Render(replay(strong), horizon, cfg, xrand.New(2))
+	weakIQ := Render(replay(weak), horizon, cfg, xrand.New(2))
 	if RMS(strongIQ) < 10*RMS(weakIQ) {
 		t.Fatalf("strong RMS %v vs weak RMS %v: modulation too shallow",
 			RMS(strongIQ), RMS(weakIQ))
@@ -132,7 +143,7 @@ func TestRenderOnOffKeying(t *testing.T) {
 			firstHalf = append(firstHalf, p)
 		}
 	}
-	iq := Render(firstHalf, horizon, cfg, xrand.New(3))
+	iq := Render(replay(firstHalf), horizon, cfg, xrand.New(3))
 	n := len(iq)
 	on := RMS(iq[:n/3])
 	off := RMS(iq[2*n/3:])
@@ -145,8 +156,8 @@ func TestRenderDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	horizon := sim.Millisecond
 	pulses := fullLoadPulses(cfg, horizon, 1e-5)
-	a := Render(pulses, horizon, cfg, xrand.New(4))
-	b := Render(pulses, horizon, cfg, xrand.New(4))
+	a := Render(replay(pulses), horizon, cfg, xrand.New(4))
+	b := Render(replay(pulses), horizon, cfg, xrand.New(4))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("render diverged at sample %d", i)
@@ -156,7 +167,7 @@ func TestRenderDeterministic(t *testing.T) {
 
 func TestRenderEmptyPulses(t *testing.T) {
 	cfg := DefaultConfig()
-	iq := Render(nil, sim.Millisecond, cfg, xrand.New(5))
+	iq := Render(replay(nil), sim.Millisecond, cfg, xrand.New(5))
 	if len(iq) != cfg.SampleCount(sim.Millisecond) {
 		t.Fatalf("len = %d", len(iq))
 	}
@@ -166,7 +177,7 @@ func TestRenderEmptyPulses(t *testing.T) {
 }
 
 func TestRenderZeroHorizon(t *testing.T) {
-	iq := Render(nil, 0, DefaultConfig(), xrand.New(6))
+	iq := Render(replay(nil), 0, DefaultConfig(), xrand.New(6))
 	if len(iq) != 0 {
 		t.Fatalf("len = %d", len(iq))
 	}
@@ -179,7 +190,7 @@ func TestPhaseNoiseBroadensSpike(t *testing.T) {
 		cfg.Harmonics = 1
 		cfg.PhaseNoiseSigma = sigma
 		pulses := fullLoadPulses(cfg, horizon, 20/cfg.SwitchingFreqHz)
-		iq := Render(pulses, horizon, cfg, xrand.New(7))
+		iq := Render(replay(pulses), horizon, cfg, xrand.New(7))
 		psd := dsp.WelchPSD(iq, 8192)
 		peak, _ := dsp.Max(psd)
 		// Count bins above half the peak.
@@ -216,7 +227,7 @@ func TestCarrierDriftMovesSpike(t *testing.T) {
 	cfg.CarrierDriftHzPerS = 50e3 // exaggerated for a short render
 	horizon := 100 * sim.Millisecond
 	pulses := fullLoadPulses(cfg, horizon, 20/cfg.SwitchingFreqHz)
-	iq := Render(pulses, horizon, cfg, xrand.New(30))
+	iq := Render(replay(pulses), horizon, cfg, xrand.New(30))
 
 	// Compare the spike position in the first and last fifths.
 	n := len(iq)
@@ -231,5 +242,79 @@ func TestCarrierDriftMovesSpike(t *testing.T) {
 	// 50 kHz/s over ~80 ms between window centers: about 4 kHz.
 	if moved < 2e3 || moved > 7e3 {
 		t.Fatalf("spike moved %v Hz, want ~4 kHz", moved)
+	}
+}
+
+// renderPanic renders train at GOMAXPROCS procs and returns what Render
+// panicked with.
+func renderPanic(procs int, train vrm.Train) (got any) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer func() { got = recover() }()
+	Render(train, 20*sim.Millisecond, DefaultConfig(), xrand.New(8))
+	return nil
+}
+
+func TestRenderRejectsOutOfOrderTrain(t *testing.T) {
+	// A pulse a full switching period behind the walk would land in a
+	// bucket the sample loop may already have rendered.
+	period := sim.FromSeconds(1 / DefaultConfig().SwitchingFreqHz)
+	late := func(emit func(vrm.Pulse)) {
+		for at := sim.Time(0); at < 15*sim.Millisecond; at += period {
+			emit(vrm.Pulse{At: at, Charge: 1e-6})
+		}
+		emit(vrm.Pulse{At: sim.Millisecond, Charge: 1e-6})
+	}
+	for _, procs := range []int{1, 2} {
+		if got := renderPanic(procs, late); got == nil {
+			t.Errorf("GOMAXPROCS %d: out-of-order train rendered without a panic", procs)
+		}
+	}
+}
+
+func TestRenderReraisesTrainPanic(t *testing.T) {
+	boom := func(emit func(vrm.Pulse)) {
+		emit(vrm.Pulse{At: sim.Millisecond, Charge: 1e-6})
+		panic("boom")
+	}
+	for _, procs := range []int{1, 2} {
+		if got := renderPanic(procs, boom); got != "boom" {
+			t.Errorf("GOMAXPROCS %d: Render panicked with %v, want the train's panic", procs, got)
+		}
+	}
+}
+
+// TestRenderWaitsForFinalBuckets stalls the walk just after each
+// watermark hand-over. A sample loop that rendered past the final
+// buckets would then miss the pulses still to come for them, and differ
+// from the render that walks the train first.
+func TestRenderWaitsForFinalBuckets(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SampleRate = 240e3
+	cfg.CenterFreqHz = cfg.SwitchingFreqHz - 60e3
+	cfg.Harmonics = 1
+	horizon := 300 * sim.Millisecond
+	dt := sim.FromSeconds(1 / cfg.SampleRate)
+	pulses := fullLoadPulses(cfg, horizon, 20/cfg.SwitchingFreqHz)
+	for i := range pulses {
+		pulses[i].Charge *= 1 + 0.5*math.Sin(float64(i))
+	}
+	render := func(procs int) []complex128 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		train := func(emit func(vrm.Pulse)) {
+			for _, p := range pulses {
+				emit(p)
+				// Hand-overs fall in the first buckets of each block.
+				if procs > 1 && int(p.At/dt)%renderBlock < 4 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+		return Render(train, horizon, cfg, xrand.New(9))
+	}
+	want, got := render(1), render(4)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d = %v, want %v", i, got[i], want[i])
+		}
 	}
 }

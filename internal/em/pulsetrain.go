@@ -83,15 +83,15 @@ func (e fieldError) Error() string { return "em: " + string(e) + " must be posit
 func errPositive(field string) error { return fieldError(field) }
 
 // RenderPulseTrain converts a VRM pulse train into an IQ baseband stream
-// by superposing one ringdown per pulse. The result has
-// int(horizon*SampleRate) samples.
-func RenderPulseTrain(pulses []vrm.Pulse, horizon sim.Time, cfg PulseTrainConfig, rng *xrand.Source) []complex128 {
+// by superposing one ringdown per pulse, in train order, as the train is
+// walked. The result has int(horizon*SampleRate) samples.
+func RenderPulseTrain(train vrm.Train, horizon sim.Time, cfg PulseTrainConfig, rng *xrand.Source) []complex128 {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	n := int(horizon.Seconds() * cfg.SampleRate)
 	out := make([]complex128, n)
-	if n == 0 || len(pulses) == 0 {
+	if n == 0 {
 		return out
 	}
 	f0 := cfg.ResonanceHz
@@ -117,11 +117,11 @@ func RenderPulseTrain(pulses []vrm.Pulse, horizon sim.Time, cfg PulseTrainConfig
 	// exp(-i 2π fc t): that term is what makes a periodic train add
 	// coherently into comb lines while jittered or interleaved trains
 	// partially cancel.
-	for _, p := range pulses {
+	train(func(p vrm.Pulse) {
 		tp := p.At.Seconds()
 		idx := int(tp * cfg.SampleRate)
 		if idx >= n {
-			continue
+			return
 		}
 		theta := -2 * math.Pi * math.Mod(cfg.CenterFreqHz*tp, 1)
 		phase := cmplx.Exp(complex(0, theta))
@@ -133,7 +133,7 @@ func RenderPulseTrain(pulses []vrm.Pulse, horizon sim.Time, cfg PulseTrainConfig
 		for i := idx; i < end; i++ {
 			out[i] += scale * kernel[i-idx]
 		}
-	}
+	})
 	_ = rng // reserved for receiver-side effects; emission here is deterministic
 	return out
 }

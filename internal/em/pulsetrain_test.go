@@ -16,11 +16,11 @@ func renderTrain(t *testing.T, vcfg vrm.Config, currentA float64,
 	horizon sim.Time, seed int64) ([]complex128, PulseTrainConfig) {
 	t.Helper()
 	trace := []power.Span{{Start: 0, End: horizon, Current: currentA, Voltage: 1.2}}
-	pulses := vrm.Pulses(trace, horizon, vcfg, xrand.New(seed))
+	train := vrm.NewTrain(trace, horizon, vcfg, xrand.New(seed))
 	cfg := DefaultPulseTrainConfig()
 	cfg.CenterFreqHz = 1.5 * vcfg.SwitchingFreqHz
 	cfg.ResonanceHz = 1.45 * vcfg.SwitchingFreqHz
-	return RenderPulseTrain(pulses, horizon, cfg, xrand.New(seed+1)), cfg
+	return RenderPulseTrain(train, horizon, cfg, xrand.New(seed+1)), cfg
 }
 
 func vcfgClean() vrm.Config {
@@ -127,11 +127,11 @@ func TestPulseTrainAmplitudeFollowsLoad(t *testing.T) {
 
 func TestPulseTrainEmpty(t *testing.T) {
 	cfg := DefaultPulseTrainConfig()
-	iq := RenderPulseTrain(nil, sim.Millisecond, cfg, xrand.New(6))
+	iq := RenderPulseTrain(replay(nil), sim.Millisecond, cfg, xrand.New(6))
 	if RMS(iq) != 0 {
 		t.Fatal("silent train has energy")
 	}
-	if len(RenderPulseTrain(nil, 0, cfg, xrand.New(6))) != 0 {
+	if len(RenderPulseTrain(replay(nil), 0, cfg, xrand.New(6))) != 0 {
 		t.Fatal("zero horizon produced samples")
 	}
 }
@@ -163,11 +163,11 @@ func TestPulseTrainAgreesWithOscillatorModel(t *testing.T) {
 	pulses := vrm.Pulses(trace, horizon, vcfg, xrand.New(7))
 
 	ptCfg := DefaultPulseTrainConfig()
-	hifi := RenderPulseTrain(pulses, horizon, ptCfg, xrand.New(8))
+	hifi := RenderPulseTrain(replay(pulses), horizon, ptCfg, xrand.New(8))
 
 	oscCfg := DefaultConfig()
 	oscCfg.PhaseNoiseSigma = 0
-	fast := Render(pulses, horizon, oscCfg, xrand.New(8))
+	fast := Render(replay(pulses), horizon, oscCfg, xrand.New(8))
 
 	peakBin := func(iq []complex128) int {
 		psd := dsp.WelchPSD(iq, 4096)

@@ -262,9 +262,9 @@ func (s *System) DefaultPlan() EmanationPlan {
 	}
 }
 
-// Pulses computes the VRM switching pulse train for the activity up to
-// horizon — the input both EM renderers consume.
-func (s *System) Pulses(horizon sim.Time) []vrm.Pulse {
+// pulseTrain returns the VRM switching pulse train for the activity up
+// to horizon, drawing from the next fork of the system's random source.
+func (s *System) pulseTrain(horizon sim.Time) vrm.Train {
 	if s.kern.Now() < horizon {
 		panic(fmt.Sprintf("laptop: simulation at %v has not reached horizon %v",
 			s.kern.Now(), horizon))
@@ -283,7 +283,14 @@ func (s *System) Pulses(horizon sim.Time) []vrm.Pulse {
 	default:
 		loadTrace = power.Trace(s.kern.Activity(horizon), horizon, s.Profile.Power)
 	}
-	return vrm.Pulses(loadTrace, horizon, s.Profile.VRM, s.rng.Fork())
+	return vrm.NewTrain(loadTrace, horizon, s.Profile.VRM, s.rng.Fork())
+}
+
+// Pulses computes the VRM switching pulse train for the activity up to
+// horizon — the input both EM renderers consume — as a slice. The
+// renderers themselves walk the train without collecting it.
+func (s *System) Pulses(horizon sim.Time) []vrm.Pulse {
+	return vrm.Collect(s.pulseTrain(horizon))
 }
 
 // EmanationsPulseTrain renders the machine's EM output with the
@@ -291,24 +298,28 @@ func (s *System) Pulses(horizon sim.Time) []vrm.Pulse {
 // spectral feature emerges from the switching pulse timing instead of
 // being synthesized at assumed harmonics.
 func (s *System) EmanationsPulseTrain(horizon sim.Time, plan EmanationPlan) []complex128 {
-	pulses := s.Pulses(horizon)
+	train := s.pulseTrain(horizon)
 	cfg := em.DefaultPulseTrainConfig()
 	cfg.CenterFreqHz = plan.CenterFreqHz
 	cfg.SampleRate = plan.SampleRate
 	cfg.ResonanceHz = 1.45 * s.Profile.VRM.SwitchingFreqHz
 	cfg.EmitterGain = s.Profile.EmitterGain
-	return em.RenderPulseTrain(pulses, horizon, cfg, s.rng.Fork())
+	return em.RenderPulseTrain(train, horizon, cfg, s.rng.Fork())
 }
 
 // Emanations renders the machine's EM output over [0, horizon) as seen
 // at the reference distance. Call after Run has advanced past horizon.
+// The pulse train's random source is forked before the renderer's, so
+// the walk and the sample loop draw from separate streams.
 func (s *System) Emanations(horizon sim.Time, plan EmanationPlan) []complex128 {
-	if s.kern.Now() < horizon {
-		panic(fmt.Sprintf("laptop: simulation at %v has not reached horizon %v",
-			s.kern.Now(), horizon))
-	}
-	pulses := s.Pulses(horizon)
-	emCfg := em.Config{
+	train := s.pulseTrain(horizon)
+	return em.Render(train, horizon, s.emConfig(plan), s.rng.Fork())
+}
+
+// emConfig is the oscillator-model synthesis setup for this machine
+// under plan.
+func (s *System) emConfig(plan EmanationPlan) em.Config {
+	return em.Config{
 		SwitchingFreqHz:       s.Profile.VRM.SwitchingFreqHz,
 		CenterFreqHz:          plan.CenterFreqHz,
 		SampleRate:            plan.SampleRate,
@@ -319,5 +330,4 @@ func (s *System) Emanations(horizon sim.Time, plan EmanationPlan) []complex128 {
 		FreqDitherHz:          s.Profile.VRMDitherHz,
 		EnvelopeSmoothPeriods: 2,
 	}
-	return em.Render(pulses, horizon, emCfg, s.rng.Fork())
 }

@@ -113,20 +113,37 @@ type Pulse struct {
 	Phase int
 }
 
-// Pulses walks the load trace and produces the converter's switching
-// pulse train over [0, horizon). The load trace must be contiguous and
-// sorted, as produced by power.Trace.
+// Train is a switching pulse train in walk order: calling it walks the
+// load trace and calls emit once per pulse. A train draws from its
+// random source as it goes, so it can be walked only once.
+//
+// Walk order is time order except inside one switching period. The
+// walk reaches each period at its base time and fires that period's
+// pulses at or after it: a multi-phase converter fires its phases T/N
+// apart, and a jittered next period may start before the last phase of
+// this one. So no pulse lands a full Period before a pulse emitted
+// ahead of it. That is the bound a consumer that streams the train
+// needs to know when everything before some time has arrived.
+type Train func(emit func(Pulse))
+
+// NewTrain validates cfg and returns the converter's switching pulse
+// train over [0, horizon). The load trace must be contiguous and
+// sorted, as produced by power.Trace. Validation happens here, on the
+// caller's goroutine, so walking the train cannot panic.
 //
 // Above the shedding threshold the converter fires every period,
 // transferring the charge the load drained during that period (I·T).
 // Below it, it accumulates the drain and fires only when a minimum
 // packet is due, so light load produces sparse, small pulses.
-func Pulses(loadTrace []power.Span, horizon sim.Time, cfg Config, rng *xrand.Source) []Pulse {
+func NewTrain(loadTrace []power.Span, horizon sim.Time, cfg Config, rng *xrand.Source) Train {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	return func(emit func(Pulse)) { walk(loadTrace, horizon, cfg, rng, emit) }
+}
+
+func walk(loadTrace []power.Span, horizon sim.Time, cfg Config, rng *xrand.Source, emit func(Pulse)) {
 	period := cfg.Period()
-	var out []Pulse
 	var pending float64 // accumulated charge deficit while shedding
 	spanIdx := 0
 	currentAt := func(t sim.Time) float64 {
@@ -155,20 +172,20 @@ func Pulses(loadTrace []power.Span, horizon sim.Time, cfg Config, rng *xrand.Sou
 				for ph := 0; ph < phases; ph++ {
 					share := charge / float64(phases)
 					share *= 1 + cfg.PhaseImbalanceFrac*(float64(ph)/float64(phases-1)-0.5)
-					out = append(out, Pulse{
+					emit(Pulse{
 						At:     t + sim.Time(ph)*sub,
 						Charge: share,
 						Phase:  ph,
 					})
 				}
 			} else {
-				out = append(out, Pulse{At: t, Charge: charge})
+				emit(Pulse{At: t, Charge: charge})
 			}
 		} else {
 			pending += drained
 			if pending >= cfg.MinPulseCharge {
 				charge := pending * rng.Jitter(1, cfg.AmplitudeNoiseFrac)
-				out = append(out, Pulse{At: t, Charge: charge})
+				emit(Pulse{At: t, Charge: charge})
 				pending = 0
 			}
 		}
@@ -181,7 +198,21 @@ func Pulses(loadTrace []power.Span, horizon sim.Time, cfg Config, rng *xrand.Sou
 		}
 		t += step
 	}
+}
+
+// Collect walks a train and returns its pulses in walk order.
+func Collect(train Train) []Pulse {
+	var out []Pulse
+	train(func(p Pulse) { out = append(out, p) })
 	return out
+}
+
+// Pulses returns the switching pulse train of NewTrain as a slice. The
+// EM renderers consume the train as it is walked; the slice form serves
+// tests and the materialized reference the streamed path is measured
+// against.
+func Pulses(loadTrace []power.Span, horizon sim.Time, cfg Config, rng *xrand.Source) []Pulse {
+	return Collect(NewTrain(loadTrace, horizon, cfg, rng))
 }
 
 // MeanPulseRate returns the average pulse rate (Hz) of a train over the
@@ -204,7 +235,9 @@ func TotalCharge(pulses []Pulse) float64 {
 
 // EnergyRate converts a pulse train into a per-bucket charge-flow
 // series: the charge delivered in each bucket of width dt, divided by
-// dt. The EM synthesizer uses it as the emission envelope.
+// dt. It is the emission envelope em.Render accumulates bucket by
+// bucket as the train is walked, kept in slice form as that path's
+// test oracle.
 func EnergyRate(pulses []Pulse, horizon, dt sim.Time) []float64 {
 	if dt <= 0 {
 		panic("vrm: EnergyRate dt must be positive")
