@@ -438,6 +438,32 @@ func BenchmarkDemodulateParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkLayer is the per-layer ledger: one sub-benchmark per stage
+// of the signal path, each timing that stage alone on a fixed input
+// built outside the loop and reporting its throughput in Msamples/s.
+//
+// covert: covert.Demodulate on the covert-transfer tail case, a
+// 512-bit Hamming(7,4) transfer from a Windows laptop (500 µs sleep
+// period) captured at 2.4 MS/s.
+func BenchmarkLayer(b *testing.B) {
+	b.Run("covert", func(b *testing.B) {
+		prof, _ := laptop.ByModel("Dell Precision 7290")
+		tb := core.NewTestbed(core.WithLaptop(prof), core.WithSeed(13))
+		p := tb.PrepareCovert(core.CovertConfig{
+			SleepPeriod: prof.DefaultSleepPeriod,
+			PayloadBits: 512,
+			Code:        covert.CodeHamming74,
+		})
+		defer p.Cap.Recycle()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			covert.Demodulate(p.Cap, p.RXCfg)
+		}
+		b.ReportMetric(float64(len(p.Cap.IQ))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msamples/s")
+	})
+}
+
 func BenchmarkStageAlignment(b *testing.B) {
 	rng := xrand.New(4)
 	tx := rng.Bits(2000)

@@ -289,9 +289,10 @@ func DemodulateTrace(d *Demod, cfg RXConfig) *Demod {
 	if minPeriod < 2 {
 		minPeriod = 2
 	}
-	starts := detectEdges(d.Y, evenAtLeast(minPeriod/2), minPeriod, cfg, nil)
+	conv := eng.Convolve(d.Y, dsp.EdgeKernel(evenAtLeast(minPeriod/2)))
+	starts := detectEdges(conv, minPeriod, cfg)
 	if len(starts) < 3 {
-		d.Conv = eng.Convolve(d.Y, dsp.EdgeKernel(evenAtLeast(minPeriod/2)))
+		d.Conv = conv
 		return d
 	}
 
@@ -305,7 +306,7 @@ func DemodulateTrace(d *Demod, cfg RXConfig) *Demod {
 	// 5. Second pass with the kernel matched to the measured period,
 	// then gap filling at multiples of the signaling time.
 	d.Conv = eng.Convolve(d.Y, dsp.EdgeKernel(evenAtLeast(period/2)))
-	starts = detectEdges(d.Y, evenAtLeast(period/2), period*6/10, cfg, d.Conv)
+	starts = detectEdges(d.Conv, period*6/10, cfg)
 	if len(starts) < 2 {
 		return d
 	}
@@ -512,7 +513,8 @@ func TrackWindow(y []float64, dt float64, cfg RXConfig) (periodS, confidence flo
 	if minPeriod < 2 {
 		minPeriod = 2
 	}
-	starts := detectEdges(y, evenAtLeast(minPeriod/2), minPeriod, cfg, nil)
+	conv := dsp.NewEngine(cfg.Parallelism).Convolve(y, dsp.EdgeKernel(evenAtLeast(minPeriod/2)))
+	starts := detectEdges(conv, minPeriod, cfg)
 	if len(starts) < 3 {
 		return 0, 0, len(starts)
 	}
@@ -531,14 +533,11 @@ func TrackWindow(y []float64, dt float64, cfg RXConfig) (periodS, confidence flo
 	return float64(period) * dt, float64(fit) / float64(len(distances)), len(starts)
 }
 
-// detectEdges convolves the acquisition trace with a rising-edge kernel
-// and returns the locations of prominent positive peaks. Thresholding is
-// done per batch (§IV-B2) with a global gate so silent stretches do not
-// produce phantom edges. A precomputed convolution may be passed in.
-func detectEdges(y []float64, kernelLen, minDist int, cfg RXConfig, conv []float64) []int {
-	if conv == nil {
-		conv = dsp.NewEngine(cfg.Parallelism).Convolve(y, dsp.EdgeKernel(kernelLen))
-	}
+// detectEdges returns the locations of prominent positive peaks in
+// conv, the acquisition trace convolved with a rising-edge kernel.
+// Thresholding is done per batch (§IV-B2) with a global gate so silent
+// stretches do not produce phantom edges.
+func detectEdges(conv []float64, minDist int, cfg RXConfig) []int {
 	peaks := dsp.FindPeaks(conv, minDist, 0)
 	if len(peaks) == 0 {
 		return nil
@@ -550,13 +549,18 @@ func detectEdges(y []float64, kernelLen, minDist int, cfg RXConfig, conv []float
 		batch = minDist
 	}
 	var out []int
+	// Peaks arrive in index order, so each batch's maximum is computed
+	// once, when its first peak arrives.
+	batchStart, localMax := -1, 0.0
 	for _, p := range peaks {
-		batchStart := (p / batch) * batch
-		batchEnd := batchStart + batch
-		if batchEnd > len(conv) {
-			batchEnd = len(conv)
+		if start := (p / batch) * batch; start != batchStart {
+			batchStart = start
+			batchEnd := batchStart + batch
+			if batchEnd > len(conv) {
+				batchEnd = len(conv)
+			}
+			localMax, _ = dsp.Max(conv[batchStart:batchEnd])
 		}
-		localMax, _ := dsp.Max(conv[batchStart:batchEnd])
 		thr := 0.25 * localMax
 		if thr < gate {
 			thr = gate

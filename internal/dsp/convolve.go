@@ -17,11 +17,48 @@ func Convolve(x, k []float64) []float64 {
 }
 
 // convolveRange fills out[lo:hi] with the "same"-size convolution of x
-// and k. It is the shared inner loop of the serial and parallel paths:
-// because each output sample is an independent dot product evaluated in
-// the same order, any partition of [0, len(x)) reproduces the serial
-// result bit for bit.
+// and k. It is the shared inner loop of the serial and parallel paths.
+// Each output sample is an independent dot product summed from +0 in
+// tap order. Outputs whose taps all land inside x run four at a time,
+// one accumulator each, so four add chains overlap instead of running
+// back to back; every output still sees the same operations in the
+// same order, so any partition of [0, len(x)), and any blocking within
+// it, reproduces the serial result bit for bit.
 func convolveRange(out, x, k []float64, lo, hi int) {
+	half := len(k) / 2
+	// Outputs in [inLo, inHi) read exactly x[i-half : i-half+len(k)].
+	inLo := max(lo, half)
+	inHi := min(hi, len(x)-len(k)+half+1)
+	i := lo
+	if inLo < inHi {
+		convolveEdge(out, x, k, lo, inLo)
+		for i = inLo; i+4 <= inHi; i += 4 {
+			// Reslicing to len(k) lets the compiler drop the bounds
+			// checks in the tap loop; x[a:a+len(k)] does not.
+			x0 := x[i-half:]
+			x0 = x0[:len(k)]
+			x1 := x[i-half+1:]
+			x1 = x1[:len(k)]
+			x2 := x[i-half+2:]
+			x2 = x2[:len(k)]
+			x3 := x[i-half+3:]
+			x3 = x3[:len(k)]
+			var s0, s1, s2, s3 float64
+			for j, kv := range k {
+				s0 += x0[j] * kv
+				s1 += x1[j] * kv
+				s2 += x2[j] * kv
+				s3 += x3[j] * kv
+			}
+			out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+		}
+	}
+	convolveEdge(out, x, k, i, hi)
+}
+
+// convolveEdge is convolveRange one output at a time, skipping the
+// taps that fall outside x.
+func convolveEdge(out, x, k []float64, lo, hi int) {
 	half := len(k) / 2
 	for i := lo; i < hi; i++ {
 		var sum float64

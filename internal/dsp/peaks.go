@@ -27,36 +27,38 @@ func FindPeaks(x []float64, minDist int, minHeight float64) []int {
 	if len(candidates) == 0 {
 		return nil
 	}
-	// Greedy suppression: keep taller peaks first.
-	order := append([]int(nil), candidates...)
+	// Greedy suppression: keep taller peaks first. order holds
+	// positions in candidates, which is sorted by index, so a kept
+	// peak suppresses just the candidates on either side of its
+	// position that lie within minDist of it.
+	order := make([]int, len(candidates))
+	for i := range order {
+		order[i] = i
+	}
 	sort.Slice(order, func(a, b int) bool {
-		if x[order[a]] != x[order[b]] {
-			return x[order[a]] > x[order[b]]
+		pa, pb := candidates[order[a]], candidates[order[b]]
+		if x[pa] != x[pb] {
+			return x[pa] > x[pb]
 		}
-		return order[a] < order[b]
+		return pa < pb
 	})
 	kept := make([]int, 0, len(order))
-	suppressed := make(map[int]bool)
-	for _, p := range order {
-		if suppressed[p] {
+	suppressed := make([]bool, len(candidates))
+	for _, c := range order {
+		if suppressed[c] {
 			continue
 		}
+		p := candidates[c]
 		kept = append(kept, p)
-		for _, q := range candidates {
-			if q != p && abs(q-p) < minDist {
-				suppressed[q] = true
-			}
+		for l := c - 1; l >= 0 && p-candidates[l] < minDist; l-- {
+			suppressed[l] = true
+		}
+		for r := c + 1; r < len(candidates) && candidates[r]-p < minDist; r++ {
+			suppressed[r] = true
 		}
 	}
 	sort.Ints(kept)
 	return kept
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // ThresholdCrossings returns the [start, end) index intervals where x

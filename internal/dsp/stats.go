@@ -1,7 +1,9 @@
 package dsp
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -54,6 +56,12 @@ func Median(x []float64) float64 {
 
 // Quantile returns the q-quantile (0 <= q <= 1) of x using linear
 // interpolation between order statistics. x is not modified.
+//
+// The order statistics are selected, not sorted for: selectNth places
+// the lower one in a copy of x, and the upper one is the least element
+// above it. The result equals (==) what sorting the copy with
+// sort.Float64s would give, or is NaN where that is; only the sign of a
+// zero can differ, when -0 and +0 tie for a selected rank.
 func Quantile(x []float64, q float64) float64 {
 	if len(x) == 0 {
 		return 0
@@ -65,15 +73,74 @@ func Quantile(x []float64, q float64) float64 {
 		q = 1
 	}
 	s := append([]float64(nil), x...)
-	sort.Float64s(s)
 	pos := q * float64(len(s)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	selectNth(s, lo)
 	if lo == hi {
 		return s[lo]
 	}
+	// Nothing past lo is less than s[lo], so the sorted s[hi] is the
+	// least of s[hi:].
+	up := s[hi]
+	for _, v := range s[hi+1:] {
+		if cmp.Less(v, up) {
+			up = v
+		}
+	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return s[lo]*(1-frac) + up*frac
+}
+
+// selectCutoff is the longest range selectNth sorts instead of
+// partitioning.
+const selectCutoff = 16
+
+// selectNth reorders s so that s[n] holds the value sort.Float64s would
+// put there, nothing before it is greater and nothing after it is less,
+// in sort.Float64s's order (cmp.Less: NaNs first, -0 equal to +0). It
+// is an introselect: median-of-three Hoare partitioning, where elements
+// equal to the pivot stop both scans so that runs of equal values split
+// evenly, falling back to sort.Float64s on short ranges and past a
+// depth bound, which keeps the worst case O(n log n).
+func selectNth(s []float64, n int) {
+	lo, hi := 0, len(s)-1
+	for depth := 2 * bits.Len(uint(len(s))); hi-lo >= selectCutoff && depth > 0; depth-- {
+		// Order s[lo], s[mid], s[hi]; the median at mid is the pivot.
+		mid := lo + (hi-lo)/2
+		if cmp.Less(s[mid], s[lo]) {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if cmp.Less(s[hi], s[mid]) {
+			s[hi], s[mid] = s[mid], s[hi]
+			if cmp.Less(s[mid], s[lo]) {
+				s[mid], s[lo] = s[lo], s[mid]
+			}
+		}
+		p := s[mid]
+		i, j := lo-1, hi+1
+		for {
+			i++
+			for cmp.Less(s[i], p) {
+				i++
+			}
+			j--
+			for cmp.Less(p, s[j]) {
+				j--
+			}
+			if i >= j {
+				break
+			}
+			s[i], s[j] = s[j], s[i]
+		}
+		// Now s[lo:j+1] <= p <= s[j+1:hi+1], with lo <= j < hi.
+		if n <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	sort.Float64s(s[lo : hi+1])
 }
 
 // MAD returns the median absolute deviation of x — a robust spread
