@@ -58,8 +58,8 @@ func (a *artifactRun) write(cfg benchConfig, snap telemetry.Snapshot) (string, e
 // stringly-typed flag map. Every knob that exists is recorded — the
 // report-identity ones (scale, only, seed, spectrograms, cells) because
 // -validate replays them, the execution-only ones (jobs, caches,
-// shards, nofused) because a regression hunt needs to know how the
-// timed run was shaped.
+// shards) because a regression hunt needs to know how the timed run was
+// shaped.
 func manifestFlags(cfg benchConfig) map[string]string {
 	return map[string]string{
 		"scale.payload_bits": strconv.Itoa(cfg.Scale.PayloadBits),
@@ -75,7 +75,6 @@ func manifestFlags(cfg benchConfig) map[string]string {
 		"tracecache_cap":     strconv.Itoa(cfg.TraceCacheCap),
 		"cells":              strconv.FormatInt(cfg.Cells, 10),
 		"shards":             strconv.Itoa(cfg.Shards),
-		"nofused":            strconv.FormatBool(cfg.NoFused),
 	}
 }
 
@@ -165,9 +164,6 @@ func configFromManifest(m artifacts.Manifest) (benchConfig, error) {
 		return cfg, fmt.Errorf("manifest flag cells=%q: %w", runCellsStr, err)
 	}
 	if cfg.Shards, err = atoi("shards"); err != nil {
-		return cfg, err
-	}
-	if cfg.NoFused, err = atob("nofused"); err != nil {
 		return cfg, err
 	}
 	return cfg, nil

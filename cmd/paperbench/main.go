@@ -63,15 +63,10 @@ type benchConfig struct {
 	TraceCacheCap int
 	Cells         int64
 	Shards        int
-	// NoFused disables the fused/real-input DSP kernels, forcing the
-	// reference serial transforms. Named negatively so the zero value —
-	// which every test that builds benchConfig directly gets — keeps the
-	// production default (fused on).
-	NoFused   bool
-	Stats     bool
-	Metrics   string // write a telemetry JSON snapshot here at exit
-	PprofCPU  string // write a runtime/pprof CPU profile here
-	PprofHeap string // write a runtime/pprof heap profile here
+	Stats         bool
+	Metrics       string // write a telemetry JSON snapshot here at exit
+	PprofCPU      string // write a runtime/pprof CPU profile here
+	PprofHeap     string // write a runtime/pprof heap profile here
 	// Artifacts names a root directory to persist this run under: a
 	// timestamped subdirectory holding the per-experiment CSV, the
 	// telemetry snapshot, the stdout report, and an environment
@@ -100,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tccap      = fs.Int("tracecache-cap", 0, "transmitter-trace cache capacity in entries: 0 = default; size to the anchor working set for fleet-scale runs (results are bit-identical at every capacity)")
 		cells      = fs.Int64("cells", 0, "fleet campaign population size: 0 = the scale's default")
 		shards     = fs.Int("shards", 0, "fleet campaign execution shards: 0 = default (reports are byte-identical at every value)")
-		nofused    = fs.Bool("nofused", false, "disable the fused/real-input DSP kernels and use the reference transforms (results are bit-identical either way)")
 		stats      = fs.Bool("stats", true, "report per-experiment wall time and the telemetry summary on stderr")
 		metrics    = fs.String("metrics", "", "write a telemetry JSON snapshot to this file at exit")
 		pprofCPU   = fs.String("pprof-cpu", "", "write a CPU profile (runtime/pprof) to this file")
@@ -122,7 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		TraceCacheCap: *tccap,
 		Cells:         *cells,
 		Shards:        *shards,
-		NoFused:       *nofused,
 		Stats:         *stats,
 		Metrics:       *metrics,
 		PprofCPU:      *pprofCPU,
@@ -146,7 +139,6 @@ func execute(cfg benchConfig, stdout, stderr io.Writer) int {
 	}
 
 	dsp.SetDefaultParallelism(cfg.Parallel)
-	dsp.SetFusedKernels(!cfg.NoFused)
 	sweep.SetDefaultJobs(cfg.Jobs)
 	core.SetTraceCacheEnabled(cfg.TraceCache)
 	core.SetTraceCacheCapacity(cfg.TraceCacheCap)

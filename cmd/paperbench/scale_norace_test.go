@@ -21,10 +21,6 @@ var goldenCombos = []goldenCombo{
 // across serial and fanned-out runs.
 var telemetryGoldenJobs = []int{1, 4}
 
-// fusedGoldenModes is the -nofused grid for the fused-kernel golden
-// test: both kernel sets are rendered and compared byte-for-byte.
-var fusedGoldenModes = []bool{false, true}
-
 // fleetGoldenGrid is the shard×worker grid the fleet campaign's
 // byte-identity is proven over (the acceptance grid).
 var fleetGoldenGrid = []struct{ shards, jobs int }{

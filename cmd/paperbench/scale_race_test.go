@@ -24,14 +24,6 @@ var goldenCombos = []goldenCombo{
 // counter-equality assertion runs in the !race tier (it needs two).
 var telemetryGoldenJobs = []int{4}
 
-// fusedGoldenModes under race: only the -nofused render. The fused
-// kernels already run under race in every other golden/telemetry
-// render (they are the default), so the reference-kernel render is the
-// only new coverage here; rendering both would blow the per-package
-// test timeout on a small runner. The byte-equivalence of both modes
-// is proven at full Quick scale in the !race tier.
-var fusedGoldenModes = []bool{true}
-
 // fleetGoldenGrid under race: one sharded/fanned-out render against the
 // serial baseline — enough to race the campaign's chunk claiming. The
 // full shards {1,4,16} × jobs {1,4} acceptance grid runs in the !race

@@ -296,18 +296,9 @@ func (tb *Testbed) PrepareCovert(cfg CovertConfig) *PreparedCovert {
 		faultSpan.End()
 	}
 
-	rxCfg := covert.DefaultRXConfig()
-	rxCfg.ExpectedF0 = tb.Profile.VRM.SwitchingFreqHz
-	rxCfg.MinBitPeriod = tr.txCfg.BitPeriod() / 2
-	rxCfg.Parallelism = cfg.Parallelism
-	rxCfg.Resync = cfg.RXResync
-	rxCfg.CarrierRetries = cfg.RXCarrierRetries
-	if cfg.RXHarmonics > 0 {
-		rxCfg.NumHarmonics = cfg.RXHarmonics
-	}
 	return &PreparedCovert{
 		Cap:     cap,
-		RXCfg:   rxCfg,
+		RXCfg:   tb.CovertRXConfig(cfg),
 		Run:     tr.run,
 		Payload: tr.payload,
 		TXCfg:   tr.txCfg,

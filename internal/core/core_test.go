@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pmuleak/internal/covert"
 	"pmuleak/internal/dsp"
 	"pmuleak/internal/laptop"
 	"pmuleak/internal/sdr"
@@ -235,5 +236,36 @@ func TestRenderTrace(t *testing.T) {
 	RenderTrace(&sb, nil, 4, 20)
 	if !strings.Contains(sb.String(), "empty") {
 		t.Fatal("empty trace not flagged")
+	}
+}
+
+// TestCovertRXConfigMatchesPrepareCovert pins the single source of the
+// covert receiver config: the pure CovertRXConfig (which the perfbench
+// traced chain calls to reproduce RunCovert) must equal the RXCfg that
+// PrepareCovert hands the demodulator after simulating the transmitter,
+// across every CovertConfig field that reaches either side, and its bit
+// period must be the simulated transmitter's.
+func TestCovertRXConfigMatchesPrepareCovert(t *testing.T) {
+	tb := NewTestbed(WithSeed(5))
+	for _, cfg := range []CovertConfig{
+		{},
+		{SleepPeriod: 300 * sim.Microsecond},
+		{RXHarmonics: 3, RXResync: true, RXCarrierRetries: 2},
+		{Code: covert.CodeHamming74, Interleave: 4},
+		{SleepPeriod: 250 * sim.Microsecond, Code: covert.CodeParity, Interleave: 2,
+			RXHarmonics: 1, RXResync: true, RXCarrierRetries: 1, Parallelism: 2},
+	} {
+		cfg.PayloadBits = 16
+		p := tb.PrepareCovert(cfg)
+		p.Cap.Recycle()
+		if got := tb.CovertRXConfig(cfg); got != p.RXCfg {
+			t.Fatalf("%+v:\nCovertRXConfig %+v\nPrepareCovert  %+v", cfg, got, p.RXCfg)
+		}
+		// The config is built from the default TX config; its bit period
+		// must be the simulated transmitter's.
+		if want := p.TXCfg.BitPeriod() / 2; p.RXCfg.MinBitPeriod != want {
+			t.Fatalf("%+v: MinBitPeriod %v, simulated transmitter gives %v",
+				cfg, p.RXCfg.MinBitPeriod, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"pmuleak/internal/covert"
-	"pmuleak/internal/keylog"
 	"pmuleak/internal/stream"
 )
 
@@ -49,9 +48,12 @@ func (tb *Testbed) RunKeylogStream(cfg KeylogConfig, chunkSize int) (*KeylogResu
 	return p.finish(detection), nil
 }
 
-// CovertRXConfig returns the receiver config RunCovert would hand the
+// CovertRXConfig returns the receiver config RunCovert hands the
 // demodulator for this covert config — pure arithmetic over the profile
-// and the transmitter settings, no simulation.
+// and the transmitter settings, no simulation. PrepareCovert builds its
+// RXCfg here, so the two cannot drift apart. The bit period depends
+// only on the loop and sleep periods, which the transmitter trace never
+// changes, so the default TX config stands in for the simulated one.
 func (tb *Testbed) CovertRXConfig(cfg CovertConfig) covert.RXConfig {
 	cfg.fill(tb)
 	txCfg := covert.DefaultTXConfig(cfg.SleepPeriod)
@@ -65,35 +67,4 @@ func (tb *Testbed) CovertRXConfig(cfg CovertConfig) covert.RXConfig {
 		rxCfg.NumHarmonics = cfg.RXHarmonics
 	}
 	return rxCfg
-}
-
-// NewCovertStreamReceiver returns a stream.CovertReceiver configured
-// exactly as this testbed's RunCovert would configure its batch
-// demodulator — the receiver the daemon attaches to a live covert
-// stream. Tuning matches the covert capture plan: the radio's sample
-// rate at the profile's default center frequency.
-func (tb *Testbed) NewCovertStreamReceiver(cfg CovertConfig) (*stream.CovertReceiver, covert.RXConfig, error) {
-	rxCfg := tb.CovertRXConfig(cfg)
-	centerFreqHz := 1.5 * tb.Profile.VRM.SwitchingFreqHz
-	rx, err := stream.NewCovertReceiver(rxCfg, tb.Radio.SampleRate, centerFreqHz)
-	return rx, rxCfg, err
-}
-
-// NewKeylogStreamDetector returns a stream.KeylogDetector configured
-// exactly as RunKeylog would configure its batch detector.
-func (tb *Testbed) NewKeylogStreamDetector(cfg KeylogConfig) (*stream.KeylogDetector, keylog.DetectorConfig, error) {
-	detCfg := keylog.DefaultDetectorConfig()
-	if cfg.Detector != nil {
-		detCfg = *cfg.Detector
-	}
-	detCfg.ExpectedF0 = tb.Profile.VRM.SwitchingFreqHz
-	if cfg.Parallelism != 0 {
-		detCfg.Parallelism = cfg.Parallelism
-	}
-	if cfg.GapAware {
-		detCfg.GapAware = true
-	}
-	plan := tb.keylogPlan()
-	det, err := stream.NewKeylogDetector(detCfg, plan.SampleRate, plan.CenterFreqHz)
-	return det, detCfg, err
 }

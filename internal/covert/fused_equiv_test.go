@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pmuleak/internal/dsp"
 	"pmuleak/internal/emchannel"
 	"pmuleak/internal/faults"
 	"pmuleak/internal/laptop"
@@ -16,8 +15,8 @@ import (
 // linkCapture runs the transmit -> emanate -> propagate -> acquire
 // front half of runLink and returns the capture plus the receiver
 // config tuned to the profile, without demodulating. The demodulation
-// differential below reuses one capture across kernel modes so the
-// input bits are literally identical.
+// differential below reuses one capture across parallelism levels so
+// the input bits are literally identical.
 func linkCapture(payloadBits int, seed int64) (*sdr.Capture, RXConfig) {
 	prof := laptop.Reference()
 	sys := laptop.NewSystem(prof, seed)
@@ -47,17 +46,14 @@ func linkCapture(payloadBits int, seed int64) (*sdr.Capture, RXConfig) {
 }
 
 // TestDemodulateFusedEquivalence is the receiver-level differential for
-// the fused kernels, across the fault axis the robustness experiment
-// exercises: for a clean capture and for deterministically faulted
-// copies of it (drops, clock error, gain steps, saturation), the entire
-// Demod — traces, bit starts, decoded bits, quality — must be identical
-// with fused kernels on and off, serial and parallel. The receiver's
-// decisions consume STFT magnitudes and Welch PSDs, which the kernel
-// suite proves bit-identical, so reflect.DeepEqual is the bar.
+// the fused DSP kernels, across the fault axis the robustness
+// experiment exercises: for a clean capture and for deterministically
+// faulted copies of it (drops, clock error, gain steps, saturation),
+// the entire Demod — traces, bit starts, decoded bits, quality — must
+// be identical serial and parallel. The receiver's decisions consume
+// STFT magnitudes and Welch PSDs, which the kernel suite proves
+// bit-identical to serial oracles, so reflect.DeepEqual is the bar.
 func TestDemodulateFusedEquivalence(t *testing.T) {
-	prevFused := dsp.FusedKernels()
-	defer dsp.SetFusedKernels(prevFused)
-
 	faultConfigs := []struct {
 		name string
 		cfg  faults.Config
@@ -72,23 +68,20 @@ func TestDemodulateFusedEquivalence(t *testing.T) {
 		faults.MustNew(fc.cfg, 99).Apply(cap)
 
 		var want *Demod
-		for _, fused := range []bool{false, true} {
-			dsp.SetFusedKernels(fused)
-			for _, par := range []int{1, 4} {
-				cfg := rxCfg
-				cfg.Parallelism = par
-				d := Demodulate(cap, cfg)
-				if want == nil {
-					if !d.CarrierFound {
-						t.Fatalf("%s: carrier lost in reference demodulation", fc.name)
-					}
-					want = d
-					continue
+		for _, par := range []int{1, 4} {
+			cfg := rxCfg
+			cfg.Parallelism = par
+			d := Demodulate(cap, cfg)
+			if want == nil {
+				if !d.CarrierFound {
+					t.Fatalf("%s: carrier lost in serial demodulation", fc.name)
 				}
-				if !reflect.DeepEqual(d, want) {
-					t.Fatalf("%s fused=%v par=%d: demodulation differs from reference:\n%s",
-						fc.name, fused, par, demodDiff(d, want))
-				}
+				want = d
+				continue
+			}
+			if !reflect.DeepEqual(d, want) {
+				t.Fatalf("%s par=%d: demodulation differs from serial:\n%s",
+					fc.name, par, demodDiff(d, want))
 			}
 		}
 	}

@@ -2,14 +2,13 @@ package dsp
 
 import "testing"
 
-// Kernel benchmarks, paired so the fused/real-input speedup is measured
+// Kernel benchmarks, paired so the fused-kernel speedup is measured
 // inside one process on one machine: for each workload, path=reference
-// is the pre-fusion serial algorithm (kernel switch off; for real
-// workloads that includes the pack-to-complex copy the old entry
-// points forced on every caller with a real trace) and path=fused is
-// the production path. cmd/benchguard enforces the fused/reference
-// ratio from this output — ratios survive machine-speed differences,
-// absolute nanoseconds do not.
+// is the pre-fusion serial algorithm (copy, ApplyWindow, the plan's
+// one-stage-per-pass loop in applyOracle) and path=fused is the
+// production path. cmd/benchguard enforces the fused/reference ratio
+// from this output — ratios survive machine-speed differences, absolute
+// nanoseconds do not.
 
 const (
 	benchTraceLen = 1 << 17
@@ -17,55 +16,22 @@ const (
 	benchHop      = 256
 )
 
-func benchPaths(b *testing.B, run func(b *testing.B)) {
-	prev := FusedKernels()
-	b.Cleanup(func() { SetFusedKernels(prev) })
-	for _, path := range []struct {
-		name  string
-		fused bool
-	}{{"path=reference", false}, {"path=fused", true}} {
-		b.Run(path.name, func(b *testing.B) {
-			SetFusedKernels(path.fused)
-			run(b)
-		})
-	}
-}
-
-func BenchmarkSTFT(b *testing.B) {
-	x := randReal(benchTraceLen, 1)
-	window := Hann(benchFFTSize)
-	e := Engine{Parallelism: 1}
-	benchPaths(b, func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.STFTReal(x, benchFFTSize, benchHop, window, 2.4e6)
-		}
-	})
-}
-
-func BenchmarkWelch(b *testing.B) {
-	x := randReal(benchTraceLen, 2)
-	e := Engine{Parallelism: 1}
-	benchPaths(b, func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.WelchPSDReal(x, benchFFTSize)
-		}
-	})
-}
-
-// BenchmarkSTFTComplex measures the fused win on the pipeline's real
-// workload shape — complex IQ, where only the gather and stage fusion
-// apply, not the real-input halving.
+// BenchmarkSTFTComplex measures the fused win on the pipeline's
+// workload shape — complex IQ through the windowed gather and the
+// paired butterfly stages.
 func BenchmarkSTFTComplex(b *testing.B) {
 	x := randComplex(benchTraceLen, 3)
 	window := Hann(benchFFTSize)
-	e := Engine{Parallelism: 1}
-	benchPaths(b, func(b *testing.B) {
+	plan := PlanFFT(benchFFTSize)
+	b.Run("path=reference", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stftOracle(x, benchFFTSize, benchHop, window, func(buf []complex128) { applyOracle(plan, buf) })
+		}
+	})
+	e := Engine{Parallelism: 1}
+	b.Run("path=fused", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e.STFT(x, benchFFTSize, benchHop, window, 2.4e6)
 		}
@@ -80,28 +46,21 @@ func BenchmarkFFT(b *testing.B) {
 	const batch = 64
 	src := randComplex(n, 4)
 	buf := make([]complex128, n)
-	benchPaths(b, func(b *testing.B) {
+	b.Run("path=reference", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < batch; j++ {
+				copy(buf, src)
+				applyOracle(PlanFFT(n), buf)
+			}
+		}
+	})
+	b.Run("path=fused", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < batch; j++ {
 				copy(buf, src)
 				FFT(buf)
-			}
-		}
-	})
-	real := randReal(n, 5)
-	dst := make([]complex128, n)
-	b.Run("path=rfft", func(b *testing.B) {
-		prev := FusedKernels()
-		defer SetFusedKernels(prev)
-		SetFusedKernels(true)
-		plan := PlanFFT(n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < batch; j++ {
-				plan.RealTransform(dst, real)
 			}
 		}
 	})

@@ -14,7 +14,7 @@ const receiverBenchLen = 500_000
 // rising-edge kernel, the input detectEdges hands to FindPeaks and
 // Quantile.
 func edgeTrace() []float64 {
-	return Convolve(randReal(receiverBenchLen, 8), EdgeKernel(20))
+	return Convolve(realSignal(receiverBenchLen, 8), EdgeKernel(20))
 }
 
 func BenchmarkQuantile(b *testing.B) {
@@ -48,7 +48,7 @@ func BenchmarkFindPeaks(b *testing.B) {
 }
 
 func BenchmarkConvolve(b *testing.B) {
-	x := randReal(receiverBenchLen, 9)
+	x := realSignal(receiverBenchLen, 9)
 	k := EdgeKernel(300)
 	for _, path := range []struct {
 		name     string

@@ -5,8 +5,7 @@ package dsp
 // at x[i]. Samples beyond the signal edges are treated as zero; an
 // empty kernel or signal yields all zeros. This is the single-threaded
 // path; Engine.Convolve computes the bit-identical result on a worker
-// pool, and Engine.OverlapSave is the FFT-accelerated variant for
-// long kernels.
+// pool.
 func Convolve(x, k []float64) []float64 {
 	out := make([]float64, len(x))
 	if len(k) == 0 {

@@ -11,12 +11,13 @@
 // # The parallel engine
 //
 // The hot transforms are available in two forms. The package-level
-// functions (FFT, STFT, WelchPSD, Convolve) are single-threaded and
-// preserved exactly as the original reference implementation behaved.
+// functions (FFT, STFT, WelchPSD, Convolve) are single-threaded.
 // Engine wraps the same transforms with a worker pool sized by its
 // Parallelism knob (0 = all CPUs, 1 = serial, n = n goroutines) and a
 // per-size FFT plan cache (PlanFFT) that precomputes twiddle factors
-// and bit-reversal tables once per transform size.
+// and bit-reversal tables once per transform size. Every windowed
+// frame — an STFT frame, a Welch segment, or a frame of the stream
+// receivers — goes through one kernel, FFTPlan.WindowedTransform.
 //
 // The engine's defining property is that parallelism never changes
 // results: frames, Welch segments, and convolution outputs are
@@ -24,8 +25,7 @@
 // order-sensitive reduction (the Welch segment average) is accumulated
 // in segment order after the parallel transforms finish. The
 // differential harness in engine_test.go pins this down — every
-// parallel output is required to be bit-identical to the serial one.
-// The single exception is Engine.OverlapSave, an FFT-accelerated
-// convolution whose rounding differs from the direct path at the
-// ~1e-15 relative level; decision-making consumers stay on Convolve.
+// parallel output is required to be bit-identical to the serial one —
+// and equiv_test.go holds the transforms to serial oracles kept in the
+// test files.
 package dsp

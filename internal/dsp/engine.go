@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 	"runtime"
 	"sync"
@@ -17,12 +16,11 @@ import (
 // segment totals are derived from the input geometry, so they are
 // deterministic for a fixed workload at every Parallelism.
 var (
-	engSTFTDur      = telemetry.NewHistogram("dsp.engine.stft")
-	engWelchDur     = telemetry.NewHistogram("dsp.engine.welch")
-	engSTFTFrames   = telemetry.NewCounter("dsp.engine.stft.frames")
-	engWelchSegs    = telemetry.NewCounter("dsp.engine.welch.segments")
-	engConvolves    = telemetry.NewCounter("dsp.engine.convolve.calls")
-	engOverlapSaves = telemetry.NewCounter("dsp.engine.overlapsave.calls")
+	engSTFTDur    = telemetry.NewHistogram("dsp.engine.stft")
+	engWelchDur   = telemetry.NewHistogram("dsp.engine.welch")
+	engSTFTFrames = telemetry.NewCounter("dsp.engine.stft.frames")
+	engWelchSegs  = telemetry.NewCounter("dsp.engine.welch.segments")
+	engConvolves  = telemetry.NewCounter("dsp.engine.convolve.calls")
 )
 
 // defaultParallelism is the process-wide worker count used by engines
@@ -117,10 +115,14 @@ func (e Engine) Chunks(n int, fn func(lo, hi int)) {
 }
 
 // STFT computes the same magnitude spectrogram as the package-level
-// STFT, fanning frames out across the worker pool. Each worker reuses
-// one scratch buffer for all of its frames and writes magnitudes into a
-// single preallocated backing array, so the steady state allocates
-// nothing per frame.
+// STFT, fanning frames out across the worker pool. Each frame is one
+// FFTPlan.WindowedTransform (window multiply and bit-reversal
+// permutation in one gather, then the paired butterfly stages); each
+// worker reuses one scratch buffer for all of its frames and writes
+// magnitudes into a single preallocated backing array, so the steady
+// state allocates nothing per frame. A frame's row is the same
+// arithmetic whichever worker computes it, so the spectrogram never
+// depends on Parallelism.
 func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleRate float64) *Spectrogram {
 	stftValidate(fftSize, hop, window)
 	s := &Spectrogram{FFTSize: fftSize, Hop: hop, SampleRate: sampleRate}
@@ -134,46 +136,35 @@ func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleR
 	defer engSTFTDur.Start().End()
 	engSTFTFrames.Add(uint64(frames))
 	plan := PlanFFT(fftSize)
-	if FusedKernels() {
-		e.stftFused(s, x, frames, hop, plan, window)
-		return s
+	flat := make([]float64, frames*fftSize)
+	s.Mag = make([][]float64, frames)
+	for f := range s.Mag {
+		s.Mag[f] = flat[f*fftSize : (f+1)*fftSize : (f+1)*fftSize]
 	}
 	w := e.workers()
 	if w > frames {
 		w = frames
 	}
-	if w == 1 {
+	worker := func(wk int) {
 		buf := make([]complex128, fftSize)
-		for f := 0; f < frames; f++ {
-			start := f * hop
-			copy(buf, x[start:start+fftSize])
-			ApplyWindow(buf, window)
-			plan.Transform(buf)
-			s.Mag = append(s.Mag, Magnitudes(buf))
+		for f := wk; f < frames; f += w {
+			plan.WindowedTransform(buf, x[f*hop:f*hop+fftSize], window)
+			row := s.Mag[f]
+			for i, v := range buf {
+				row[i] = cmplx.Abs(v)
+			}
 		}
-		return s
 	}
-	flat := make([]float64, frames*fftSize)
-	s.Mag = make([][]float64, frames)
-	for f := range s.Mag {
-		s.Mag[f] = flat[f*fftSize : (f+1)*fftSize : (f+1)*fftSize]
+	if w == 1 {
+		worker(0)
+		return s
 	}
 	var wg sync.WaitGroup
 	for wk := 0; wk < w; wk++ {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			buf := make([]complex128, fftSize)
-			for f := wk; f < frames; f += w {
-				start := f * hop
-				copy(buf, x[start:start+fftSize])
-				ApplyWindow(buf, window)
-				plan.Transform(buf)
-				row := s.Mag[f]
-				for i, v := range buf {
-					row[i] = cmplx.Abs(v)
-				}
-			}
+			worker(wk)
 		}(wk)
 	}
 	wg.Wait()
@@ -193,155 +184,16 @@ func stftValidate(fftSize, hop int, window []float64) {
 	}
 }
 
-// isRealValued reports whether every sample's imaginary part is zero —
-// a real capture stored in a complex buffer. The scan aborts at the
-// first genuinely complex sample, so IQ captures pay one comparison;
-// real-valued traces pay a linear scan and then save half of every
-// transform that follows.
-func isRealValued(x []complex128) bool {
-	for _, v := range x {
-		if imag(v) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// mirrorMagRow expands a half-spectrum into a full magnitude row using
-// conjugate symmetry: |X[n-k]| equals |X[k]| bit-exactly, because
-// cmplx.Abs (math.Hypot) strips both signs before it does arithmetic.
-func mirrorMagRow(row []float64, buf []complex128, n int) {
-	h := n >> 1
-	// Two passes: a forward Hypot loop over the computed half-spectrum,
-	// then a pure copy into the mirrored bins — keeping the expensive
-	// loop free of the backward-striding second store.
-	for k := 0; k <= h && k < n; k++ {
-		v := buf[k]
-		row[k] = math.Hypot(real(v), imag(v))
-	}
-	for k := 1; k < h; k++ {
-		row[n-k] = row[k]
-	}
-}
-
-// stftFused fills the spectrogram through the fused kernels: each frame
-// is gathered (window multiply + bit-reversal permutation in one pass)
-// straight into the paired butterfly stages, and when the capture is
-// real-valued the half-spectrum real transform runs instead with the
-// magnitude row mirrored. Both variants produce rows bit-identical to
-// the reference path's (DESIGN.md §9), so the spectrogram never depends
-// on the kernel mode or Parallelism.
-func (e Engine) stftFused(s *Spectrogram, x []complex128, frames, hop int, plan *FFTPlan, window []float64) {
-	fftSize := plan.Size()
-	realIn := isRealValued(x)
-	flat := make([]float64, frames*fftSize)
-	s.Mag = make([][]float64, frames)
-	for f := range s.Mag {
-		s.Mag[f] = flat[f*fftSize : (f+1)*fftSize : (f+1)*fftSize]
-	}
-	w := e.workers()
-	if w > frames {
-		w = frames
-	}
-	worker := func(wk int) {
-		buf := make([]complex128, fftSize)
-		for f := wk; f < frames; f += w {
-			frame := x[f*hop : f*hop+fftSize]
-			row := s.Mag[f]
-			if realIn {
-				plan.realHalfComplex(buf, frame, window)
-				mirrorMagRow(row, buf, fftSize)
-				continue
-			}
-			plan.windowGather(buf, frame, window, plan.fwd)
-			for i, v := range buf {
-				row[i] = cmplx.Abs(v)
-			}
-		}
-	}
-	if w == 1 {
-		worker(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < w; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			worker(wk)
-		}(wk)
-	}
-	wg.Wait()
-}
-
-// STFTReal computes the magnitude spectrogram of a real-valued signal —
-// the native shape of the paper's power traces. It is the real-input
-// twin of STFT: with the fused kernels enabled every frame runs the
-// half-spectrum real transform (half the butterflies and half the
-// magnitude evaluations of the complex path); with them disabled the
-// samples are packed into a complex buffer and handed to the reference
-// STFT. Both modes produce bit-identical rows.
-func (e Engine) STFTReal(x []float64, fftSize, hop int, window []float64, sampleRate float64) *Spectrogram {
-	if !FusedKernels() {
-		packed := make([]complex128, len(x))
-		for i, v := range x {
-			packed[i] = complex(v, 0)
-		}
-		return e.STFT(packed, fftSize, hop, window, sampleRate)
-	}
-	stftValidate(fftSize, hop, window)
-	s := &Spectrogram{FFTSize: fftSize, Hop: hop, SampleRate: sampleRate}
-	frames := 0
-	if len(x) >= fftSize {
-		frames = (len(x)-fftSize)/hop + 1
-	}
-	if frames == 0 {
-		return s
-	}
-	defer engSTFTDur.Start().End()
-	engSTFTFrames.Add(uint64(frames))
-	plan := PlanFFT(fftSize)
-	flat := make([]float64, frames*fftSize)
-	s.Mag = make([][]float64, frames)
-	for f := range s.Mag {
-		s.Mag[f] = flat[f*fftSize : (f+1)*fftSize : (f+1)*fftSize]
-	}
-	w := e.workers()
-	if w > frames {
-		w = frames
-	}
-	worker := func(wk int) {
-		buf := make([]complex128, fftSize)
-		for f := wk; f < frames; f += w {
-			plan.realHalfFloat(buf, x[f*hop:f*hop+fftSize], window)
-			mirrorMagRow(s.Mag[f], buf, fftSize)
-		}
-	}
-	if w == 1 {
-		worker(0)
-		return s
-	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < w; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			worker(wk)
-		}(wk)
-	}
-	wg.Wait()
-	return s
-}
-
 // welchBatchFactor bounds the scratch memory of the parallel Welch
 // path: per round, workers transform at most workers*welchBatchFactor
 // segments before the ordered accumulation drains them.
 const welchBatchFactor = 16
 
 // WelchPSD computes the same power spectral density as the
-// package-level WelchPSD. Segment transforms run on the worker pool;
-// the segment average is then accumulated in segment order, so the
-// output is bit-identical to the serial path for every Parallelism.
+// package-level WelchPSD. Each segment is one FFTPlan.WindowedTransform
+// and the transforms run on the worker pool; the segment average is
+// then accumulated in segment order, so the output is bit-identical to
+// the serial path for every Parallelism.
 func (e Engine) WelchPSD(x []complex128, fftSize int) []float64 {
 	if !IsPowerOfTwo(fftSize) {
 		panic(fmt.Sprintf("dsp: WelchPSD fftSize %d not a power of two", fftSize))
@@ -364,16 +216,6 @@ func (e Engine) WelchPSD(x []complex128, fftSize int) []float64 {
 	defer engWelchDur.Start().End()
 	engWelchSegs.Add(uint64(segments))
 	plan := PlanFFT(fftSize)
-	if FusedKernels() {
-		if isRealValued(x) {
-			e.welchReal(psd, segments, hop, fftSize, func(buf []complex128, start int) {
-				plan.realHalfComplex(buf, x[start:start+fftSize], window)
-			})
-		} else {
-			e.welchFused(psd, x, segments, hop, fftSize, window, plan)
-		}
-		return psd
-	}
 	w := e.workers()
 	if w > segments {
 		w = segments
@@ -381,184 +223,7 @@ func (e Engine) WelchPSD(x []complex128, fftSize int) []float64 {
 	if w == 1 {
 		buf := make([]complex128, fftSize)
 		for seg := 0; seg < segments; seg++ {
-			copy(buf, x[seg*hop:seg*hop+fftSize])
-			ApplyWindow(buf, window)
-			plan.Transform(buf)
-			for i, v := range buf {
-				re, im := real(v), imag(v)
-				psd[i] += re*re + im*im
-			}
-		}
-		for i := range psd {
-			psd[i] /= float64(segments)
-		}
-		return psd
-	}
-	batch := w * welchBatchFactor
-	if batch > segments {
-		batch = segments
-	}
-	flat := make([]float64, batch*fftSize)
-	for base := 0; base < segments; base += batch {
-		nb := batch
-		if base+nb > segments {
-			nb = segments - base
-		}
-		var wg sync.WaitGroup
-		for wk := 0; wk < w; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				buf := make([]complex128, fftSize)
-				for k := wk; k < nb; k += w {
-					start := (base + k) * hop
-					copy(buf, x[start:start+fftSize])
-					ApplyWindow(buf, window)
-					plan.Transform(buf)
-					row := flat[k*fftSize : (k+1)*fftSize]
-					for i, v := range buf {
-						re, im := real(v), imag(v)
-						row[i] = re*re + im*im
-					}
-				}
-			}(wk)
-		}
-		wg.Wait()
-		// Ordered accumulation: segment k is always added after
-		// segment k-1, exactly as the serial loop does, so the
-		// floating-point sum is reproduced bit for bit.
-		for k := 0; k < nb; k++ {
-			row := flat[k*fftSize : (k+1)*fftSize]
-			for i := range psd {
-				psd[i] += row[i]
-			}
-		}
-	}
-	for i := range psd {
-		psd[i] /= float64(segments)
-	}
-	return psd
-}
-
-// WelchPSDReal computes the Welch PSD of a real-valued signal. With the
-// fused kernels enabled each segment runs the half-spectrum real
-// transform and only bins [0, fftSize/2] are accumulated, the upper
-// half being their bit-exact mirror; with them disabled the samples are
-// packed into a complex buffer and handed to the reference WelchPSD.
-// Both modes produce a bit-identical PSD.
-func (e Engine) WelchPSDReal(x []float64, fftSize int) []float64 {
-	if !FusedKernels() {
-		packed := make([]complex128, len(x))
-		for i, v := range x {
-			packed[i] = complex(v, 0)
-		}
-		return e.WelchPSD(packed, fftSize)
-	}
-	if !IsPowerOfTwo(fftSize) {
-		panic(fmt.Sprintf("dsp: WelchPSD fftSize %d not a power of two", fftSize))
-	}
-	if fftSize < 2 {
-		panic("dsp: WelchPSD fftSize must be >= 2")
-	}
-	window := Hann(fftSize)
-	hop := fftSize / 2
-	psd := make([]float64, fftSize)
-	segments := 0
-	if len(x) >= fftSize {
-		segments = (len(x)-fftSize)/hop + 1
-	}
-	if segments == 0 {
-		return psd
-	}
-	defer engWelchDur.Start().End()
-	engWelchSegs.Add(uint64(segments))
-	plan := PlanFFT(fftSize)
-	e.welchReal(psd, segments, hop, fftSize, func(buf []complex128, start int) {
-		plan.realHalfFloat(buf, x[start:start+fftSize], window)
-	})
-	return psd
-}
-
-// welchReal accumulates the Welch average over half-spectrum segment
-// transforms: gather must leave bins [0, fftSize/2] of segment start's
-// windowed transform in buf. Per-segment powers at mirrored bins are
-// bit-identical (squares are sign-blind), and segments accumulate in
-// segment order exactly as the serial reference does, so averaging the
-// half and mirroring at the end reproduces the reference PSD bit for
-// bit at every Parallelism.
-func (e Engine) welchReal(psd []float64, segments, hop, fftSize int, gather func(buf []complex128, start int)) {
-	half := fftSize >> 1
-	halfLen := half + 1
-	w := e.workers()
-	if w > segments {
-		w = segments
-	}
-	if w == 1 {
-		buf := make([]complex128, fftSize)
-		for seg := 0; seg < segments; seg++ {
-			gather(buf, seg*hop)
-			for i := 0; i <= half; i++ {
-				re, im := real(buf[i]), imag(buf[i])
-				psd[i] += re*re + im*im
-			}
-		}
-	} else {
-		batch := w * welchBatchFactor
-		if batch > segments {
-			batch = segments
-		}
-		flat := make([]float64, batch*halfLen)
-		for base := 0; base < segments; base += batch {
-			nb := batch
-			if base+nb > segments {
-				nb = segments - base
-			}
-			var wg sync.WaitGroup
-			for wk := 0; wk < w; wk++ {
-				wg.Add(1)
-				go func(wk int) {
-					defer wg.Done()
-					buf := make([]complex128, fftSize)
-					for k := wk; k < nb; k += w {
-						gather(buf, (base+k)*hop)
-						row := flat[k*halfLen : (k+1)*halfLen]
-						for i := 0; i <= half; i++ {
-							re, im := real(buf[i]), imag(buf[i])
-							row[i] = re*re + im*im
-						}
-					}
-				}(wk)
-			}
-			wg.Wait()
-			for k := 0; k < nb; k++ {
-				row := flat[k*halfLen : (k+1)*halfLen]
-				for i := range row {
-					psd[i] += row[i]
-				}
-			}
-		}
-	}
-	for i := 0; i <= half; i++ {
-		psd[i] /= float64(segments)
-	}
-	for k := 1; k < half; k++ {
-		psd[fftSize-k] = psd[k]
-	}
-}
-
-// welchFused is WelchPSD's fused-kernel path for genuinely complex
-// input: the reference segment loop with the copy/window/transform
-// passes collapsed into one windowGather per segment. Bit-identical to
-// the reference at every Parallelism.
-func (e Engine) welchFused(psd []float64, x []complex128, segments, hop, fftSize int, window []float64, plan *FFTPlan) {
-	w := e.workers()
-	if w > segments {
-		w = segments
-	}
-	if w == 1 {
-		buf := make([]complex128, fftSize)
-		for seg := 0; seg < segments; seg++ {
-			plan.windowGather(buf, x[seg*hop:seg*hop+fftSize], window, plan.fwd)
+			plan.WindowedTransform(buf, x[seg*hop:seg*hop+fftSize], window)
 			for i, v := range buf {
 				re, im := real(v), imag(v)
 				psd[i] += re*re + im*im
@@ -583,7 +248,7 @@ func (e Engine) welchFused(psd []float64, x []complex128, segments, hop, fftSize
 					buf := make([]complex128, fftSize)
 					for k := wk; k < nb; k += w {
 						start := (base + k) * hop
-						plan.windowGather(buf, x[start:start+fftSize], window, plan.fwd)
+						plan.WindowedTransform(buf, x[start:start+fftSize], window)
 						row := flat[k*fftSize : (k+1)*fftSize]
 						for i, v := range buf {
 							re, im := real(v), imag(v)
@@ -593,6 +258,9 @@ func (e Engine) welchFused(psd []float64, x []complex128, segments, hop, fftSize
 				}(wk)
 			}
 			wg.Wait()
+			// Ordered accumulation: segment k is always added after
+			// segment k-1, exactly as the serial loop does, so the
+			// floating-point sum is reproduced bit for bit.
 			for k := 0; k < nb; k++ {
 				row := flat[k*fftSize : (k+1)*fftSize]
 				for i := range psd {
@@ -604,6 +272,7 @@ func (e Engine) welchFused(psd []float64, x []complex128, segments, hop, fftSize
 	for i := range psd {
 		psd[i] /= float64(segments)
 	}
+	return psd
 }
 
 // Convolve computes the same "same"-size convolution as the
@@ -617,98 +286,5 @@ func (e Engine) Convolve(x, k []float64) []float64 {
 	}
 	engConvolves.Inc()
 	e.Chunks(len(x), func(lo, hi int) { convolveRange(out, x, k, lo, hi) })
-	return out
-}
-
-// OverlapSave computes the same quantity as Convolve by overlap-save
-// FFT block processing: O((n/L)·N log N) instead of O(n·k), a large win
-// once the kernel has more than a few dozen taps. Unlike the engine's
-// other methods its output is NOT bit-identical to the direct path —
-// the transform pair introduces rounding on the order of 1e-15 relative
-// to the output scale — which is why the receiver's decision paths stay
-// on Convolve and this entry point is for bulk analysis workloads.
-func (e Engine) OverlapSave(x, k []float64) []float64 {
-	out := make([]float64, len(x))
-	if len(k) == 0 || len(x) == 0 {
-		return out
-	}
-	engOverlapSaves.Inc()
-	kl := len(k)
-	n := NextPowerOfTwo(4 * kl)
-	if n < 1024 {
-		n = 1024
-	}
-	if n > NextPowerOfTwo(len(x)+kl) {
-		n = NextPowerOfTwo(len(x) + kl)
-	}
-	blockLen := n - kl + 1 // valid linear-convolution outputs per block
-	plan := PlanFFT(n)
-	// Kernel spectrum, reversed so the block product computes
-	// out[i] = sum_j k[j]*x[i+j-half] (Convolve's indexing).
-	kf := make([]complex128, n)
-	for j, kv := range k {
-		kf[kl-1-j] = complex(kv, 0)
-	}
-	plan.Transform(kf)
-	half := kl / 2
-	off := kl - 1 - half
-	blocks := (len(x) + blockLen - 1) / blockLen
-	w := e.workers()
-	if w > blocks {
-		w = blocks
-	}
-	fused := FusedKernels()
-	var wg sync.WaitGroup
-	for wk := 0; wk < w; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			seg := make([]complex128, n)
-			var segRe []float64
-			if fused {
-				// Blocks are real, so the forward transform can run the
-				// half-work real path; the kernel-spectrum product and
-				// inverse stay complex.
-				segRe = make([]float64, n)
-			}
-			for b := wk; b < blocks; b += w {
-				lo := b * blockLen
-				hi := lo + blockLen
-				if hi > len(x) {
-					hi = len(x)
-				}
-				// The block's first full-convolution index is lo+off;
-				// the segment feeding it starts kl-1 samples earlier.
-				base := lo + off - (kl - 1)
-				if fused {
-					for t := 0; t < n; t++ {
-						if idx := base + t; idx >= 0 && idx < len(x) {
-							segRe[t] = x[idx]
-						} else {
-							segRe[t] = 0
-						}
-					}
-					plan.RealTransform(seg, segRe)
-				} else {
-					for t := 0; t < n; t++ {
-						if idx := base + t; idx >= 0 && idx < len(x) {
-							seg[t] = complex(x[idx], 0)
-						} else {
-							seg[t] = 0
-						}
-					}
-					plan.Transform(seg)
-				}
-				for t := range seg {
-					seg[t] *= kf[t]
-				}
-				plan.InverseTransform(seg)
-				for i := lo; i < hi; i++ {
-					out[i] = real(seg[i+off-base])
-				}
-			}
-		}(wk)
-	}
-	wg.Wait()
 	return out
 }

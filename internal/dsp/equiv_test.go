@@ -2,34 +2,67 @@ package dsp
 
 import (
 	"fmt"
-	"math"
+	"math/cmplx"
 	"testing"
 )
 
 // This file is the engine-level half of the kernel equivalence suite:
-// every consumer-visible transform output — spectrogram rows, Welch
-// PSDs, overlap-save convolutions — is compared between the fused
-// kernels and the reference serial path, across sizes, hops, input
-// shapes (complex, real-in-complex, real), and parallelism levels. The
-// magnitude/power outputs are held to Float64bits identity; raw
-// spectra and overlap-save outputs to value identity (== — the fused
-// kernels may flip the sign of a zero, never a value).
+// every consumer-visible transform output — spectrogram rows and Welch
+// PSDs — is compared between the production kernels and serial oracles
+// that window a copy of each frame with ApplyWindow and transform it
+// with referenceFFT, across sizes, hops, input shapes (complex and
+// real-in-complex) and parallelism levels, under Float64bits identity.
 
-// referenceSTFT computes the spectrogram through the reference serial
-// path regardless of the process-wide kernel switch.
-func referenceSTFT(x []complex128, fftSize, hop int, window []float64) *Spectrogram {
-	prev := FusedKernels()
-	SetFusedKernels(false)
-	defer SetFusedKernels(prev)
-	return Engine{Parallelism: 1}.STFT(x, fftSize, hop, window, 2.4e6)
+// stftOracle is the serial STFT the fused kernels replaced: per frame,
+// copy, ApplyWindow, transform with fft, then one freshly allocated row
+// of magnitudes.
+func stftOracle(x []complex128, fftSize, hop int, window []float64, fft func([]complex128)) [][]float64 {
+	var rows [][]float64
+	buf := make([]complex128, fftSize)
+	for start := 0; start+fftSize <= len(x); start += hop {
+		copy(buf, x[start:start+fftSize])
+		ApplyWindow(buf, window)
+		fft(buf)
+		row := make([]float64, fftSize)
+		for i, v := range buf {
+			row[i] = cmplx.Abs(v)
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
-func referenceWelch(x []complex128, fftSize int) []float64 {
-	prev := FusedKernels()
-	SetFusedKernels(false)
-	defer SetFusedKernels(prev)
-	return Engine{Parallelism: 1}.WelchPSD(x, fftSize)
+// welchOracle is the serial Welch PSD the fused kernels replaced: per
+// half-overlapped Hann segment, copy, ApplyWindow, referenceFFT, and add
+// the power spectrum in segment order; then divide by the segment
+// count.
+func welchOracle(x []complex128, fftSize int) []float64 {
+	window := Hann(fftSize)
+	hop := fftSize / 2
+	psd := make([]float64, fftSize)
+	buf := make([]complex128, fftSize)
+	segments := 0
+	for start := 0; start+fftSize <= len(x); start += hop {
+		copy(buf, x[start:start+fftSize])
+		ApplyWindow(buf, window)
+		referenceFFT(buf, false)
+		for i, v := range buf {
+			re, im := real(v), imag(v)
+			psd[i] += re*re + im*im
+		}
+		segments++
+	}
+	if segments > 0 {
+		for i := range psd {
+			psd[i] /= float64(segments)
+		}
+	}
+	return psd
 }
+
+// forwardReference is referenceFFT's forward direction in the shape
+// stftOracle takes.
+func forwardReference(x []complex128) { referenceFFT(x, false) }
 
 // realInComplex packs a real signal into a complex buffer, the shape a
 // real capture takes inside the IQ pipeline.
@@ -43,14 +76,42 @@ func realInComplex(x []float64) []complex128 {
 
 func equivParallelisms() []int { return []int{1, 2, 4, 8} }
 
+// TestWindowedTransformMatchesOracle holds the one windowed kernel to
+// the serial computation it fuses: copy, ApplyWindow, referenceFFT.
+// Every power of two from 1 to 4096, complex and real-in-complex
+// frames, with and without a window, under Float64bits identity; the
+// source frame must come back untouched.
+func TestWindowedTransformMatchesOracle(t *testing.T) {
+	for n := 1; n <= 4096; n <<= 1 {
+		plan := PlanFFT(n)
+		for _, in := range []struct {
+			shape string
+			x     []complex128
+		}{
+			{"complex", randComplex(n, int64(n)+71)},
+			{"real-in-complex", realInComplex(realSignal(n, int64(n)+72))},
+		} {
+			for _, window := range [][]float64{Hann(n), Blackman(n), nil} {
+				want := append([]complex128(nil), in.x...)
+				if window != nil {
+					ApplyWindow(want, window)
+				}
+				referenceFFT(want, false)
+				src := append([]complex128(nil), in.x...)
+				got := make([]complex128, n)
+				plan.WindowedTransform(got, src, window)
+				label := fmt.Sprintf("n=%d %s window=%v", n, in.shape, window != nil)
+				complexBitEqual(t, label, got, want)
+				complexBitEqual(t, label+" source", src, in.x)
+			}
+		}
+	}
+}
+
 // TestFusedSTFTEquivalence sweeps the STFT surface: for every size/hop
-// geometry and input shape, the fused kernels at every parallelism
-// produce rows bit-identical to the reference serial path, through
-// both the complex entry point (including its real-input
-// auto-detection) and the real entry point.
+// geometry and input shape, the production STFT at every parallelism
+// produces rows bit-identical to the serial oracle.
 func TestFusedSTFTEquivalence(t *testing.T) {
-	prev := FusedKernels()
-	defer SetFusedKernels(prev)
 	geoms := []struct{ fftSize, hop, length int }{
 		{2, 2, 64},
 		{8, 8, 300},
@@ -63,45 +124,31 @@ func TestFusedSTFTEquivalence(t *testing.T) {
 	}
 	for _, g := range geoms {
 		window := Hann(g.fftSize)
-		cplx := randComplex(g.length, int64(g.length)+1)
-		realSig := randReal(g.length, int64(g.length)+2)
-		packed := realInComplex(realSig)
-		wantCplx := referenceSTFT(cplx, g.fftSize, g.hop, window)
-		wantReal := referenceSTFT(packed, g.fftSize, g.hop, window)
-		for _, fused := range []bool{false, true} {
-			SetFusedKernels(fused)
+		for _, in := range []struct {
+			shape string
+			x     []complex128
+		}{
+			{"complex", randComplex(g.length, int64(g.length)+1)},
+			{"real-in-complex", realInComplex(realSignal(g.length, int64(g.length)+2))},
+		} {
+			want := stftOracle(in.x, g.fftSize, g.hop, window, forwardReference)
 			for _, par := range equivParallelisms() {
-				e := Engine{Parallelism: par}
-				label := fmt.Sprintf("fft=%d hop=%d len=%d fused=%v par=%d",
-					g.fftSize, g.hop, g.length, fused, par)
-
-				got := e.STFT(cplx, g.fftSize, g.hop, window, 2.4e6)
-				compareSpectrograms(t, "STFT(complex) "+label, got, wantCplx)
-
-				got = e.STFT(packed, g.fftSize, g.hop, window, 2.4e6)
-				compareSpectrograms(t, "STFT(real-in-complex) "+label, got, wantReal)
-
-				got = e.STFTReal(realSig, g.fftSize, g.hop, window, 2.4e6)
-				compareSpectrograms(t, "STFTReal "+label, got, wantReal)
+				got := Engine{Parallelism: par}.STFT(in.x, g.fftSize, g.hop, window, 2.4e6)
+				label := fmt.Sprintf("STFT(%s) fft=%d hop=%d len=%d par=%d",
+					in.shape, g.fftSize, g.hop, g.length, par)
+				if got.Frames() != len(want) {
+					t.Fatalf("%s: %d frames, want %d", label, got.Frames(), len(want))
+				}
+				for f := range want {
+					floatBitEqual(t, fmt.Sprintf("%s frame %d", label, f), got.Mag[f], want[f])
+				}
 			}
 		}
 	}
 }
 
-func compareSpectrograms(t *testing.T, label string, got, want *Spectrogram) {
-	t.Helper()
-	if got.Frames() != want.Frames() {
-		t.Fatalf("%s: %d frames, want %d", label, got.Frames(), want.Frames())
-	}
-	for f := range got.Mag {
-		floatBitEqual(t, fmt.Sprintf("%s frame %d", label, f), got.Mag[f], want.Mag[f])
-	}
-}
-
 // TestFusedWelchEquivalence does the same sweep for Welch PSDs.
 func TestFusedWelchEquivalence(t *testing.T) {
-	prev := FusedKernels()
-	defer SetFusedKernels(prev)
 	geoms := []struct{ fftSize, length int }{
 		{2, 64},
 		{8, 300},
@@ -112,92 +159,40 @@ func TestFusedWelchEquivalence(t *testing.T) {
 		{256, 256 + 128}, // exactly two 50%-overlapped segments
 	}
 	for _, g := range geoms {
-		cplx := randComplex(g.length, int64(g.length)+3)
-		realSig := randReal(g.length, int64(g.length)+4)
-		packed := realInComplex(realSig)
-		wantCplx := referenceWelch(cplx, g.fftSize)
-		wantReal := referenceWelch(packed, g.fftSize)
-		for _, fused := range []bool{false, true} {
-			SetFusedKernels(fused)
+		for _, in := range []struct {
+			shape string
+			x     []complex128
+		}{
+			{"complex", randComplex(g.length, int64(g.length)+3)},
+			{"real-in-complex", realInComplex(realSignal(g.length, int64(g.length)+4))},
+		} {
+			want := welchOracle(in.x, g.fftSize)
 			for _, par := range equivParallelisms() {
-				e := Engine{Parallelism: par}
-				label := fmt.Sprintf("fft=%d len=%d fused=%v par=%d", g.fftSize, g.length, fused, par)
-				floatBitEqual(t, "WelchPSD(complex) "+label, e.WelchPSD(cplx, g.fftSize), wantCplx)
-				floatBitEqual(t, "WelchPSD(real-in-complex) "+label, e.WelchPSD(packed, g.fftSize), wantReal)
-				floatBitEqual(t, "WelchPSDReal "+label, e.WelchPSDReal(realSig, g.fftSize), wantReal)
+				label := fmt.Sprintf("WelchPSD(%s) fft=%d len=%d par=%d", in.shape, g.fftSize, g.length, par)
+				floatBitEqual(t, label, Engine{Parallelism: par}.WelchPSD(in.x, g.fftSize), want)
 			}
 		}
-	}
-}
-
-// TestFusedOverlapSaveEquivalence: overlap-save stays tolerance-gated
-// against direct convolution (it reorders a transform pair, documented
-// in the method comment), but between kernel modes it must agree
-// value-exactly — the real-input forward transform changes no value.
-func TestFusedOverlapSaveEquivalence(t *testing.T) {
-	prev := FusedKernels()
-	defer SetFusedKernels(prev)
-	x := randReal(5000, 61)
-	k := randReal(64, 62)
-	SetFusedKernels(false)
-	want := Engine{Parallelism: 1}.OverlapSave(x, k)
-	for _, fused := range []bool{false, true} {
-		SetFusedKernels(fused)
-		for _, par := range equivParallelisms() {
-			got := Engine{Parallelism: par}.OverlapSave(x, k)
-			floatValueEqual(t, fmt.Sprintf("OverlapSave fused=%v par=%d", fused, par), got, want)
-		}
-	}
-}
-
-// TestFusedKernelSwitch covers the switch itself: default on, round
-// trip through both states, and FFTReal honoring it.
-func TestFusedKernelSwitch(t *testing.T) {
-	prev := FusedKernels()
-	defer SetFusedKernels(prev)
-	if !prev {
-		t.Error("fused kernels should default to enabled")
-	}
-	SetFusedKernels(false)
-	if FusedKernels() {
-		t.Fatal("SetFusedKernels(false) did not stick")
-	}
-	SetFusedKernels(true)
-	if !FusedKernels() {
-		t.Fatal("SetFusedKernels(true) did not stick")
 	}
 }
 
 // --- Welch short-capture and minimum-size boundaries -----------------
 // Satellite regression tests for the NextPowerOfTwo/Welch sizing
 // boundaries: captures shorter than one segment, and the smallest legal
-// fftSize. Today's behavior is pinned, in both kernel modes.
+// fftSize.
 
 // TestWelchPSDShorterThanSegment: a capture shorter than fftSize has
 // zero segments and must yield an all-zero PSD of full length — not a
 // panic, not a truncated slice.
 func TestWelchPSDShorterThanSegment(t *testing.T) {
-	prev := FusedKernels()
-	defer SetFusedKernels(prev)
-	for _, fused := range []bool{false, true} {
-		SetFusedKernels(fused)
-		for _, length := range []int{0, 1, 511, 1023} {
-			for _, par := range []int{1, 4} {
-				e := Engine{Parallelism: par}
-				for _, psd := range [][]float64{
-					e.WelchPSD(randComplex(length, 9), 1024),
-					e.WelchPSDReal(randReal(length, 9), 1024),
-				} {
-					if len(psd) != 1024 {
-						t.Fatalf("fused=%v len=%d par=%d: PSD has %d bins, want 1024",
-							fused, length, par, len(psd))
-					}
-					for i, v := range psd {
-						if v != 0 {
-							t.Fatalf("fused=%v len=%d par=%d: bin %d = %v, want 0",
-								fused, length, par, i, v)
-						}
-					}
+	for _, length := range []int{0, 1, 511, 1023} {
+		for _, par := range []int{1, 4} {
+			psd := Engine{Parallelism: par}.WelchPSD(randComplex(length, 9), 1024)
+			if len(psd) != 1024 {
+				t.Fatalf("len=%d par=%d: PSD has %d bins, want 1024", length, par, len(psd))
+			}
+			for i, v := range psd {
+				if v != 0 {
+					t.Fatalf("len=%d par=%d: bin %d = %v, want 0", length, par, i, v)
 				}
 			}
 		}
@@ -209,28 +204,22 @@ func TestWelchPSDShorterThanSegment(t *testing.T) {
 // symmetric Hann window of length 2 is identically zero (see
 // TestHannSizeTwoIsZero), so every windowed segment — and therefore
 // the PSD — is exactly zero regardless of the signal. The case still
-// must not panic, hang (the historical fftSize-1 infinite loop), or
-// disagree between kernel modes.
+// must not panic or hang (the historical fftSize-1 infinite loop).
 func TestWelchPSDFFTSizeTwo(t *testing.T) {
-	prev := FusedKernels()
-	defer SetFusedKernels(prev)
 	x := randComplex(64, 17)
-	r := randReal(64, 18)
-	for _, fused := range []bool{false, true} {
-		SetFusedKernels(fused)
-		for _, par := range []int{1, 4} {
-			e := Engine{Parallelism: par}
-			for _, psd := range [][]float64{e.WelchPSD(x, 2), e.WelchPSDReal(r, 2)} {
-				if len(psd) != 2 || psd[0] != 0 || psd[1] != 0 {
-					t.Fatalf("fused=%v par=%d: WelchPSD fftSize 2 = %v, want [0 0]", fused, par, psd)
-				}
+	r := realInComplex(realSignal(64, 18))
+	for _, par := range []int{1, 4} {
+		e := Engine{Parallelism: par}
+		for _, psd := range [][]float64{e.WelchPSD(x, 2), e.WelchPSD(r, 2)} {
+			if len(psd) != 2 || psd[0] != 0 || psd[1] != 0 {
+				t.Fatalf("par=%d: WelchPSD fftSize 2 = %v, want [0 0]", par, psd)
 			}
 		}
 	}
 }
 
 // TestWelchPSDRejectsDegenerateSizes: fftSize 1 (the historical
-// infinite loop) and non-powers of two panic from every entry point.
+// infinite loop) and non-powers of two panic.
 func TestWelchPSDRejectsDegenerateSizes(t *testing.T) {
 	for _, fftSize := range []int{0, 1, 3, 100} {
 		func() {
@@ -241,14 +230,6 @@ func TestWelchPSDRejectsDegenerateSizes(t *testing.T) {
 			}()
 			Engine{Parallelism: 1}.WelchPSD(make([]complex128, 256), fftSize)
 		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("WelchPSDReal fftSize %d did not panic", fftSize)
-				}
-			}()
-			Engine{Parallelism: 1}.WelchPSDReal(make([]float64, 256), fftSize)
-		}()
 	}
 }
 
@@ -258,47 +239,13 @@ func TestWelchPSDRejectsDegenerateSizes(t *testing.T) {
 func TestWelchPSDOneSegmentExact(t *testing.T) {
 	const n = 256
 	x := randComplex(n, 23)
-	window := Hann(n)
 	seg := append([]complex128(nil), x...)
-	ApplyWindow(seg, window)
-	prev := FusedKernels()
-	SetFusedKernels(false)
-	FFT(seg)
-	SetFusedKernels(prev)
-	want := PowerSpectrum(seg)
+	ApplyWindow(seg, Hann(n))
+	referenceFFT(seg, false)
+	want := make([]float64, n)
+	for i, v := range seg {
+		want[i] = real(v)*real(v) + imag(v)*imag(v)
+	}
 	got := Engine{Parallelism: 1}.WelchPSD(x, n)
 	floatBitEqual(t, "one-segment Welch", got, want)
-}
-
-// TestSTFTRealPackedAgree pins the package-level wrappers.
-func TestSTFTRealPackedAgree(t *testing.T) {
-	x := randReal(4096, 41)
-	want := STFT(realInComplex(x), 256, 64, Hann(256), 2.4e6)
-	got := STFTReal(x, 256, 64, Hann(256), 2.4e6)
-	compareSpectrograms(t, "package STFTReal", got, want)
-	floatBitEqual(t, "package WelchPSDReal",
-		WelchPSDReal(x, 256), WelchPSD(realInComplex(x), 256))
-}
-
-// TestMirrorMagRowNaNFree sanity-checks the row mirror on a spectrum
-// with negative zeros and denormals, the shapes the shortcut multiplies
-// can produce.
-func TestMirrorMagRowNaNFree(t *testing.T) {
-	buf := []complex128{
-		complex(1, 0), complex(math.Copysign(0, -1), 5e-324),
-		complex(-2, math.Copysign(0, -1)), complex(0, 0),
-		complex(3, -4), 0, 0, 0,
-	}
-	row := make([]float64, 8)
-	mirrorMagRow(row, buf, 8)
-	for i, v := range row {
-		if math.IsNaN(v) || v < 0 {
-			t.Fatalf("bin %d: %v", i, v)
-		}
-	}
-	for k := 1; k < 4; k++ {
-		if row[8-k] != row[k] {
-			t.Fatalf("mirror broken at %d: %v vs %v", k, row[8-k], row[k])
-		}
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
 )
 
 // IsPowerOfTwo reports whether n is a positive power of two.
@@ -15,12 +14,10 @@ func IsPowerOfTwo(n int) bool {
 // NextPowerOfTwo returns the smallest power of two >= n.
 //
 // Contract: n must be > 0; n <= 0 panics. Callers that can receive
-// degenerate sizes guard before calling — FFTReal returns an empty
-// spectrum for an empty signal, keylog.Detect reports no keystrokes
-// when the STFT window rounds to zero samples, and Engine.OverlapSave
-// returns zeros for an empty signal or kernel. (STFT and WelchPSD never
-// call it: they require the caller to pass a power-of-two size and
-// panic otherwise.)
+// degenerate sizes guard before calling: keylog.Detect reports no
+// keystrokes when the STFT window rounds to zero samples. (STFT and
+// WelchPSD never call it: they require the caller to pass a
+// power-of-two size and panic otherwise.)
 func NextPowerOfTwo(n int) int {
 	if n <= 0 {
 		panic("dsp: NextPowerOfTwo of non-positive n")
@@ -33,9 +30,9 @@ func NextPowerOfTwo(n int) int {
 
 // FFT computes the discrete Fourier transform of x in place using an
 // iterative radix-2 Cooley-Tukey algorithm. len(x) must be a power of
-// two. The transform is unnormalized: IFFT(FFT(x)) == x. The twiddle
-// and bit-reversal tables come from the per-size plan cache (PlanFFT),
-// so repeated transforms of one size pay the table cost once.
+// two. The transform is unnormalized (no 1/n factor). The twiddle and
+// bit-reversal tables come from the per-size plan cache (PlanFFT), so
+// repeated transforms of one size pay the table cost once.
 func FFT(x []complex128) {
 	n := len(x)
 	if n == 0 {
@@ -45,119 +42,6 @@ func FFT(x []complex128) {
 		panic(fmt.Sprintf("dsp: FFT length %d is not a power of two", n))
 	}
 	PlanFFT(n).Transform(x)
-}
-
-// IFFT computes the inverse DFT of x in place, including the 1/N
-// normalization.
-func IFFT(x []complex128) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	if !IsPowerOfTwo(n) {
-		panic(fmt.Sprintf("dsp: FFT length %d is not a power of two", n))
-	}
-	PlanFFT(n).InverseTransform(x)
-}
-
-// FFTReal transforms a real signal, returning the full complex spectrum
-// of length NextPowerOfTwo(len(x)) with zero padding. An empty signal
-// yields an empty spectrum. With the fused kernels enabled it runs the
-// half-work real-input transform (RFFT); the result is value-identical
-// to the historical pack-into-complex path either way.
-func FFTReal(x []float64) []complex128 {
-	if len(x) == 0 {
-		return nil
-	}
-	n := NextPowerOfTwo(len(x))
-	if FusedKernels() {
-		buf := x
-		if len(x) != n {
-			buf = make([]float64, n)
-			copy(buf, x)
-		}
-		return RFFT(buf)
-	}
-	out := make([]complex128, n)
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	FFT(out)
-	return out
-}
-
-// RFFT computes the DFT of the real sequence x, whose length must be a
-// power of two, returning the full n-bin complex spectrum. It exploits
-// the conjugate symmetry of real-input spectra to do half the butterfly
-// work of FFT on a packed complex buffer, and its output is
-// value-identical (Go ==, which identifies the signs of zeros) to that
-// reference; magnitudes and power spectra derived from the two are
-// bit-identical. With the fused kernels disabled (SetFusedKernels) it
-// runs the packed reference path itself.
-func RFFT(x []float64) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if !IsPowerOfTwo(n) {
-		panic(fmt.Sprintf("dsp: RFFT length %d is not a power of two", n))
-	}
-	out := make([]complex128, n)
-	if !FusedKernels() {
-		for i, v := range x {
-			out[i] = complex(v, 0)
-		}
-		PlanFFT(n).Transform(out)
-		return out
-	}
-	PlanFFT(n).RealTransform(out, x)
-	return out
-}
-
-// IRFFT inverts a full conjugate-symmetric spectrum (as produced by
-// RFFT) back to its real sequence: the real parts of the unrestricted
-// complex inverse transform. It is exactly IFFT followed by dropping
-// the imaginary parts — a deliberate choice of the slow, obviously
-// correct path: the inverse is used for round-trip validation and API
-// completeness, not by any hot loop, so it inherits the complex
-// kernel's equivalence guarantees instead of adding a second
-// half-spectrum kernel to prove. If spec is not conjugate-symmetric the
-// imaginary parts are silently discarded.
-func IRFFT(spec []complex128) []float64 {
-	n := len(spec)
-	if n == 0 {
-		return nil
-	}
-	if !IsPowerOfTwo(n) {
-		panic(fmt.Sprintf("dsp: IRFFT length %d is not a power of two", n))
-	}
-	buf := make([]complex128, n)
-	copy(buf, spec)
-	PlanFFT(n).InverseTransform(buf)
-	out := make([]float64, n)
-	for i, v := range buf {
-		out[i] = real(v)
-	}
-	return out
-}
-
-// Magnitudes returns |x[i]| for each element.
-func Magnitudes(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
-// PowerSpectrum returns |x[i]|^2 for each element.
-func PowerSpectrum(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		re, im := real(v), imag(v)
-		out[i] = re*re + im*im
-	}
-	return out
 }
 
 // BinFrequency returns the baseband frequency (Hz) of FFT bin k for an

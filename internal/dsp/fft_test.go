@@ -94,7 +94,7 @@ func TestFFTRoundTrip(t *testing.T) {
 			orig[i] = x[i]
 		}
 		FFT(x)
-		IFFT(x)
+		inverseOracle(x)
 		for i := range x {
 			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
 				t.Fatalf("n=%d: round trip error at %d: %v vs %v", n, i, x[i], orig[i])
@@ -135,35 +135,67 @@ func TestFFTNonPowerOfTwoPanics(t *testing.T) {
 func TestFFTReal(t *testing.T) {
 	// Real cosine at bin k splits into bins k and n-k.
 	const n, k = 32, 3
-	x := make([]float64, n)
+	x := make([]complex128, n)
 	for i := range x {
-		x[i] = math.Cos(2 * math.Pi * float64(k) * float64(i) / float64(n))
+		x[i] = complex(math.Cos(2*math.Pi*float64(k)*float64(i)/float64(n)), 0)
 	}
-	spec := FFTReal(x)
-	mags := Magnitudes(spec)
-	for i, m := range mags {
+	FFT(x)
+	for i, v := range x {
 		want := 0.0
 		if i == k || i == n-k {
 			want = float64(n) / 2
 		}
-		if !approxEqual(m, want, 1e-9) {
+		if m := cmplx.Abs(v); !approxEqual(m, want, 1e-9) {
 			t.Fatalf("bin %d magnitude = %v, want %v", i, m, want)
 		}
 	}
 }
 
-func TestFFTRealPads(t *testing.T) {
-	spec := FFTReal(make([]float64, 100))
-	if len(spec) != 128 {
-		t.Fatalf("FFTReal padded to %d, want 128", len(spec))
+// TestFFTRealInputConjugateSymmetry pins what the reflected upper
+// quadrant of the twiddle tables buys: the spectrum of a real signal is
+// conjugate-symmetric value-exactly (X[n-k] == conj(X[k]) under ==,
+// which identifies ±0), with purely real DC and Nyquist bins, not just
+// to within rounding.
+func TestFFTRealInputConjugateSymmetry(t *testing.T) {
+	for _, n := range []int{2, 8, 64, 1024} {
+		spec := realInComplex(realSignal(n, int64(n)+33))
+		FFT(spec)
+		if imag(spec[0]) != 0 {
+			t.Fatalf("n=%d: DC bin not real: %v", n, spec[0])
+		}
+		if imag(spec[n/2]) != 0 {
+			t.Fatalf("n=%d: Nyquist bin not real: %v", n, spec[n/2])
+		}
+		for k := 1; k < n/2; k++ {
+			if c := cmplx.Conj(spec[k]); spec[n-k] != c {
+				t.Fatalf("n=%d bin %d: %v != conj mirror %v", n, n-k, spec[n-k], c)
+			}
+		}
 	}
 }
 
-func TestPowerSpectrum(t *testing.T) {
-	x := []complex128{3 + 4i, 1, 0}
-	p := PowerSpectrum(x)
-	if p[0] != 25 || p[1] != 1 || p[2] != 0 {
-		t.Fatalf("PowerSpectrum = %v", p)
+// TestParseval checks energy conservation sum|x|^2 == (1/n)·sum|X|^2
+// for complex and for real-valued input.
+func TestParseval(t *testing.T) {
+	for _, n := range []int{2, 16, 256, 2048} {
+		for _, x := range [][]complex128{
+			realInComplex(realSignal(n, int64(n)+13)),
+			randComplex(n, int64(n)+14),
+		} {
+			var timeE float64
+			for _, v := range x {
+				timeE += real(v)*real(v) + imag(v)*imag(v)
+			}
+			FFT(x)
+			var freqE float64
+			for _, v := range x {
+				freqE += real(v)*real(v) + imag(v)*imag(v)
+			}
+			freqE /= float64(n)
+			if d := math.Abs(timeE - freqE); d > 1e-9*timeE {
+				t.Fatalf("n=%d: Parseval violated: %g vs %g", n, timeE, freqE)
+			}
+		}
 	}
 }
 

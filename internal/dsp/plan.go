@@ -5,42 +5,15 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"pmuleak/internal/telemetry"
 )
 
-// fusedKernelsOn gates the speed pass added with the real-input FFT:
-// fused window+permute gathers, paired ("radix-4 dataflow") butterfly
-// stages, and the half-spectrum real transform. It defaults to on.
-// SetFusedKernels(false) routes every transform back through the
-// reference serial kernels — the equivalence suite runs both ways, and
-// paperbench exposes the switch as -nofused so the golden tests can
-// prove stdout is byte-identical in either mode.
-var fusedKernelsOn atomic.Bool
-
-func init() { fusedKernelsOn.Store(true) }
-
-// SetFusedKernels enables (true, the default) or disables the fused and
-// real-input transform kernels process-wide. With them disabled every
-// FFT runs the reference serial radix-2 path. The fused kernels are
-// value-identical to the reference (see DESIGN.md §9), so this switch
-// exists for differential testing and benchmarking, not correctness.
-func SetFusedKernels(on bool) { fusedKernelsOn.Store(on) }
-
-// FusedKernels reports whether the fused transform kernels are enabled.
-func FusedKernels() bool { return fusedKernelsOn.Load() }
-
 // FFTPlan holds the precomputed tables for one radix-2 transform size:
-// the bit-reversal permutation and the per-stage twiddle factors for
-// both transform directions. Building a plan costs O(n log n); applying
-// it avoids re-deriving those tables on every call, which is where the
+// the bit-reversal permutation and the per-stage forward twiddle
+// factors. Building a plan costs O(n log n); applying it avoids
+// re-deriving those tables on every call, which is where the
 // receiver's STFT loops spend a large share of their time.
-//
-// The twiddle tables are generated with the exact iterative recurrence
-// the direct implementation used (w[0] = 1, w[k+1] = w[k]*step), so a
-// plan-based transform is bit-identical to the historical FFT/IFFT
-// output, not merely close.
 //
 // A plan is immutable after construction and safe for concurrent use by
 // any number of goroutines.
@@ -48,8 +21,7 @@ type FFTPlan struct {
 	n     int
 	pairs [][2]int32     // bit-reversal swaps, stored once with i < j
 	rev   []int32        // full permutation: rev[i] = bit-reversed i
-	fwd   [][]complex128 // fwd[s]: stage-(2<<s) twiddles, forward
-	inv   [][]complex128 // inv[s]: same, inverse
+	fwd   [][]complex128 // fwd[s]: stage-(2<<s) twiddles
 }
 
 // planCache maps transform size -> *FFTPlan. Plans are tiny relative to
@@ -67,13 +39,11 @@ var (
 	planMisses = telemetry.NewCounter("dsp.fftplan.misses")
 )
 
-// Kernel-path counters for the speed pass. All three count work that is
-// a pure function of the workload geometry (transform sizes and frame
+// Kernel-path counters for the speed pass. Both count work that is a
+// pure function of the workload geometry (transform sizes and frame
 // counts), so like the engine counters they are deterministic across
 // parallelism levels for a fixed workload.
 var (
-	// rfftTransforms counts half-spectrum real-input transforms.
-	rfftTransforms = telemetry.NewCounter("dsp.fft.rfft")
 	// radix4Pairs counts fused stage pairs (two radix-2 stages walked in
 	// one pass — the radix-4 dataflow) executed by the fused kernels.
 	radix4Pairs = telemetry.NewCounter("dsp.fft.radix4.pairs")
@@ -116,33 +86,29 @@ func newFFTPlan(n int) *FFTPlan {
 		}
 	}
 	for size := 2; size <= n; size <<= 1 {
-		fw, iv := stageTwiddles(size)
-		p.fwd = append(p.fwd, fw)
-		p.inv = append(p.inv, iv)
+		p.fwd = append(p.fwd, stageTwiddles(size))
 	}
 	return p
 }
 
-// stageTwiddles builds the forward and inverse twiddle tables for one
-// stage size: fw[k] = exp(-2πik/size) for k in [0, size/2). Each entry
-// is computed directly from cos/sin (never by the historical w *= step
-// recurrence, whose rounding error grows along the table), and three
-// symmetries are enforced bit-exactly by construction:
+// stageTwiddles builds the forward twiddle table for one stage size:
+// fw[k] = exp(-2πik/size) for k in [0, size/2). Each entry is computed
+// directly from cos/sin (never by the historical w *= step recurrence,
+// whose rounding error grows along the table), and two symmetries are
+// enforced bit-exactly by construction:
 //
 //	fw[0]         = (1, 0)
 //	fw[size/4]    = (0, -1)              (the quarter turn)
 //	fw[half-k]    = -conj(fw[k])         (half-turn reflection)
-//	iv[k]         = conj(fw[k])
 //
-// The reflection identity is what makes the real-input transform
-// (FFTPlan.RealTransform) value-exact against the complex path: the
-// conjugate-symmetry induction over stages needs -conj(fw[k]) to BE the
-// stored fw[half-k], not merely approximate it. See DESIGN.md §9.
-func stageTwiddles(size int) (fw, iv []complex128) {
+// The upper quadrant is the reflection of the first, not a fresh
+// cos/sin evaluation, and those stored bits are part of every
+// transform's output: the golden report digest (TestGoldenDigest)
+// pins them, so the construction must not change. See DESIGN.md §9.
+func stageTwiddles(size int) []complex128 {
 	half := size >> 1
 	quarter := half >> 1
-	fw = make([]complex128, half)
-	iv = make([]complex128, half)
+	fw := make([]complex128, half)
 	fw[0] = complex(1, 0)
 	for k := 1; k < half; k++ {
 		switch {
@@ -156,73 +122,22 @@ func stageTwiddles(size int) (fw, iv []complex128) {
 			fw[k] = complex(-real(m), imag(m))
 		}
 	}
-	for k := range fw {
-		iv[k] = complex(real(fw[k]), -imag(fw[k]))
-	}
-	return fw, iv
+	return fw
 }
 
 // Size reports the transform length the plan was built for.
 func (p *FFTPlan) Size() int { return p.n }
 
 // Transform computes the forward DFT of x in place. len(x) must equal
-// the plan size. With the fused kernels enabled (the default) the
-// butterfly stages run two at a time; the per-element arithmetic is
-// identical to the reference pass, so the output is bit-identical
-// either way.
+// the plan size.
 func (p *FFTPlan) Transform(x []complex128) {
-	if fusedKernelsOn.Load() {
-		p.applyFused(x, p.fwd)
-		return
-	}
-	p.apply(x, p.fwd)
-}
-
-// InverseTransform computes the inverse DFT of x in place, including
-// the 1/N normalization.
-func (p *FFTPlan) InverseTransform(x []complex128) {
-	if fusedKernelsOn.Load() {
-		p.applyFused(x, p.inv)
-	} else {
-		p.apply(x, p.inv)
-	}
-	n := complex(float64(p.n), 0)
-	for i := range x {
-		x[i] /= n
-	}
-}
-
-func (p *FFTPlan) apply(x []complex128, tw [][]complex128) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dsp: FFTPlan size %d applied to length %d", p.n, len(x)))
 	}
 	for _, pr := range p.pairs {
 		x[pr[0]], x[pr[1]] = x[pr[1]], x[pr[0]]
 	}
-	for s, stage := range tw {
-		size := 2 << uint(s)
-		half := size >> 1
-		for start := 0; start < p.n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * stage[k]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-			}
-		}
-	}
-}
-
-// applyFused is the fused-kernel counterpart of apply: same bit-reversal
-// permutation, then the stages run through stagesFused.
-func (p *FFTPlan) applyFused(x []complex128, tw [][]complex128) {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("dsp: FFTPlan size %d applied to length %d", p.n, len(x)))
-	}
-	for _, pr := range p.pairs {
-		x[pr[0]], x[pr[1]] = x[pr[1]], x[pr[0]]
-	}
-	p.stagesFused(x, tw)
+	p.stagesFused(x, p.fwd)
 }
 
 // stagesFused runs the butterfly stages over bit-reversed data, fusing
@@ -232,8 +147,8 @@ func (p *FFTPlan) applyFused(x []complex128, tw [][]complex128) {
 // dataflow — half the loads and stores of two radix-2 passes — while
 // performing the exact radix-2 arithmetic per element. Every multiply
 // and add happens on the same values in the same order as the reference
-// apply loop, so the result is bit-identical to it (a true radix-4
-// kernel would reassociate the sums and change low-order bits; that is
+// apply loop (applyOracle in the tests), so the result is bit-identical
+// to it (a true radix-4 kernel would reassociate the sums and change low-order bits; that is
 // precisely what this formulation avoids). An odd final stage falls
 // back to one plain radix-2 pass.
 func (p *FFTPlan) stagesFused(x []complex128, tw [][]complex128) {
@@ -280,12 +195,16 @@ func (p *FFTPlan) stagesFused(x []complex128, tw [][]complex128) {
 	}
 }
 
-// windowGather fuses the per-frame copy, ApplyWindow, and bit-reversal
-// permutation into a single gather — dst[rev[i]] = src[i]·(window[i],0),
-// the same complex multiply ApplyWindow performs — and then runs the
-// fused stages. The result is bit-identical to copy+ApplyWindow+apply.
-// window may be nil to skip windowing (plain permuted copy).
-func (p *FFTPlan) windowGather(dst, src []complex128, window []float64, tw [][]complex128) {
+// WindowedTransform computes the forward DFT of the windowed frame
+// src·window into dst, leaving src untouched. It fuses the per-frame
+// copy, window multiply, and bit-reversal permutation into a single
+// gather — dst[rev[i]] = src[i]·(window[i],0), the same complex multiply
+// ApplyWindow performs — and then runs the butterfly stages, so the
+// result is bit-identical to copying src into dst, calling ApplyWindow
+// and then Transform. window may be nil to skip windowing (a plain
+// permuted copy). len(dst), len(src) and a non-nil len(window) must
+// equal the plan size.
+func (p *FFTPlan) WindowedTransform(dst, src []complex128, window []float64) {
 	if len(src) != p.n || len(dst) != p.n {
 		panic(fmt.Sprintf("dsp: FFTPlan size %d gather on lengths %d/%d", p.n, len(src), len(dst)))
 	}
@@ -303,192 +222,5 @@ func (p *FFTPlan) windowGather(dst, src []complex128, window []float64, tw [][]c
 		}
 	}
 	fusedGathers.Inc()
-	p.stagesFused(dst, tw)
-}
-
-// RealTransform computes the forward DFT of the real sequence x into
-// dst, exploiting the conjugate symmetry of real-input spectra to run
-// half the butterflies of the complex path (the classic Sorensen-style
-// real-split — not the N/2 packing identity, which cannot be made
-// bit-equivalent; see DESIGN.md §9). Because the twiddle tables enforce
-// w[half-k] = -conj(w[k]) bit-exactly, the output is value-identical
-// (Go ==, which identifies ±0) to packing x into a complex buffer and
-// calling Transform; magnitudes and power spectra derived from it are
-// bit-identical to the complex path's. len(dst) and len(x) must equal
-// the plan size.
-func (p *FFTPlan) RealTransform(dst []complex128, x []float64) {
-	if len(x) != p.n || len(dst) != p.n {
-		panic(fmt.Sprintf("dsp: FFTPlan size %d real transform on lengths %d/%d", p.n, len(x), len(dst)))
-	}
-	p.realHalfFloat(dst, x, nil)
-	p.mirror(dst)
-}
-
-// mirror fills bins (n/2, n) of a half-spectrum by conjugate symmetry:
-// dst[n-k] = conj(dst[k]).
-func (p *FFTPlan) mirror(dst []complex128) {
-	half := p.n >> 1
-	for k := 1; k < half; k++ {
-		v := dst[k]
-		dst[p.n-k] = complex(real(v), -imag(v))
-	}
-}
-
-// realHalfFloat computes bins [0, n/2] of the DFT of the real sequence
-// src (optionally windowed) into dst. Bins above n/2 are left stale;
-// callers either mirror them (RealTransform) or never read them (the
-// magnitude and PSD paths, which mirror the derived real values
-// instead). window may be nil.
-func (p *FFTPlan) realHalfFloat(dst []complex128, src, window []float64) {
-	rfftTransforms.Inc()
-	rev := p.rev
-	switch p.n {
-	case 1:
-		a := src[0]
-		if window != nil {
-			a *= window[0]
-		}
-		dst[0] = complex(a, 0)
-		return
-	case 2:
-		a, b := src[0], src[1]
-		if window != nil {
-			a *= window[0]
-			b *= window[1]
-		}
-		dst[0] = complex(a+b, 0)
-		dst[1] = complex(a-b, 0)
-		return
-	}
-	// Reslice to the exact transform length so the compiler drops the
-	// per-element bounds checks (the gather indices in rev are data, so
-	// only the sequential dst/rev accesses are provable).
-	n := p.n
-	dst = dst[:n:n]
-	rev = rev[:n:n]
-	if window == nil {
-		for base := 0; base+3 < n; base += 4 {
-			a := src[rev[base]]
-			b := src[rev[base+1]]
-			c := src[rev[base+2]]
-			d := src[rev[base+3]]
-			s0, d0 := a+b, a-b
-			s1, d1 := c+d, c-d
-			dst[base] = complex(s0+s1, 0)
-			dst[base+1] = complex(d0, -d1)
-			dst[base+2] = complex(s0-s1, 0)
-		}
-	} else {
-		for base := 0; base+3 < n; base += 4 {
-			i0, i1, i2, i3 := rev[base], rev[base+1], rev[base+2], rev[base+3]
-			a := src[i0] * window[i0]
-			b := src[i1] * window[i1]
-			c := src[i2] * window[i2]
-			d := src[i3] * window[i3]
-			s0, d0 := a+b, a-b
-			s1, d1 := c+d, c-d
-			dst[base] = complex(s0+s1, 0)
-			dst[base+1] = complex(d0, -d1)
-			dst[base+2] = complex(s0-s1, 0)
-		}
-	}
-	p.realStages(dst)
-}
-
-// realHalfComplex is realHalfFloat for a real-valued signal stored in a
-// complex slice (imaginary parts all zero): it reads only the real
-// parts. The engine uses it when it detects a real-valued capture in a
-// complex buffer, avoiding a conversion copy.
-func (p *FFTPlan) realHalfComplex(dst, src []complex128, window []float64) {
-	rfftTransforms.Inc()
-	rev := p.rev
-	switch p.n {
-	case 1:
-		a := real(src[0])
-		if window != nil {
-			a *= window[0]
-		}
-		dst[0] = complex(a, 0)
-		return
-	case 2:
-		a, b := real(src[0]), real(src[1])
-		if window != nil {
-			a *= window[0]
-			b *= window[1]
-		}
-		dst[0] = complex(a+b, 0)
-		dst[1] = complex(a-b, 0)
-		return
-	}
-	// Same bounds-check reslicing as realHalfFloat.
-	n := p.n
-	dst = dst[:n:n]
-	rev = rev[:n:n]
-	if window == nil {
-		for base := 0; base+3 < n; base += 4 {
-			a := real(src[rev[base]])
-			b := real(src[rev[base+1]])
-			c := real(src[rev[base+2]])
-			d := real(src[rev[base+3]])
-			s0, d0 := a+b, a-b
-			s1, d1 := c+d, c-d
-			dst[base] = complex(s0+s1, 0)
-			dst[base+1] = complex(d0, -d1)
-			dst[base+2] = complex(s0-s1, 0)
-		}
-	} else {
-		for base := 0; base+3 < n; base += 4 {
-			i0, i1, i2, i3 := rev[base], rev[base+1], rev[base+2], rev[base+3]
-			a := real(src[i0]) * window[i0]
-			b := real(src[i1]) * window[i1]
-			c := real(src[i2]) * window[i2]
-			d := real(src[i3]) * window[i3]
-			s0, d0 := a+b, a-b
-			s1, d1 := c+d, c-d
-			dst[base] = complex(s0+s1, 0)
-			dst[base+1] = complex(d0, -d1)
-			dst[base+2] = complex(s0-s1, 0)
-		}
-	}
-	p.realStages(dst)
-}
-
-// realStages runs the size-8-and-up butterfly stages over a
-// half-spectrum (the leaf pass has already produced valid bins
-// [0, size/2] of every size-4 sub-block, exactly the complex path's
-// values there). The conjugate-symmetry invariant — each sub-block's
-// spectrum satisfies Y[size-k] = conj(Y[k]) value-exactly, which the
-// symmetric twiddle tables guarantee — lets each stage compute only
-// bins [0, half] of its output block: one multiply t = w[k]·O[k] serves
-// both Y[k] = E[k] + t and Y[half-k] = conj(E[k]) - conj(t), and the
-// k = 0 and k = quarter columns need no multiply at all. That is half
-// the butterfly arithmetic and half the memory traffic of the complex
-// path.
-func (p *FFTPlan) realStages(dst []complex128) {
-	for s := 2; s < len(p.fwd); s++ {
-		size := 2 << uint(s)
-		half := size >> 1
-		quarter := half >> 1
-		// Slices sized to exactly the regions the loop touches, so the
-		// compiler proves every index in bounds: this loop is the hot
-		// core of every real-input transform.
-		w := p.fwd[s][:quarter]
-		for base := 0; base < p.n; base += size {
-			lo := dst[base : base+half : base+half]
-			hi := dst[base+half : base+size : base+size]
-			e0, o0 := lo[0], hi[0]
-			lo[0] = e0 + o0
-			hi[0] = e0 - o0
-			for k := 1; k < quarter; k++ {
-				e := lo[k]
-				t := hi[k] * w[k]
-				lo[k] = e + t
-				lo[half-k] = complex(real(e)-real(t), imag(t)-imag(e))
-			}
-			// k == quarter: w[quarter] is exactly (0,-1), so w·O = (imag(O), -real(O)).
-			e := lo[quarter]
-			o := hi[quarter]
-			lo[quarter] = complex(real(e)+imag(o), imag(e)-real(o))
-		}
-	}
+	p.stagesFused(dst, p.fwd)
 }

@@ -15,10 +15,11 @@ import (
 // implementation with the symmetric twiddle tables: per-entry cos/sin
 // with fw[0] = (1,0), fw[quarter] = (0,-1) and fw[half-k] = -conj(fw[k])
 // enforced bit-exactly, one butterfly per (stage, column) in stage
-// order. Every production transform — planned, fused, and real-input —
-// is required to reproduce its output bit for bit (or value-for-value
-// where ±0 is documented to differ), because the decision paths are
-// defined as "whatever the reference serial path computes".
+// order. Every production transform — planned, fused, and windowed —
+// is required to reproduce its output bit for bit, because the
+// decision paths are defined as "whatever the reference serial path
+// computes". inverse conjugates the twiddles (no 1/n scaling), which
+// the round-trip tests use as an independent inverse.
 func referenceFFT(x []complex128, inverse bool) {
 	n := len(x)
 	if n == 0 {
@@ -75,9 +76,9 @@ func referenceFFT(x []complex128, inverse bool) {
 // w *= exp(±2πi/size). The production tables replaced that recurrence
 // with the symmetric per-entry construction above (the recurrence's
 // rounding error grows along the table and breaks the w[half-k] =
-// -conj(w[k]) identity the real-input transform depends on), so the
-// legacy output is no longer bit-identical — TestPlanFFTNearLegacy pins
-// the redefinition to rounding-level distance instead.
+// -conj(w[k]) identity the tables now enforce), so the legacy output is
+// no longer bit-identical — TestPlanFFTNearLegacy pins the redefinition
+// to rounding-level distance instead.
 func legacyFFT(x []complex128, inverse bool) {
 	n := len(x)
 	if n == 0 {
@@ -116,6 +117,41 @@ func legacyFFT(x []complex128, inverse bool) {
 	}
 }
 
+// applyOracle is the plan-based serial transform the fused kernels
+// replaced, kept as their oracle and as the path=reference side of the
+// kernel benchmarks: the plan's bit-reversal swaps, then one radix-2
+// pass per stage over the plan's twiddle tables.
+func applyOracle(p *FFTPlan, x []complex128) {
+	if len(x) != p.n {
+		panic(fmt.Sprintf("dsp: FFTPlan size %d applied to length %d", p.n, len(x)))
+	}
+	for _, pr := range p.pairs {
+		x[pr[0]], x[pr[1]] = x[pr[1]], x[pr[0]]
+	}
+	for s, stage := range p.fwd {
+		size := 2 << uint(s)
+		half := size >> 1
+		for start := 0; start < p.n; start += size {
+			for k := 0; k < half; k++ {
+				a := x[start+k]
+				b := x[start+k+half] * stage[k]
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+			}
+		}
+	}
+}
+
+// inverseOracle inverts an unnormalized forward spectrum in place
+// through referenceFFT's conjugated tables and the 1/n scaling.
+func inverseOracle(x []complex128) {
+	referenceFFT(x, true)
+	n := complex(float64(len(x)), 0)
+	for i := range x {
+		x[i] /= n
+	}
+}
+
 func randComplex(n int, seed int64) []complex128 {
 	rng := xrand.New(seed)
 	x := make([]complex128, n)
@@ -151,32 +187,23 @@ func floatBitEqual(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestPlanFFTBitIdenticalToReference checks FFT/IFFT against the frozen
-// reference in both kernel modes: the fused (paired-stage) kernels do
-// the same arithmetic per element as the reference loop, so "fused" is
-// held to bitwise equality, not a tolerance.
+// TestPlanFFTBitIdenticalToReference checks the production transform
+// against the frozen reference and against the plan's own serial
+// one-stage-per-pass loop: the fused (paired-stage) kernels do the same
+// arithmetic per element, so they are held to bitwise equality, not a
+// tolerance.
 func TestPlanFFTBitIdenticalToReference(t *testing.T) {
-	defer SetFusedKernels(FusedKernels())
-	for _, fused := range []bool{false, true} {
-		SetFusedKernels(fused)
-		for n := 1; n <= 4096; n <<= 1 {
-			x := randComplex(n, int64(n))
-			want := append([]complex128(nil), x...)
-			referenceFFT(want, false)
-			got := append([]complex128(nil), x...)
-			FFT(got)
-			complexBitEqual(t, fmt.Sprintf("fused=%v FFT n=%d", fused, n), got, want)
+	for n := 1; n <= 4096; n <<= 1 {
+		x := randComplex(n, int64(n))
+		want := append([]complex128(nil), x...)
+		referenceFFT(want, false)
+		got := append([]complex128(nil), x...)
+		FFT(got)
+		complexBitEqual(t, fmt.Sprintf("FFT n=%d", n), got, want)
 
-			wantInv := append([]complex128(nil), x...)
-			referenceFFT(wantInv, true)
-			nn := complex(float64(n), 0)
-			for i := range wantInv {
-				wantInv[i] /= nn
-			}
-			gotInv := append([]complex128(nil), x...)
-			IFFT(gotInv)
-			complexBitEqual(t, fmt.Sprintf("fused=%v IFFT n=%d", fused, n), gotInv, wantInv)
-		}
+		serial := append([]complex128(nil), x...)
+		applyOracle(PlanFFT(n), serial)
+		complexBitEqual(t, fmt.Sprintf("apply loop n=%d", n), serial, want)
 	}
 }
 
@@ -214,7 +241,7 @@ func TestPlanFFTRoundTrip(t *testing.T) {
 	x := randComplex(1024, 9)
 	y := append([]complex128(nil), x...)
 	FFT(y)
-	IFFT(y)
+	inverseOracle(y)
 	for i := range x {
 		if cmplx.Abs(y[i]-x[i]) > 1e-10 {
 			t.Fatalf("round trip diverged at %d: %v vs %v", i, y[i], x[i])
@@ -299,26 +326,5 @@ func TestNextPowerOfTwoContract(t *testing.T) {
 			}()
 			NextPowerOfTwo(bad)
 		}()
-	}
-}
-
-// TestNextPowerOfTwoCallSitesGuarded exercises the call sites that used
-// to be able to reach the panic with degenerate inputs.
-func TestNextPowerOfTwoCallSitesGuarded(t *testing.T) {
-	if got := FFTReal(nil); len(got) != 0 {
-		t.Fatalf("FFTReal(nil) returned %d bins", len(got))
-	}
-	if got := FFTReal([]float64{}); len(got) != 0 {
-		t.Fatalf("FFTReal(empty) returned %d bins", len(got))
-	}
-	if got := FFTReal([]float64{1, 2, 3}); len(got) != 4 {
-		t.Fatalf("FFTReal(3 samples) returned %d bins, want 4", len(got))
-	}
-	// OverlapSave guards both operands before sizing its transform.
-	if got := (Engine{Parallelism: 2}).OverlapSave(nil, []float64{1}); len(got) != 0 {
-		t.Fatal("OverlapSave with empty signal not guarded")
-	}
-	if got := (Engine{Parallelism: 2}).OverlapSave([]float64{1, 2}, nil); len(got) != 2 || got[0] != 0 || got[1] != 0 {
-		t.Fatal("OverlapSave with empty kernel not guarded")
 	}
 }

@@ -77,22 +77,6 @@ func WelchPSD(x []complex128, fftSize int) []float64 {
 	return Engine{Parallelism: 1}.WelchPSD(x, fftSize)
 }
 
-// STFTReal computes the magnitude spectrogram of a real-valued signal —
-// the native shape of the paper's power traces — through the
-// half-spectrum real transform. Its rows are bit-identical to packing x
-// into a complex buffer and calling STFT; see Engine.STFTReal.
-func STFTReal(x []float64, fftSize, hop int, window []float64, sampleRate float64) *Spectrogram {
-	return Engine{Parallelism: 1}.STFTReal(x, fftSize, hop, window, sampleRate)
-}
-
-// WelchPSDReal estimates the Welch PSD of a real-valued signal through
-// the half-spectrum real transform. The result is bit-identical to
-// packing x into a complex buffer and calling WelchPSD; see
-// Engine.WelchPSDReal.
-func WelchPSDReal(x []float64, fftSize int) []float64 {
-	return Engine{Parallelism: 1}.WelchPSDReal(x, fftSize)
-}
-
 // WriteCSV emits the spectrogram as CSV: a header row of bin center
 // frequencies (Hz, FFT-shifted so they ascend), then one row per frame
 // with the frame time (s) in the first column. Plotting tools consume

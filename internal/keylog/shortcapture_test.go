@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pmuleak/internal/dsp"
 	"pmuleak/internal/sdr"
 	"pmuleak/internal/sim"
 	"pmuleak/internal/xrand"
@@ -13,8 +12,8 @@ import (
 // Regression tests for the detector's NextPowerOfTwo sizing boundaries:
 // the detector rounds its window up to a power of two and bails out
 // when the capture cannot hold even one segment. The cutoffs below are
-// pinned exactly, in both kernel modes, so a future refactor of the
-// sizing arithmetic cannot move them silently.
+// pinned exactly, so a future refactor of the sizing arithmetic cannot
+// move them silently.
 
 // shortCapture builds a capture of n deterministic noise samples at
 // 240 kHz, where the default 2.5 ms window rounds to 600 samples and
@@ -32,82 +31,60 @@ func shortCapture(n int) *sdr.Capture {
 // fftSize-1 samples the detection is empty (no Band, no FrameDT), and
 // one sample later the STFT runs and produces exactly one frame.
 func TestDetectCaptureShorterThanSegment(t *testing.T) {
-	prev := dsp.FusedKernels()
-	defer dsp.SetFusedKernels(prev)
-	for _, fused := range []bool{false, true} {
-		dsp.SetFusedKernels(fused)
-		for _, n := range []int{0, 1, 600, 1023} {
-			det := Detect(shortCapture(n), DefaultDetectorConfig())
-			if len(det.Keystrokes) != 0 || len(det.Band) != 0 || det.FrameDT != 0 {
-				t.Fatalf("fused=%v: %d-sample capture (< fftSize 1024) produced %+v",
-					fused, n, det)
-			}
+	for _, n := range []int{0, 1, 600, 1023} {
+		det := Detect(shortCapture(n), DefaultDetectorConfig())
+		if len(det.Keystrokes) != 0 || len(det.Band) != 0 || det.FrameDT != 0 {
+			t.Fatalf("%d-sample capture (< fftSize 1024) produced %+v", n, det)
 		}
-		det := Detect(shortCapture(1024), DefaultDetectorConfig())
-		if len(det.Band) != 1 {
-			t.Fatalf("fused=%v: 1024-sample capture: %d band frames, want 1",
-				fused, len(det.Band))
-		}
-		if len(det.Keystrokes) != 0 {
-			t.Fatalf("fused=%v: noise-only capture detected keystrokes", fused)
-		}
+	}
+	det := Detect(shortCapture(1024), DefaultDetectorConfig())
+	if len(det.Band) != 1 {
+		t.Fatalf("1024-sample capture: %d band frames, want 1", len(det.Band))
+	}
+	if len(det.Keystrokes) != 0 {
+		t.Fatal("noise-only capture detected keystrokes")
 	}
 }
 
 // TestDetectFFTSizeTwo drives the detector at the smallest transform
 // the DSP layer accepts: a window short enough to round to two samples.
 // Hann(2) is identically zero, so every frame's band energy is zero and
-// nothing can be detected — but the case must not panic or hang, and
-// both kernel modes must agree. (fftSize 1 is unreachable: the
-// windowSamples < 1 guard returns first, covered by
-// TestDetectZeroSampleWindow.)
+// nothing can be detected — but the case must not panic or hang.
+// (fftSize 1 is unreachable: the windowSamples < 1 guard returns first,
+// covered by TestDetectZeroSampleWindow.)
 func TestDetectFFTSizeTwo(t *testing.T) {
-	prev := dsp.FusedKernels()
-	defer dsp.SetFusedKernels(prev)
 	cfg := DefaultDetectorConfig()
 	cfg.Window = sim.Microsecond // 2 samples at 2 MHz
 	cap := shortCapture(4096)
 	cap.SampleRate = 2e6
-	var detections []*Detection
-	for _, fused := range []bool{false, true} {
-		dsp.SetFusedKernels(fused)
-		det := Detect(cap, cfg)
-		if len(det.Keystrokes) != 0 {
-			t.Fatalf("fused=%v: zero-window STFT produced keystrokes: %+v",
-				fused, det.Keystrokes)
-		}
-		detections = append(detections, det)
+	det := Detect(cap, cfg)
+	if len(det.Band) == 0 {
+		t.Fatal("fftSize-2 detection ran no STFT frames")
 	}
-	if !reflect.DeepEqual(detections[0], detections[1]) {
-		t.Fatalf("fftSize-2 detections differ between kernel modes:\n%+v\n%+v",
-			detections[0], detections[1])
+	if len(det.Keystrokes) != 0 {
+		t.Fatalf("zero-window STFT produced keystrokes: %+v", det.Keystrokes)
 	}
 }
 
 // TestDetectFusedEquivalence is the consumer-level differential for the
-// detector: the full Detection — keystrokes, band trace, threshold —
-// must be identical with fused kernels on and off, serial and parallel.
-// The detector consumes only STFT magnitudes, which the kernel
-// equivalence suite proves bit-identical, so DeepEqual is the honest
-// bar here, not a tolerance.
+// detector's fused STFT kernel: the full Detection — keystrokes, band
+// trace, threshold — must be identical serial and parallel. The
+// detector consumes only STFT magnitudes, which the kernel equivalence
+// suite proves bit-identical to a serial oracle, so DeepEqual is the
+// honest bar here, not a tolerance.
 func TestDetectFusedEquivalence(t *testing.T) {
-	prev := dsp.FusedKernels()
-	defer dsp.SetFusedKernels(prev)
 	cap := shortCapture(1 << 15)
 	var want *Detection
-	for _, fused := range []bool{false, true} {
-		dsp.SetFusedKernels(fused)
-		for _, par := range []int{1, 4} {
-			cfg := DefaultDetectorConfig()
-			cfg.Parallelism = par
-			det := Detect(cap, cfg)
-			if want == nil {
-				want = det
-				continue
-			}
-			if !reflect.DeepEqual(det, want) {
-				t.Fatalf("fused=%v par=%d: detection differs from reference", fused, par)
-			}
+	for _, par := range []int{1, 4} {
+		cfg := DefaultDetectorConfig()
+		cfg.Parallelism = par
+		det := Detect(cap, cfg)
+		if want == nil {
+			want = det
+			continue
+		}
+		if !reflect.DeepEqual(det, want) {
+			t.Fatalf("par=%d: detection differs from serial", par)
 		}
 	}
 }

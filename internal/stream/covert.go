@@ -77,13 +77,13 @@ type CovertReceiver struct {
 	centerFreqHz float64
 
 	// Welch accumulation.
-	fftSize int
-	hop     int
-	window  []float64
-	plan    *dsp.FFTPlan
-	seg     []complex128 // pending samples, len < fftSize between pushes
-	buf     []complex128 // scratch for window+transform
-	psdSum  []float64
+	fftSize  int
+	hop      int
+	window   []float64
+	plan     *dsp.FFTPlan
+	seg      []complex128 // pending samples, len < fftSize between pushes
+	buf      []complex128 // scratch for window+transform
+	psdSum   []float64
 	segments int
 
 	// Resonator bank over the widest level's offsets.
@@ -188,9 +188,7 @@ func (c *CovertReceiver) Push(chunk []complex128) {
 		c.seg = append(c.seg, in[:take]...)
 		in = in[take:]
 		if len(c.seg) == c.fftSize {
-			copy(c.buf, c.seg)
-			dsp.ApplyWindow(c.buf, c.window)
-			c.plan.Transform(c.buf)
+			c.plan.WindowedTransform(c.buf, c.seg, c.window)
 			for i, v := range c.buf {
 				re, im := real(v), imag(v)
 				c.psdSum[i] += re*re + im*im

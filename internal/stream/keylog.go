@@ -129,13 +129,12 @@ func (d *KeylogDetector) Push(chunk []complex128) {
 }
 
 // finishFrame transforms the completed frame into a magnitude row —
-// the exact per-frame computation of the batch STFT's reference path —
-// and flushes the block once TrackBlock frames have accumulated.
+// the batch STFT's per-frame computation, through the same
+// FFTPlan.WindowedTransform kernel — and flushes the block once
+// TrackBlock frames have accumulated.
 func (d *KeylogDetector) finishFrame() {
-	copy(d.buf, d.frame)
+	d.plan.WindowedTransform(d.buf, d.frame, d.window)
 	d.frame = d.frame[:0]
-	dsp.ApplyWindow(d.buf, d.window)
-	d.plan.Transform(d.buf)
 	row := d.rowsBak[len(d.rows)*d.g.FFTSize : (len(d.rows)+1)*d.g.FFTSize]
 	for i, v := range d.buf {
 		row[i] = cmplx.Abs(v)
