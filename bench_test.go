@@ -10,6 +10,7 @@ package pmuleak
 
 import (
 	"fmt"
+	"math/cmplx"
 	"runtime"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"pmuleak/internal/dsp"
 	"pmuleak/internal/emchannel"
 	"pmuleak/internal/experiments"
+	"pmuleak/internal/keylog"
 	"pmuleak/internal/laptop"
 	"pmuleak/internal/sdr"
 	"pmuleak/internal/sim"
@@ -352,7 +354,10 @@ func BenchmarkStageFFT1024(b *testing.B) {
 	}
 }
 
-func BenchmarkStageResonatorBank(b *testing.B) {
+// resonatorSink keeps BenchmarkStageResonators' magnitudes live.
+var resonatorSink float64
+
+func BenchmarkStageResonators(b *testing.B) {
 	rng := xrand.New(2)
 	x := make([]complex128, 1<<17)
 	for i := range x {
@@ -361,7 +366,10 @@ func BenchmarkStageResonatorBank(b *testing.B) {
 	b.SetBytes(int64(len(x) * 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dsp.ResonatorBank(x, []float64{-0.2, 0.2}, 0.999)
+		bank := []dsp.Resonator{dsp.NewResonator(-0.2, 0.999), dsp.NewResonator(0.2, 0.999)}
+		for _, v := range x {
+			resonatorSink = cmplx.Abs(bank[0].Step(v)) + cmplx.Abs(bank[1].Step(v))
+		}
 	}
 }
 
@@ -445,6 +453,9 @@ func BenchmarkDemodulateParallel(b *testing.B) {
 // covert: covert.Demodulate on the covert-transfer tail case, a
 // 512-bit Hamming(7,4) transfer from a Windows laptop (500 µs sleep
 // period) captured at 2.4 MS/s.
+//
+// keylog: keylog.Detect on one 15-word keystroke session from the same
+// laptop, captured at its 240 kS/s keystroke plan.
 func BenchmarkLayer(b *testing.B) {
 	b.Run("covert", func(b *testing.B) {
 		prof, _ := laptop.ByModel("Dell Precision 7290")
@@ -459,6 +470,18 @@ func BenchmarkLayer(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			covert.Demodulate(p.Cap, p.RXCfg)
+		}
+		b.ReportMetric(float64(len(p.Cap.IQ))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msamples/s")
+	})
+	b.Run("keylog", func(b *testing.B) {
+		prof, _ := laptop.ByModel("Dell Precision 7290")
+		tb := core.NewTestbed(core.WithLaptop(prof), core.WithSeed(13))
+		p := tb.PrepareKeylog(core.KeylogConfig{Words: 15})
+		defer p.Cap.Recycle()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			keylog.Detect(p.Cap, p.DetCfg)
 		}
 		b.ReportMetric(float64(len(p.Cap.IQ))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msamples/s")
 	})

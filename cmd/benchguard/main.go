@@ -9,7 +9,11 @@
 //
 // Ratios, not nanoseconds: both paths run in the same process on the
 // same machine, so their quotient survives runner-speed differences
-// that would make any absolute ns/op threshold flake. min_speedup is
+// that would make any absolute ns/op threshold flake. Under -count N
+// each pair yields N ratios (the k-th reference result over the k-th
+// new-path result) and the gate applies to their median, so one noisy
+// run cannot fail or pass it alone; with -count 1 the median is the one
+// ratio. min_speedup is
 // the hard product floor (the ">= 2x on STFT and Welch" acceptance
 // line); baseline_speedup*(1-tolerance) is the benchstat-style
 // regression gate that catches a kernel slowdown long before it eats
@@ -17,7 +21,7 @@
 //
 // Usage:
 //
-//	go test -bench 'STFT|Welch|FFT' -benchtime 2x ./internal/dsp/ | \
+//	go test -run '^$' -bench 'STFT|FFT' -benchtime 2s -count 5 ./internal/dsp/ | \
 //	    benchguard -baseline internal/dsp/testdata/bench_baseline.json
 package main
 
@@ -28,6 +32,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -130,10 +135,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // GOMAXPROCS is 1).
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
-// parseBench extracts name -> ns/op. Sub-benchmark names keep their
+// parseBench extracts name -> ns/op of every result line, in input
+// order (one per -count repeat). Sub-benchmark names keep their
 // /path=... suffix; the -N CPU suffix is stripped.
-func parseBench(out string) (map[string]float64, error) {
-	results := map[string]float64{}
+func parseBench(out string) (map[string][]float64, error) {
+	results := map[string][]float64{}
 	for _, line := range strings.Split(out, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -143,7 +149,7 @@ func parseBench(out string) (map[string]float64, error) {
 		if err != nil || ns <= 0 {
 			return nil, fmt.Errorf("bad ns/op on line %q", line)
 		}
-		results[m[1]] = ns
+		results[m[1]] = append(results[m[1]], ns)
 	}
 	if len(results) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines found in input")
@@ -151,19 +157,41 @@ func parseBench(out string) (map[string]float64, error) {
 	return results, nil
 }
 
-func check(base Baseline, results map[string]float64, stdout, stderr io.Writer) int {
+// median returns the middle value of x (the mean of the two middle
+// values for an even count); x is reordered.
+func median(x []float64) float64 {
+	sort.Float64s(x)
+	n := len(x)
+	if n%2 == 1 {
+		return x[n/2]
+	}
+	return (x[n/2-1] + x[n/2]) / 2
+}
+
+func check(base Baseline, results map[string][]float64, stdout, stderr io.Writer) int {
 	failures := 0
 	for _, p := range base.Pairs {
 		refSuffix, newSuffix := p.suffixes()
-		ref, okRef := results[p.Name+"/"+refSuffix]
-		fast, okNew := results[p.Name+"/"+newSuffix]
-		if !okRef || !okNew {
+		refs := results[p.Name+"/"+refSuffix]
+		fasts := results[p.Name+"/"+newSuffix]
+		if len(refs) == 0 || len(fasts) == 0 {
 			fmt.Fprintf(stderr, "benchguard: %s: missing %s or %s result\n",
 				p.Name, refSuffix, newSuffix)
 			failures++
 			continue
 		}
-		speedup := ref / fast
+		if len(refs) != len(fasts) {
+			fmt.Fprintf(stderr, "benchguard: %s: %d %s results but %d %s results\n",
+				p.Name, len(refs), refSuffix, len(fasts), newSuffix)
+			failures++
+			continue
+		}
+		ratios := make([]float64, len(refs))
+		for k := range refs {
+			ratios[k] = refs[k] / fasts[k]
+		}
+		speedup := median(ratios)
+		ref, fast := median(append([]float64(nil), refs...)), median(append([]float64(nil), fasts...))
 		gate := p.BaselineSpeedup * (1 - base.Tolerance)
 		if p.MinSpeedup > gate {
 			gate = p.MinSpeedup
@@ -173,9 +201,13 @@ func check(base Baseline, results map[string]float64, stdout, stderr io.Writer) 
 			status = "FAIL"
 			failures++
 		}
+		runs := ""
+		if len(ratios) > 1 {
+			runs = fmt.Sprintf(" (median of %d)", len(ratios))
+		}
 		fmt.Fprintf(stdout,
-			"%-24s %s %12.0f ns/op  %s %12.0f ns/op  speedup %5.2fx  gate %.2fx  %s\n",
-			p.Name, refSuffix, ref, newSuffix, fast, speedup, gate, status)
+			"%-24s %s %12.0f ns/op  %s %12.0f ns/op  speedup %5.2fx%s  gate %.2fx  %s\n",
+			p.Name, refSuffix, ref, newSuffix, fast, speedup, runs, gate, status)
 	}
 	if failures > 0 {
 		fmt.Fprintf(stderr, "benchguard: %d benchmark gate(s) failed\n", failures)

@@ -34,8 +34,8 @@ func TestParseBench(t *testing.T) {
 		"BenchmarkWelch/path=fused":     1935357,
 	}
 	for name, ns := range want {
-		if results[name] != ns {
-			t.Errorf("%s = %v, want %v", name, results[name], ns)
+		if got := results[name]; len(got) != 1 || got[0] != ns {
+			t.Errorf("%s = %v, want [%v]", name, got, ns)
 		}
 	}
 	if _, err := parseBench("no benchmarks here\n"); err == nil {
@@ -145,6 +145,37 @@ PASS
 	}`, bench)
 	if code != 1 || !strings.Contains(stderr, "missing") {
 		t.Fatalf("default suffixes matched the campaign bench: exit %d, stderr: %s", code, stderr)
+	}
+}
+
+// TestGateMedianOfRepeats: under -count 3 the gate takes the median of
+// the per-run ratios (1.0x, 2.5x, 3.0x here), so the one slow run that
+// the last result line alone would have judged cannot fail the pair,
+// and two slow runs out of three do fail it.
+func TestGateMedianOfRepeats(t *testing.T) {
+	repeats := func(fused ...string) string {
+		out := "goos: linux\n"
+		for _, ns := range fused {
+			out += "BenchmarkFFT/path=reference-8   100   3000 ns/op\n"
+			out += "BenchmarkFFT/path=fused-8       100   " + ns + " ns/op\n"
+		}
+		return out + "PASS\n"
+	}
+	baseline := `{"tolerance": 0.10,
+		"pairs": [{"name": "BenchmarkFFT", "min_speedup": 2.0, "baseline_speedup": 2.0}]}`
+	code, stdout, stderr := runGuard(t, baseline, repeats("1200", "1000", "3000"))
+	if code != 0 {
+		t.Fatalf("one slow run of three failed the median gate: exit %d\n%s%s", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "2.50x (median of 3)") {
+		t.Fatalf("report does not show the median ratio:\n%s", stdout)
+	}
+	if code, stdout, _ := runGuard(t, baseline, repeats("1000", "3000", "3000")); code != 1 {
+		t.Fatalf("two slow runs of three passed the median gate: exit %d\n%s", code, stdout)
+	}
+	unequal := repeats("1000", "1000") + "BenchmarkFFT/path=reference-8   100   3000 ns/op\n"
+	if code, _, stderr := runGuard(t, baseline, unequal); code != 1 || !strings.Contains(stderr, "results but") {
+		t.Fatalf("unequal repeat counts: exit %d, stderr: %s", code, stderr)
 	}
 }
 

@@ -46,7 +46,7 @@ func main() {
 		chunk   = flag.Int("chunk", 65536, "serve: samples per pushed chunk")
 		queue   = flag.Int("queue", 8, "serve: per-stream queue depth in chunks (backpressure bound)")
 		kind    = flag.String("kind", "mixed", "serve: stream mix — covert | keys | mixed")
-		verify  = flag.Bool("verify", false, "serve: recompute each stream through the batch pipeline and require byte-identical output")
+		verify  = flag.Bool("verify", false, "serve: recompute each stream with its receiver fed the whole capture as one chunk and require byte-identical output")
 		adminA  = flag.String("admin", "", "serve: expose the live introspection plane (/metrics, /streams, /healthz, /debug/pprof) on this address, e.g. :9110 or 127.0.0.1:0")
 		linger  = flag.Duration("linger", 0, "serve: keep the process (and -admin listener) alive this long after the final report")
 

@@ -253,8 +253,8 @@ func (tb *Testbed) RunCovert(cfg CovertConfig) *CovertResult {
 // capture exactly as the demodulator would see it (faults applied) plus
 // the receiver config RunCovert would use and the transmitter-side
 // ground truth needed to score the decode. It is the seam between
-// capture production and demodulation that lets the batch path
-// (covert.Demodulate) and the streaming path (stream.CovertReceiver)
+// capture production and demodulation that lets RunCovert
+// (covert.Demodulate) and the streaming daemon (stream.CovertReceiver)
 // consume the identical capture. The caller owns Cap and must Recycle
 // it; when the transmitter trace came from the cache, Run, Payload, and
 // TXCfg are shared — treat them as read-only.
@@ -304,6 +304,27 @@ func (tb *Testbed) PrepareCovert(cfg CovertConfig) *PreparedCovert {
 		TXCfg:   tr.txCfg,
 		Faults:  faultRep,
 	}
+}
+
+// CovertRXConfig returns the receiver config RunCovert hands the
+// demodulator for this covert config — pure arithmetic over the profile
+// and the transmitter settings, no simulation. PrepareCovert builds its
+// RXCfg here, so the two cannot drift apart. The bit period depends
+// only on the loop and sleep periods, which the transmitter trace never
+// changes, so the default TX config stands in for the simulated one.
+func (tb *Testbed) CovertRXConfig(cfg CovertConfig) covert.RXConfig {
+	cfg.fill(tb)
+	txCfg := covert.DefaultTXConfig(cfg.SleepPeriod)
+	rxCfg := covert.DefaultRXConfig()
+	rxCfg.ExpectedF0 = tb.Profile.VRM.SwitchingFreqHz
+	rxCfg.MinBitPeriod = txCfg.BitPeriod() / 2
+	rxCfg.Parallelism = cfg.Parallelism
+	rxCfg.Resync = cfg.RXResync
+	rxCfg.CarrierRetries = cfg.RXCarrierRetries
+	if cfg.RXHarmonics > 0 {
+		rxCfg.NumHarmonics = cfg.RXHarmonics
+	}
+	return rxCfg
 }
 
 // Finish scores a demod produced outside RunCovert — typically a

@@ -333,8 +333,10 @@ func TestEndToEndPowersBimodal(t *testing.T) {
 }
 
 func TestDemodulateTooShortCapture(t *testing.T) {
-	cap := &sdr.Capture{IQ: make([]complex128, 100), SampleRate: 2.4e6}
-	d := Demodulate(cap, DefaultRXConfig())
+	cap := &sdr.Capture{IQ: make([]complex128, 100), SampleRate: 2.4e6, CenterFreqHz: hostileCenter}
+	cfg := DefaultRXConfig()
+	cfg.ExpectedF0 = hostileF0
+	d := Demodulate(cap, cfg)
 	if len(d.Bits) != 0 {
 		t.Fatal("bits from an empty capture")
 	}
@@ -346,8 +348,7 @@ func TestDemodulateSilence(t *testing.T) {
 	for i := range iq {
 		iq[i] = complex(rng.Normal(0, 0.01), rng.Normal(0, 0.01))
 	}
-	cap := &sdr.Capture{IQ: iq, SampleRate: 2.4e6}
-	d := Demodulate(cap, DefaultRXConfig())
+	d := demod(iq)
 	// Pure noise must not produce a confident long bit stream.
 	if len(d.Bits) > 20 {
 		t.Fatalf("decoded %d bits from pure noise", len(d.Bits))

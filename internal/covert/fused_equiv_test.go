@@ -13,12 +13,11 @@ import (
 )
 
 // linkCapture runs the transmit -> emanate -> propagate -> acquire
-// front half of runLink and returns the capture plus the receiver
-// config tuned to the profile, without demodulating. The demodulation
-// differential below reuses one capture across parallelism levels so
-// the input bits are literally identical.
-func linkCapture(payloadBits int, seed int64) (*sdr.Capture, RXConfig) {
-	prof := laptop.Reference()
+// front half of runLink on prof and returns the capture plus the
+// receiver config tuned to the profile, without demodulating. The
+// demodulation differentials reuse one capture across parallelism
+// levels and chunkings so the input bits are literally identical.
+func linkCapture(prof laptop.Profile, payloadBits int, seed int64) (*sdr.Capture, RXConfig) {
 	sys := laptop.NewSystem(prof, seed)
 	defer sys.Close()
 
@@ -64,7 +63,7 @@ func TestDemodulateFusedEquivalence(t *testing.T) {
 		{"analog", faults.Config{GainStepRatePerS: 4, SaturationRatePerS: 4}},
 	}
 	for fi, fc := range faultConfigs {
-		cap, rxCfg := linkCapture(64, 77+int64(fi))
+		cap, rxCfg := linkCapture(laptop.Reference(), 64, 77+int64(fi))
 		faults.MustNew(fc.cfg, 99).Apply(cap)
 
 		var want *Demod

@@ -3,6 +3,7 @@ package covert
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"pmuleak/internal/dsp"
 	"pmuleak/internal/sdr"
@@ -16,8 +17,9 @@ type RXConfig struct {
 	FFTSize int
 	// NumHarmonics is |S|: how many VRM spectral spikes to sum.
 	NumHarmonics int
-	// ExpectedF0 is the VRM switching frequency hint (Hz). When zero
-	// the receiver locates the spikes itself from the capture's PSD.
+	// ExpectedF0 is the VRM switching frequency hint (Hz). Its
+	// harmonics in the capture band are the spikes the receiver sums;
+	// NewReceiver rejects a config without one.
 	ExpectedF0 float64
 	// DecimateFactor reduces the per-sample acquisition trace before
 	// edge detection.
@@ -39,9 +41,10 @@ type RXConfig struct {
 	// carrier at all. Below it the demodulator reports no bits.
 	CarrierMinZ float64
 	// CarrierRetries bounds carrier re-acquisition: when the first
-	// spike search fails the gate, each retry widens the search (more
-	// candidate peaks, tighter peak spacing) and relaxes CarrierMinZ by
-	// 25%. Zero — the default — keeps the single-pass behavior.
+	// spike search fails the gate, each retry widens the search (one
+	// more hinted harmonic, where one is in band) and relaxes
+	// CarrierMinZ by 25%. Zero — the default — keeps the single-pass
+	// behavior.
 	CarrierRetries int
 	// Resync enables per-batch period re-estimation (§IV-B2 batch
 	// processing taken to its conclusion): estimatePeriod is re-run on
@@ -74,8 +77,8 @@ func DefaultRXConfig() RXConfig {
 
 // Validate reports configuration errors.
 func (c RXConfig) Validate() error {
-	if !dsp.IsPowerOfTwo(c.FFTSize) {
-		return fmt.Errorf("covert: FFTSize %d not a power of two", c.FFTSize)
+	if !dsp.IsPowerOfTwo(c.FFTSize) || c.FFTSize < 2 {
+		return fmt.Errorf("covert: FFTSize %d not a power of two >= 2", c.FFTSize)
 	}
 	if c.NumHarmonics < 1 {
 		return fmt.Errorf("covert: NumHarmonics must be >= 1")
@@ -167,43 +170,42 @@ type Demod struct {
 	Quality Quality
 }
 
-// Carrier is the outcome of the receiver's carrier search: the Eq. (1)
+// carrier is the outcome of the receiver's carrier search: the Eq. (1)
 // frequency set, the spike's robust z-score over the PSD floor, the
-// re-acquisition retries consumed, and whether the gate passed. The
-// field values mirror exactly what Demodulate leaves in a Demod — on a
-// failed search, Offsets and Z still carry the first pass so the caller
+// re-acquisition retries consumed, and whether the gate passed. On a
+// failed search, Offsets and Z still carry the first pass so the Demod
 // can report how close the capture came.
-type Carrier struct {
+type carrier struct {
 	Offsets []float64
 	Z       float64
 	Retries int
 	Found   bool
 }
 
-// SearchCarrier runs the receiver's step-1 carrier search over an
-// already-computed Welch PSD (one value per FFT bin, fftSize ==
-// cfg.FFTSize). It is the seam the streaming receiver shares with
-// Demodulate: both paths make identical gate decisions because both run
-// this exact function over bit-identical PSDs.
-func SearchCarrier(psd []float64, sampleRate, centerFreqHz float64, cfg RXConfig) Carrier {
-	var car Carrier
-	var spikePower float64
-	car.Offsets, spikePower = selectOffsetsWiden(psd, sampleRate, centerFreqHz, cfg, 0)
+// searchCarrier runs the receiver's step-1 carrier search over the
+// finished Welch PSD (one value per FFT bin, fftSize == cfg.FFTSize).
+// The Welch average shrinks the per-bin noise spread by the square root
+// of the segment count, so even a spike well under twice the floor can
+// be decisive; a robust z-score captures that.
+func searchCarrier(psd []float64, sampleRate, centerFreqHz float64, cfg RXConfig) carrier {
+	var car carrier
+	car.Offsets = hintedOffsets(cfg, sampleRate, centerFreqHz, cfg.NumHarmonics)
+	spike := spikePower(psd, car.Offsets, sampleRate)
 	floor := dsp.Median(psd)
 	sigma := 1.4826 * dsp.MAD(psd)
 	if sigma <= 0 {
 		return car
 	}
-	car.Z = (spikePower - floor) / sigma
+	car.Z = (spike - floor) / sigma
 	if car.Z < cfg.CarrierMinZ {
 		// Bounded re-acquisition: a gain step or saturation burst can
 		// smear the spike below the gate on the first look. Each retry
-		// admits more candidate peaks at tighter spacing and relaxes
-		// the gate by 25%, so a genuinely dead capture still fails
-		// every step while a damaged-but-live one re-locks.
+		// admits one more hinted harmonic and relaxes the gate by 25%,
+		// so a genuinely dead capture still fails every step while a
+		// damaged-but-live one re-locks.
 		for r := 1; r <= cfg.CarrierRetries; r++ {
-			offsets, spike := selectOffsetsWiden(psd, sampleRate, centerFreqHz, cfg, r)
-			z := (spike - floor) / sigma
+			offsets := hintedOffsets(cfg, sampleRate, centerFreqHz, cfg.NumHarmonics+r)
+			z := (spikePower(psd, offsets, sampleRate) - floor) / sigma
 			if z >= cfg.CarrierMinZ*math.Pow(0.75, float64(r)) {
 				car.Offsets, car.Z, car.Retries = offsets, z, r
 				car.Found = true
@@ -216,10 +218,43 @@ func SearchCarrier(psd []float64, sampleRate, centerFreqHz float64, cfg RXConfig
 	return car
 }
 
-// AcquisitionDecay returns the resonator decay factor Demodulate
-// derives from the config — the streaming receiver must run its
-// resonators with the identical constant to reproduce the batch trace.
-func AcquisitionDecay(cfg RXConfig, sampleRate float64) float64 {
+// spikePower is the strongest PSD power among the offsets' bins.
+// Narrowband interferers near a spike are attenuated by the acquisition
+// tracker's own selectivity, so no offset is excluded here; slower
+// signaling (a narrower tracker) is the §IV-C3 remedy when the band is
+// polluted.
+func spikePower(psd, offsets []float64, sampleRate float64) float64 {
+	var spike float64
+	for _, f := range offsets {
+		if p := psd[dsp.FrequencyBin(f, len(psd), sampleRate)]; p > spike {
+			spike = p
+		}
+	}
+	return spike
+}
+
+// hintedOffsets is the Eq. (1) frequency set S as exact baseband
+// offsets: up to numHarmonics harmonics of the ExpectedF0 hint that land
+// in the usable band, in ascending harmonic order. Each carrier-retry
+// widen level asks for one more harmonic, so a narrower level's set is
+// always a prefix of a wider one's. Empty without a usable hint.
+func hintedOffsets(cfg RXConfig, sampleRate, centerFreqHz float64, numHarmonics int) []float64 {
+	usable := 0.46 * sampleRate
+	var offsets []float64
+	if cfg.ExpectedF0 > 0 {
+		for k := 1; len(offsets) < numHarmonics && float64(k)*cfg.ExpectedF0 < sampleRate*3; k++ {
+			off := float64(k)*cfg.ExpectedF0 - centerFreqHz
+			if math.Abs(off) <= usable {
+				offsets = append(offsets, off)
+			}
+		}
+	}
+	return offsets
+}
+
+// acquisitionDecay returns the Eq. (1) resonators' decay factor for the
+// config.
+func acquisitionDecay(cfg RXConfig, sampleRate float64) float64 {
 	tc := cfg.TrackerTimeConstant
 	if tc == 0 {
 		// A third of the shortest bit period: fast enough to keep bit
@@ -230,23 +265,215 @@ func AcquisitionDecay(cfg RXConfig, sampleRate float64) float64 {
 	return dsp.DecayForTimeConstant(tc.Seconds(), sampleRate)
 }
 
-// Demodulate runs the full §IV-B pipeline over a capture.
-func Demodulate(cap *sdr.Capture, cfg RXConfig) *Demod {
+// Receiver is the §IV-B receive pipeline as an incremental processor —
+// the one implementation behind both Demodulate and the streaming
+// daemon. Push IQ chunks of any size as they arrive, then Finalize; the
+// Demod depends only on the concatenation of the pushed samples, never
+// on where the chunk boundaries fell.
+//
+// The front half runs as the samples arrive. Welch PSD segments
+// accumulate as each FFTSize window completes (the samples from the
+// next segment start on carried across chunk boundaries), transformed
+// across Parallelism workers and added in segment order. The Eq. (1)
+// resonator bank carries its state sample to sample and feeds each
+// distinct carrier-retry offset set's running decimation block. The
+// back half — carrier gate, edge detection, period estimation, gap
+// filling, thresholding — needs global views, but only of compact
+// intermediates: the FFTSize-bin PSD and the decimated traces
+// (Samples/DecimateFactor floats each). Raw IQ is never retained, so a
+// receiver holds O(FFTSize + Samples/DecimateFactor) floats, not the
+// 16 bytes per sample of the capture.
+//
+// The offsets must be known before the capture ends, so the config
+// needs an ExpectedF0 hint with a harmonic in the capture band; every
+// production caller sets one.
+type Receiver struct {
+	cfg          RXConfig
+	sampleRate   float64
+	centerFreqHz float64
+	eng          dsp.Engine
+
+	// Welch accumulation: tail holds the samples from the next
+	// segment's start on (fewer than FFTSize), join the scratch for a
+	// segment that straddles a chunk boundary.
+	window   []float64
+	tail     []complex128
+	join     []complex128
+	psdSum   []float64
+	segments int
+
+	// Resonator bank over the widest retry level's offsets, and one
+	// decimated trace per distinct offset count: every narrower level's
+	// offsets are a prefix of the widest, so the bank's prefix sums are
+	// each level's acquisition trace. Every trace sees every sample, so
+	// block, the sample count of the partial decimation block carried
+	// across chunk boundaries, is shared. acc is acquire's scratch.
+	res    []dsp.Resonator
+	gain   float64
+	traces []trace
+	block  int
+	acc    []float64
+
+	total     int
+	finalized bool
+}
+
+// trace is one offset count's decimated acquisition trace; sum carries
+// its partial decimation block across chunk boundaries.
+type trace struct {
+	nOff int
+	sum  float64
+	y    []float64
+}
+
+// NewReceiver validates the config for a capture at sampleRate tuned to
+// centerFreqHz and returns a receiver with empty state.
+func NewReceiver(cfg RXConfig, sampleRate, centerFreqHz float64) (*Receiver, error) {
 	if err := cfg.Validate(); err != nil {
-		panic(err)
+		return nil, err
 	}
+	if sampleRate <= 0 {
+		return nil, fmt.Errorf("covert: sample rate %v must be positive", sampleRate)
+	}
+	if len(hintedOffsets(cfg, sampleRate, centerFreqHz, cfg.NumHarmonics)) == 0 {
+		return nil, fmt.Errorf("covert: receiver needs an ExpectedF0 hint with a harmonic within ±%.0f Hz of %.0f Hz", 0.46*sampleRate, centerFreqHz)
+	}
+	decay := acquisitionDecay(cfg, sampleRate)
+	if decay <= 0 || decay >= 1 {
+		return nil, fmt.Errorf("covert: tracker time constant yields resonator decay %v outside (0,1)", decay)
+	}
+	r := &Receiver{
+		cfg:          cfg,
+		sampleRate:   sampleRate,
+		centerFreqHz: centerFreqHz,
+		eng:          dsp.NewEngine(cfg.Parallelism),
+		window:       dsp.Hann(cfg.FFTSize),
+		tail:         make([]complex128, 0, cfg.FFTSize),
+		join:         make([]complex128, cfg.FFTSize),
+		psdSum:       make([]float64, cfg.FFTSize),
+		gain:         1 - decay,
+		acc:          make([]float64, acquirePiece),
+	}
+	widest := hintedOffsets(cfg, sampleRate, centerFreqHz, cfg.NumHarmonics+cfg.CarrierRetries)
+	r.res = make([]dsp.Resonator, len(widest))
+	for i, f := range widest {
+		norm := f / sampleRate
+		r.res[i] = dsp.NewResonator(norm, decay)
+	}
+	for w := 0; w <= cfg.CarrierRetries; w++ {
+		n := len(hintedOffsets(cfg, sampleRate, centerFreqHz, cfg.NumHarmonics+w))
+		if len(r.traces) == 0 || r.traces[len(r.traces)-1].nOff != n {
+			r.traces = append(r.traces, trace{nOff: n})
+		}
+	}
+	return r, nil
+}
+
+// Push consumes one chunk of IQ samples. Chunks may have any size; the
+// concatenation of all pushed chunks defines the capture. Not safe for
+// concurrent use.
+func (r *Receiver) Push(chunk []complex128) {
+	if r.finalized {
+		panic("covert: Push after Finalize")
+	}
+	r.total += len(chunk)
+	r.accumulateWelch(chunk)
+	r.acquire(chunk)
+}
+
+// accumulateWelch adds the power spectrum of every Welch segment that
+// chunk completes — segments start every FFTSize/2 samples from the
+// first sample of the capture — and carries the samples from the next
+// segment's start on into tail.
+func (r *Receiver) accumulateWelch(chunk []complex128) {
+	m, hop := r.cfg.FFTSize, r.cfg.FFTSize/2
+	n := len(r.tail)
+	start := -n // chunk offset of the next segment's first sample
+	for ; start < 0 && start+m <= len(chunk); start += hop {
+		copy(r.join, r.tail[n+start:])
+		copy(r.join[-start:], chunk[:m+start])
+		r.segments += r.eng.AccumulatePSD(r.psdSum, r.join, hop, r.window)
+	}
+	if start < 0 {
+		// The chunk ends before the next segment does.
+		r.tail = append(r.tail[:0], r.tail[n+start:]...)
+		r.tail = append(r.tail, chunk...)
+		return
+	}
+	k := r.eng.AccumulatePSD(r.psdSum, chunk[start:], hop, r.window)
+	r.segments += k
+	r.tail = append(r.tail[:0], chunk[start+k*hop:]...)
+}
+
+// acquirePiece is how many samples acquire works through at a time: it
+// runs each resonator over the whole piece with its state in registers,
+// and the piece-long scratch stays in cache.
+const acquirePiece = 4096
+
+// acquire runs the Eq. (1) resonator bank over chunk — the strictly
+// sequential recurrence, state carried across chunks. Each trace's
+// per-sample value is the bank's prefix sum up to its offset count (the
+// magnitudes added in offset order, starting from zero), scaled by
+// (1-decay), and feeds that trace's running decimation block.
+func (r *Receiver) acquire(chunk []complex128) {
+	gain, factor := r.gain, r.cfg.DecimateFactor
+	for len(chunk) > 0 {
+		piece := chunk[:min(len(chunk), len(r.acc))]
+		chunk = chunk[len(piece):]
+		acc := r.acc[:len(piece)]
+		clear(acc)
+		i := 0
+		for t := range r.traces {
+			tr := &r.traces[t]
+			for ; i < tr.nOff; i++ {
+				res := r.res[i]
+				for n, v := range piece {
+					acc[n] += cmplx.Abs(res.Step(v))
+				}
+				r.res[i] = res
+			}
+			sum, block := tr.sum, r.block
+			for _, a := range acc {
+				sum += a * gain
+				if block++; block == factor {
+					tr.y = append(tr.y, sum/float64(factor))
+					sum, block = 0, 0
+				}
+			}
+			tr.sum = sum
+		}
+		r.block = (r.block + len(piece)) % factor
+	}
+}
+
+// StateBytes estimates the receiver's retained memory. It grows with
+// Samples/DecimateFactor (the decimated traces), never with the raw
+// sample count.
+func (r *Receiver) StateBytes() int {
+	n := cap(r.tail)*16 + cap(r.join)*16 + cap(r.psdSum)*8 + cap(r.window)*8 + len(r.res)*32 + cap(r.acc)*8
+	for _, tr := range r.traces {
+		n += cap(tr.y) * 8
+	}
+	return n
+}
+
+// Finalize closes the receiver and runs the back half over the
+// accumulated intermediates: the carrier search over the averaged PSD,
+// then edge detection through thresholding over the selected offset
+// set's decimated trace. Further pushes panic.
+func (r *Receiver) Finalize() *Demod {
+	r.finalized = true
 	d := &Demod{}
-	if len(cap.IQ) < 4*cfg.FFTSize {
+	if r.total < 4*r.cfg.FFTSize {
 		return d
 	}
 
 	// 1. Locate the VRM spikes and confirm a carrier is present.
-	// The Welch average shrinks the per-bin noise spread by the square
-	// root of the segment count, so even a spike well under twice the
-	// floor can be decisive; a robust z-score captures that.
-	eng := dsp.NewEngine(cfg.Parallelism)
-	psd := eng.WelchPSD(cap.IQ, cfg.FFTSize)
-	car := SearchCarrier(psd, cap.SampleRate, cap.CenterFreqHz, cfg)
+	psd := make([]float64, len(r.psdSum))
+	for i, v := range r.psdSum {
+		psd[i] = v / float64(r.segments)
+	}
+	car := searchCarrier(psd, r.sampleRate, r.centerFreqHz, r.cfg)
 	d.Offsets = car.Offsets
 	d.Quality.CarrierZ = car.Z
 	d.Quality.Retries = car.Retries
@@ -255,32 +482,135 @@ func Demodulate(cap *sdr.Capture, cfg RXConfig) *Demod {
 	}
 	d.CarrierFound = true
 
-	// 2. Acquisition (Eq. 1): per-sample summed spike amplitude,
-	// tracked at the exact spike frequencies.
-	norm := make([]float64, len(d.Offsets))
-	for i, f := range d.Offsets {
-		norm[i] = f / cap.SampleRate
+	// 2. Acquisition (Eq. 1): the decimated per-sample summed spike
+	// amplitude at the selected offsets. The final partial decimation
+	// block averages over its actual sample count.
+	for _, tr := range r.traces {
+		if tr.nOff == len(car.Offsets) {
+			d.Y = tr.y
+			if r.block > 0 {
+				d.Y = append(d.Y, tr.sum/float64(r.block))
+			}
+		}
 	}
-	decay := AcquisitionDecay(cfg, cap.SampleRate)
-	y := dsp.ResonatorBank(cap.IQ, norm, decay)
-	d.Y = dsp.DecimateMean(y, cfg.DecimateFactor)
-	d.DT = float64(cfg.DecimateFactor) / cap.SampleRate
-
-	return DemodulateTrace(d, cfg)
+	d.DT = float64(r.cfg.DecimateFactor) / r.sampleRate
+	return demodulateTrace(d, r.cfg)
 }
 
-// DemodulateTrace runs the back half of the §IV-B pipeline — edge
+// ReceiverState is a Receiver's carried state: what a checkpoint must
+// hold to resume it. NewReceiver re-derives everything else (window,
+// resonator rotations, trace layout) from the config. The slices alias
+// the receiver's buffers, so read them before the next Push.
+type ReceiverState struct {
+	// Samples counts the IQ samples pushed so far.
+	Samples int
+	// PSDSum is the Welch accumulator over the segments Samples
+	// completes; Tail holds the samples from the next segment's start
+	// on.
+	PSDSum []float64
+	Tail   []complex128
+	// Z is the resonator bank's state, one per offset of the widest
+	// retry level.
+	Z []complex128
+	// Traces are the decimated acquisition traces, one per distinct
+	// offset count in ascending order; each has Samples/DecimateFactor
+	// samples and the sum of its Samples%DecimateFactor-sample partial
+	// block.
+	Traces []TraceState
+}
+
+// TraceState is one decimated acquisition trace: its samples so far and
+// the running sum of its partial decimation block.
+type TraceState struct {
+	Y   []float64
+	Sum float64
+}
+
+// State returns the receiver's carried state.
+func (r *Receiver) State() ReceiverState {
+	s := ReceiverState{
+		Samples: r.total,
+		PSDSum:  r.psdSum,
+		Tail:    r.tail,
+		Z:       make([]complex128, len(r.res)),
+		Traces:  make([]TraceState, len(r.traces)),
+	}
+	for i := range r.res {
+		s.Z[i] = r.res[i].Z
+	}
+	for i, tr := range r.traces {
+		s.Traces[i] = TraceState{Y: tr.y, Sum: tr.sum}
+	}
+	return s
+}
+
+// Restore loads s into a receiver fresh from NewReceiver with the
+// config and capture parameters of the one that produced it. s is
+// checked against the receiver's geometry and against the sample count
+// first — the tail length and every trace's length follow from
+// Samples — so a state from another config, or a corrupted one, is an
+// error and leaves the receiver untouched.
+func (r *Receiver) Restore(s ReceiverState) error {
+	m, hop := r.cfg.FFTSize, r.cfg.FFTSize/2
+	segments := 0
+	if s.Samples >= m {
+		segments = (s.Samples-m)/hop + 1
+	}
+	switch {
+	case r.finalized:
+		return fmt.Errorf("covert: Restore after Finalize")
+	case r.total != 0:
+		return fmt.Errorf("covert: Restore needs a fresh receiver (this one has consumed %d samples)", r.total)
+	case s.Samples < 0:
+		return fmt.Errorf("covert: state has negative sample count %d", s.Samples)
+	case len(s.Tail) != s.Samples-segments*hop:
+		return fmt.Errorf("covert: state carries %d samples past the last segment start, %d samples leave %d", len(s.Tail), s.Samples, s.Samples-segments*hop)
+	case len(s.PSDSum) != m:
+		return fmt.Errorf("covert: state PSD has %d bins, receiver FFT size is %d", len(s.PSDSum), m)
+	case len(s.Z) != len(r.res):
+		return fmt.Errorf("covert: state resonator bank has %d states, receiver has %d offsets", len(s.Z), len(r.res))
+	case len(s.Traces) != len(r.traces):
+		return fmt.Errorf("covert: state has %d decimated traces, receiver has %d", len(s.Traces), len(r.traces))
+	}
+	for i, tr := range s.Traces {
+		if len(tr.Y) != s.Samples/r.cfg.DecimateFactor {
+			return fmt.Errorf("covert: state trace %d holds %d samples, %d samples at decimation %d make %d",
+				i, len(tr.Y), s.Samples, r.cfg.DecimateFactor, s.Samples/r.cfg.DecimateFactor)
+		}
+	}
+	r.total = s.Samples
+	r.segments = segments
+	copy(r.psdSum, s.PSDSum)
+	r.tail = append(r.tail[:0], s.Tail...)
+	for i := range r.res {
+		r.res[i].Z = s.Z[i]
+	}
+	for i, tr := range s.Traces {
+		r.traces[i].y = append([]float64(nil), tr.Y...)
+		r.traces[i].sum = tr.Sum
+	}
+	r.block = s.Samples % r.cfg.DecimateFactor
+	return nil
+}
+
+// Demodulate runs the full §IV-B pipeline over a capture: one Receiver,
+// the whole capture pushed as one chunk, then Finalize. It panics on a
+// config the receiver rejects.
+func Demodulate(cap *sdr.Capture, cfg RXConfig) *Demod {
+	r, err := NewReceiver(cfg, cap.SampleRate, cap.CenterFreqHz)
+	if err != nil {
+		panic(err)
+	}
+	r.Push(cap.IQ)
+	return r.Finalize()
+}
+
+// demodulateTrace runs the back half of the §IV-B pipeline — edge
 // detection, period estimation, gap filling, per-bit power, and
 // thresholding (steps 3–6) — over a Demod whose acquisition trace is
 // already in place: CarrierFound, Offsets, Quality.{CarrierZ,Retries},
-// Y, and DT must be set. It is the seam the streaming receiver shares
-// with Demodulate: given a bit-identical trace, it produces
-// bit-identical decoded bits, so streaming ≡ batch reduces to proving
-// the traces equal. The Demod is finished in place and returned.
-func DemodulateTrace(d *Demod, cfg RXConfig) *Demod {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+// Y, and DT must be set. The Demod is finished in place and returned.
+func demodulateTrace(d *Demod, cfg RXConfig) *Demod {
 	eng := dsp.NewEngine(cfg.Parallelism)
 
 	// 3. First-pass edge detection sized by the minimum plausible bit
@@ -360,86 +690,6 @@ func DemodulateTrace(d *Demod, cfg RXConfig) *Demod {
 	return d
 }
 
-// HintedOffsets returns the Eq. (1) frequency set the receiver would
-// select at the given re-acquisition widening level using only the
-// cfg.ExpectedF0 hint — no PSD required. ok is false when the receiver
-// would instead fall back to the blind PSD peak search (no hint
-// configured, or no harmonic lands in the usable band): the streaming
-// receiver needs the offsets before the capture ends, so blind
-// selection — which depends on the full capture's PSD — is outside its
-// contract.
-func HintedOffsets(cfg RXConfig, sampleRate, centerFreqHz float64, widen int) ([]float64, bool) {
-	offsets := hintedOffsets(cfg, sampleRate, centerFreqHz, cfg.NumHarmonics+widen)
-	return offsets, len(offsets) > 0
-}
-
-// hintedOffsets collects up to numHarmonics in-band harmonics of the
-// ExpectedF0 hint as baseband offsets; empty without a usable hint.
-func hintedOffsets(cfg RXConfig, sampleRate, centerFreqHz float64, numHarmonics int) []float64 {
-	usable := 0.46 * sampleRate
-	var offsets []float64
-	if cfg.ExpectedF0 > 0 {
-		for k := 1; len(offsets) < numHarmonics && float64(k)*cfg.ExpectedF0 < sampleRate*3; k++ {
-			off := float64(k)*cfg.ExpectedF0 - centerFreqHz
-			if math.Abs(off) <= usable {
-				offsets = append(offsets, off)
-			}
-		}
-	}
-	return offsets
-}
-
-// selectOffsetsWiden chooses the Eq. (1) frequency set S as exact
-// baseband offsets, plus the strongest selected spike's PSD power for
-// carrier detection. With an f0 hint the offsets are the harmonics that
-// fall in band; otherwise the strongest well-separated PSD peaks are
-// used. Narrowband interferers near a spike are attenuated by the
-// acquisition tracker's own selectivity, so no candidate is excluded
-// here; slower signaling (a narrower tracker) is the §IV-C3 remedy when
-// the band is polluted. The widen level is the re-acquisition widening:
-// each level admits one more candidate spike and halves the minimum
-// peak spacing, so a spike displaced or split by mid-capture damage can
-// still be found. Level 0 is the exact first-pass search.
-func selectOffsetsWiden(psd []float64, sampleRate, centerFreqHz float64, cfg RXConfig, widen int) ([]float64, float64) {
-	m := cfg.FFTSize
-	numHarmonics := cfg.NumHarmonics + widen
-	offsets := hintedOffsets(cfg, sampleRate, centerFreqHz, numHarmonics)
-	if len(offsets) == 0 {
-		// Blind selection: strongest well-separated PSD peaks,
-		// excluding DC.
-		work := append([]float64(nil), psd...)
-		work[0] = 0
-		sep := m / 32 >> widen
-		if sep < 2 {
-			sep = 2
-		}
-		peaks := dsp.FindPeaks(work, sep, 0)
-		for i := 0; i < len(peaks); i++ {
-			for j := i + 1; j < len(peaks); j++ {
-				if work[peaks[j]] > work[peaks[i]] {
-					peaks[i], peaks[j] = peaks[j], peaks[i]
-				}
-			}
-		}
-		if len(peaks) > numHarmonics {
-			peaks = peaks[:numHarmonics]
-		}
-		for _, p := range peaks {
-			offsets = append(offsets, dsp.BinFrequency(p, m, sampleRate))
-		}
-		if len(offsets) == 0 {
-			offsets = []float64{0}
-		}
-	}
-	var spike float64
-	for _, f := range offsets {
-		if p := psd[dsp.FrequencyBin(f, m, sampleRate)]; p > spike {
-			spike = p
-		}
-	}
-	return offsets, spike
-}
-
 // estimatePeriod turns the inter-start distances into a signaling-period
 // estimate (in Y samples). The distances are a mixture: mostly one
 // period, plus multiples where weak bit starts were missed and
@@ -488,49 +738,6 @@ func estimatePeriod(distances []float64, dt float64, minPeriod int) int {
 		}
 	}
 	return int(best)
-}
-
-// EstimatePeriod exposes the receiver's signaling-period estimator (see
-// estimatePeriod) for running trackers outside the package: the
-// streaming receiver re-estimates the period over each window of newly
-// decoded inter-start distances with exactly the estimator the batch
-// path and the Resync gap filler use.
-func EstimatePeriod(distances []float64, dt float64, minPeriod int) int {
-	return estimatePeriod(distances, dt, minPeriod)
-}
-
-// TrackWindow runs the §IV-B2 per-batch statistics over one window of
-// the acquisition trace as a standalone primitive: edge detection with
-// the minimum-period kernel, the period estimate from the inter-start
-// distances, and the fraction of distances within 10% of the period
-// grid (the same confidence Quality.BatchConfidence records). It is the
-// running-tracker form of the Resync path's per-window re-estimation —
-// the streaming receiver calls it on recent trace windows to publish a
-// live period/confidence without waiting for Finalize. edges reports
-// the detected starts; a window with fewer than 3 yields (0, 0, edges).
-func TrackWindow(y []float64, dt float64, cfg RXConfig) (periodS, confidence float64, edges int) {
-	minPeriod := int(cfg.MinBitPeriod.Seconds() / dt)
-	if minPeriod < 2 {
-		minPeriod = 2
-	}
-	conv := dsp.NewEngine(cfg.Parallelism).Convolve(y, dsp.EdgeKernel(evenAtLeast(minPeriod/2)))
-	starts := detectEdges(conv, minPeriod, cfg)
-	if len(starts) < 3 {
-		return 0, 0, len(starts)
-	}
-	distances := make([]float64, 0, len(starts)-1)
-	for i := 1; i < len(starts); i++ {
-		distances = append(distances, float64(starts[i]-starts[i-1])*dt)
-	}
-	period := estimatePeriod(distances, dt, minPeriod)
-	fit := 0
-	for _, g := range distances {
-		gs := g / dt
-		if k := math.Round(gs / float64(period)); k >= 1 && math.Abs(gs-k*float64(period))/float64(period) < 0.1 {
-			fit++
-		}
-	}
-	return float64(period) * dt, float64(fit) / float64(len(distances)), len(starts)
 }
 
 // detectEdges returns the locations of prominent positive peaks in

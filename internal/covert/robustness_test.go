@@ -18,9 +18,19 @@ import (
 // The invariant everywhere is graceful behaviour — no panics, no
 // confident bit streams conjured from nothing.
 
+// The hostile captures are tuned like the reference laptop's: a
+// 970 kHz VRM hint with the receiver centered at 1.455 MHz, so the
+// hinted spikes sit at ±485 kHz.
+const (
+	hostileF0     = 970e3
+	hostileCenter = 1.455e6
+)
+
 func demod(iq []complex128) *Demod {
-	cap := &sdr.Capture{IQ: iq, SampleRate: 2.4e6, CenterFreqHz: 1.455e6}
-	return Demodulate(cap, DefaultRXConfig())
+	cap := &sdr.Capture{IQ: iq, SampleRate: 2.4e6, CenterFreqHz: hostileCenter}
+	cfg := DefaultRXConfig()
+	cfg.ExpectedF0 = hostileF0
+	return Demodulate(cap, cfg)
 }
 
 func TestDemodulatePureDC(t *testing.T) {
@@ -36,10 +46,12 @@ func TestDemodulatePureDC(t *testing.T) {
 
 func TestDemodulateSingleCleanTone(t *testing.T) {
 	// An unmodulated carrier is a real VRM with constant load: carrier
-	// found, but no bit stream (no edges).
+	// found, but no bit stream (no edges). The tone sits on the hint's
+	// second harmonic.
+	f := (2*hostileF0 - hostileCenter) / 2.4e6
 	iq := make([]complex128, 1<<15)
 	for i := range iq {
-		iq[i] = 0.2 * cmplx.Exp(complex(0, 2*math.Pi*0.1*float64(i)))
+		iq[i] = 0.2 * cmplx.Exp(complex(0, 2*math.Pi*f*float64(i)))
 	}
 	d := demod(iq)
 	if !d.CarrierFound {

@@ -144,25 +144,3 @@ func Decimate(x []float64, factor int) []float64 {
 	}
 	return out
 }
-
-// DecimateMean reduces x by the given factor, replacing each block with
-// its mean. Unlike Decimate it acts as a crude anti-aliasing filter and
-// is what the receiver uses before edge detection.
-func DecimateMean(x []float64, factor int) []float64 {
-	if factor <= 0 {
-		panic("dsp: DecimateMean factor must be positive")
-	}
-	out := make([]float64, 0, (len(x)+factor-1)/factor)
-	for i := 0; i < len(x); i += factor {
-		end := i + factor
-		if end > len(x) {
-			end = len(x)
-		}
-		var sum float64
-		for _, v := range x[i:end] {
-			sum += v
-		}
-		out = append(out, sum/float64(end-i))
-	}
-	return out
-}

@@ -3,7 +3,6 @@ package dsp
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"pmuleak/internal/xrand"
 )
@@ -122,37 +121,5 @@ func TestDecimate(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Decimate = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestDecimateMeanBlocks(t *testing.T) {
-	x := []float64{1, 3, 5, 7, 9}
-	got := DecimateMean(x, 2)
-	want := []float64{2, 6, 9} // last block is partial
-	if len(got) != len(want) {
-		t.Fatalf("DecimateMean = %v", got)
-	}
-	for i := range want {
-		if !approxEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("DecimateMean = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestDecimateMeanPreservesMeanProperty(t *testing.T) {
-	// Property: for inputs whose length is a multiple of the factor,
-	// the mean of the decimated signal equals the mean of the input.
-	f := func(seed int64) bool {
-		rng := xrand.New(seed)
-		n := 24 * (1 + rng.Intn(20))
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.Normal(0, 10)
-		}
-		d := DecimateMean(x, 24)
-		return math.Abs(Mean(d)-Mean(x)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -15,9 +15,13 @@
 // Engine wraps the same transforms with a worker pool sized by its
 // Parallelism knob (0 = all CPUs, 1 = serial, n = n goroutines) and a
 // per-size FFT plan cache (PlanFFT) that precomputes twiddle factors
-// and bit-reversal tables once per transform size. Every windowed
-// frame — an STFT frame, a Welch segment, or a frame of the stream
-// receivers — goes through one kernel, FFTPlan.WindowedTransform.
+// and bit-reversal tables once per transform size. Its frame fan-out
+// (Engine.STFTInto) writes magnitude rows into caller-owned rows and its
+// segment fan-out (Engine.AccumulatePSD) adds power spectra into a
+// caller-owned sum, so the receivers can transform each chunk's frames
+// or segments in parallel as the chunk arrives. Every windowed frame —
+// an STFT frame or a Welch segment — goes through one kernel,
+// FFTPlan.WindowedTransform.
 //
 // The engine's defining property is that parallelism never changes
 // results: frames, Welch segments, and convolution outputs are

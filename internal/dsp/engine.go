@@ -44,8 +44,8 @@ func SetDefaultParallelism(p int) {
 // runtime.NumCPU()).
 func DefaultParallelism() int { return int(defaultParallelism.Load()) }
 
-// Engine runs the package's frame-oriented transforms — STFT, Welch
-// averaging, and matched-filter convolution — across a pool of
+// Engine runs the package's frame-oriented transforms — STFT frames,
+// Welch segments, and matched-filter convolution — across a pool of
 // goroutines. The zero value is an auto-sized engine.
 //
 // Every parallel path is bit-identical to the serial one: frames and
@@ -115,14 +115,8 @@ func (e Engine) Chunks(n int, fn func(lo, hi int)) {
 }
 
 // STFT computes the same magnitude spectrogram as the package-level
-// STFT, fanning frames out across the worker pool. Each frame is one
-// FFTPlan.WindowedTransform (window multiply and bit-reversal
-// permutation in one gather, then the paired butterfly stages); each
-// worker reuses one scratch buffer for all of its frames and writes
-// magnitudes into a single preallocated backing array, so the steady
-// state allocates nothing per frame. A frame's row is the same
-// arithmetic whichever worker computes it, so the spectrogram never
-// depends on Parallelism.
+// STFT: it allocates one backing array for every frame's row and fills
+// it through STFTInto.
 func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleRate float64) *Spectrogram {
 	stftValidate(fftSize, hop, window)
 	s := &Spectrogram{FFTSize: fftSize, Hop: hop, SampleRate: sampleRate}
@@ -133,14 +127,36 @@ func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleR
 	if frames == 0 {
 		return s
 	}
-	defer engSTFTDur.Start().End()
-	engSTFTFrames.Add(uint64(frames))
-	plan := PlanFFT(fftSize)
 	flat := make([]float64, frames*fftSize)
 	s.Mag = make([][]float64, frames)
 	for f := range s.Mag {
 		s.Mag[f] = flat[f*fftSize : (f+1)*fftSize : (f+1)*fftSize]
 	}
+	e.STFTInto(s.Mag, x, hop, window)
+	return s
+}
+
+// STFTInto writes the magnitude spectra of len(rows) frames of x into
+// the caller's rows: frame f is x[f*hop : f*hop+len(window)], and each
+// row must hold len(window) values. Frames fan out across the worker
+// pool; each one is one FFTPlan.WindowedTransform (window multiply and
+// bit-reversal permutation in one gather, then the paired butterfly
+// stages), and each worker reuses one scratch buffer for all of its
+// frames, so the steady state allocates nothing per frame. A frame's
+// row is the same arithmetic whichever worker computes it, so the rows
+// never depend on Parallelism.
+func (e Engine) STFTInto(rows [][]float64, x []complex128, hop int, window []float64) {
+	fftSize, frames := len(window), len(rows)
+	stftValidate(fftSize, hop, window)
+	if frames == 0 {
+		return
+	}
+	if need := (frames-1)*hop + fftSize; len(x) < need {
+		panic(fmt.Sprintf("dsp: STFTInto needs %d samples for %d frames, got %d", need, frames, len(x)))
+	}
+	defer engSTFTDur.Start().End()
+	engSTFTFrames.Add(uint64(frames))
+	plan := PlanFFT(fftSize)
 	w := e.workers()
 	if w > frames {
 		w = frames
@@ -149,7 +165,7 @@ func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleR
 		buf := make([]complex128, fftSize)
 		for f := wk; f < frames; f += w {
 			plan.WindowedTransform(buf, x[f*hop:f*hop+fftSize], window)
-			row := s.Mag[f]
+			row := rows[f][:fftSize]
 			for i, v := range buf {
 				row[i] = cmplx.Abs(v)
 			}
@@ -157,7 +173,7 @@ func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleR
 	}
 	if w == 1 {
 		worker(0)
-		return s
+		return
 	}
 	var wg sync.WaitGroup
 	for wk := 0; wk < w; wk++ {
@@ -168,7 +184,6 @@ func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleR
 		}(wk)
 	}
 	wg.Wait()
-	return s
 }
 
 // stftValidate checks the shared STFT argument contract.
@@ -189,29 +204,31 @@ func stftValidate(fftSize, hop int, window []float64) {
 // segments before the ordered accumulation drains them.
 const welchBatchFactor = 16
 
-// WelchPSD computes the same power spectral density as the
-// package-level WelchPSD. Each segment is one FFTPlan.WindowedTransform
-// and the transforms run on the worker pool; the segment average is
-// then accumulated in segment order, so the output is bit-identical to
-// the serial path for every Parallelism.
-func (e Engine) WelchPSD(x []complex128, fftSize int) []float64 {
+// AccumulatePSD adds the power spectrum of every complete segment of x
+// to sum and returns the segment count: segment k is x[k*hop :
+// k*hop+len(window)], windowed and transformed by one
+// FFTPlan.WindowedTransform. The transforms run on the worker pool and
+// the spectra are added in segment order, so sum is bit-identical for
+// every Parallelism — and a capture fed in pieces, each piece starting
+// where the next segment does, accumulates the same sum as the whole
+// capture at once. len(sum) must equal len(window).
+func (e Engine) AccumulatePSD(sum []float64, x []complex128, hop int, window []float64) int {
+	fftSize := len(window)
 	if !IsPowerOfTwo(fftSize) {
-		panic(fmt.Sprintf("dsp: WelchPSD fftSize %d not a power of two", fftSize))
+		panic(fmt.Sprintf("dsp: AccumulatePSD window length %d not a power of two", fftSize))
 	}
-	if fftSize < 2 {
-		// fftSize 1 would make the 50%-overlap hop zero; the historical
-		// implementation looped forever on it.
-		panic("dsp: WelchPSD fftSize must be >= 2")
+	if hop <= 0 {
+		panic("dsp: AccumulatePSD hop must be positive")
 	}
-	window := Hann(fftSize)
-	hop := fftSize / 2
-	psd := make([]float64, fftSize)
+	if len(sum) != fftSize {
+		panic("dsp: AccumulatePSD sum length must equal the window length")
+	}
 	segments := 0
 	if len(x) >= fftSize {
 		segments = (len(x)-fftSize)/hop + 1
 	}
 	if segments == 0 {
-		return psd
+		return 0
 	}
 	defer engWelchDur.Start().End()
 	engWelchSegs.Add(uint64(segments))
@@ -226,53 +243,50 @@ func (e Engine) WelchPSD(x []complex128, fftSize int) []float64 {
 			plan.WindowedTransform(buf, x[seg*hop:seg*hop+fftSize], window)
 			for i, v := range buf {
 				re, im := real(v), imag(v)
-				psd[i] += re*re + im*im
+				sum[i] += re*re + im*im
 			}
 		}
-	} else {
-		batch := w * welchBatchFactor
-		if batch > segments {
-			batch = segments
+		return segments
+	}
+	batch := w * welchBatchFactor
+	if batch > segments {
+		batch = segments
+	}
+	flat := make([]float64, batch*fftSize)
+	for base := 0; base < segments; base += batch {
+		nb := batch
+		if base+nb > segments {
+			nb = segments - base
 		}
-		flat := make([]float64, batch*fftSize)
-		for base := 0; base < segments; base += batch {
-			nb := batch
-			if base+nb > segments {
-				nb = segments - base
-			}
-			var wg sync.WaitGroup
-			for wk := 0; wk < w; wk++ {
-				wg.Add(1)
-				go func(wk int) {
-					defer wg.Done()
-					buf := make([]complex128, fftSize)
-					for k := wk; k < nb; k += w {
-						start := (base + k) * hop
-						plan.WindowedTransform(buf, x[start:start+fftSize], window)
-						row := flat[k*fftSize : (k+1)*fftSize]
-						for i, v := range buf {
-							re, im := real(v), imag(v)
-							row[i] = re*re + im*im
-						}
+		var wg sync.WaitGroup
+		for wk := 0; wk < w; wk++ {
+			wg.Add(1)
+			go func(wk int) {
+				defer wg.Done()
+				buf := make([]complex128, fftSize)
+				for k := wk; k < nb; k += w {
+					start := (base + k) * hop
+					plan.WindowedTransform(buf, x[start:start+fftSize], window)
+					row := flat[k*fftSize : (k+1)*fftSize]
+					for i, v := range buf {
+						re, im := real(v), imag(v)
+						row[i] = re*re + im*im
 					}
-				}(wk)
-			}
-			wg.Wait()
-			// Ordered accumulation: segment k is always added after
-			// segment k-1, exactly as the serial loop does, so the
-			// floating-point sum is reproduced bit for bit.
-			for k := 0; k < nb; k++ {
-				row := flat[k*fftSize : (k+1)*fftSize]
-				for i := range psd {
-					psd[i] += row[i]
 				}
+			}(wk)
+		}
+		wg.Wait()
+		// Ordered accumulation: segment k is always added after
+		// segment k-1, exactly as the serial loop does, so the
+		// floating-point sum is reproduced bit for bit.
+		for k := 0; k < nb; k++ {
+			row := flat[k*fftSize : (k+1)*fftSize]
+			for i := range sum {
+				sum[i] += row[i]
 			}
 		}
 	}
-	for i := range psd {
-		psd[i] /= float64(segments)
-	}
-	return psd
+	return segments
 }
 
 // Convolve computes the same "same"-size convolution as the

@@ -84,11 +84,11 @@ func TestEngineWelchPSDDifferential(t *testing.T) {
 	}
 	for _, c := range cases {
 		x := randComplex(c.sigLen, int64(57+c.sigLen))
-		serial := Engine{Parallelism: 1}.WelchPSD(x, c.fftSize)
+		serial := welchAt(Engine{Parallelism: 1}, x, c.fftSize)
 		floatBitEqual(t, fmt.Sprintf("case %+v serial-vs-legacy", c),
 			serial, WelchPSD(x, c.fftSize))
 		for _, p := range diffParallelisms {
-			par := Engine{Parallelism: p}.WelchPSD(x, c.fftSize)
+			par := welchAt(Engine{Parallelism: p}, x, c.fftSize)
 			floatBitEqual(t, fmt.Sprintf("case %+v P=%d", c, p), par, serial)
 		}
 	}
@@ -123,7 +123,7 @@ func TestEngineAutoMatchesSerial(t *testing.T) {
 	for f := range serial.Mag {
 		floatBitEqual(t, fmt.Sprintf("auto frame %d", f), auto.Mag[f], serial.Mag[f])
 	}
-	floatBitEqual(t, "auto WelchPSD", Engine{}.WelchPSD(x, 256), Engine{Parallelism: 1}.WelchPSD(x, 256))
+	floatBitEqual(t, "auto WelchPSD", welchAt(Engine{}, x, 256), welchAt(Engine{Parallelism: 1}, x, 256))
 }
 
 func TestSetDefaultParallelism(t *testing.T) {
@@ -153,7 +153,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 	x := randComplex(6000, 11)
 	window := Hann(256)
 	baseSTFT := eng.STFT(x, 256, 64, window, 1e6)
-	basePSD := eng.WelchPSD(x, 512)
+	basePSD := welchAt(eng, x, 512)
 	kernel := EdgeKernel(32)
 	re := realSignal(6000, 12)
 	baseConv := eng.Convolve(re, kernel)
@@ -175,7 +175,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 						}
 					}
 				}
-				for i, v := range eng.WelchPSD(x, 512) {
+				for i, v := range welchAt(eng, x, 512) {
 					if v != basePSD[i] {
 						errs <- fmt.Errorf("goroutine %d: PSD bin %d differs", g, i)
 						return
@@ -238,11 +238,24 @@ func TestEngineSTFTPanicsMatchLegacy(t *testing.T) {
 		Engine{Parallelism: 4}.STFT(x, 16, 8, Hann(8), 1e6)
 	})
 	mustPanic("WelchPSD non-power-of-two", func() {
-		Engine{Parallelism: 4}.WelchPSD(x, 12)
+		WelchPSD(x, 12)
+	})
+	mustPanic("AccumulatePSD non-power-of-two window", func() {
+		Engine{Parallelism: 4}.AccumulatePSD(make([]float64, 12), x, 6, make([]float64, 12))
+	})
+	mustPanic("AccumulatePSD non-positive hop", func() {
+		Engine{Parallelism: 4}.AccumulatePSD(make([]float64, 16), x, 0, Hann(16))
+	})
+	mustPanic("AccumulatePSD sum length mismatch", func() {
+		Engine{Parallelism: 4}.AccumulatePSD(make([]float64, 8), x, 8, Hann(16))
+	})
+	mustPanic("STFTInto input shorter than its frames", func() {
+		rows := [][]float64{make([]float64, 16), make([]float64, 16)}
+		Engine{Parallelism: 4}.STFTInto(rows, x[:20], 8, Hann(16))
 	})
 	// fftSize 1 used to hang the legacy implementation (hop 0); the
 	// contract is now an explicit panic.
 	mustPanic("WelchPSD fftSize 1", func() {
-		Engine{Parallelism: 1}.WelchPSD(x, 1)
+		WelchPSD(x, 1)
 	})
 }

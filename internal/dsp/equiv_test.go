@@ -60,6 +60,19 @@ func welchOracle(x []complex128, fftSize int) []float64 {
 	return psd
 }
 
+// welchAt is the Welch PSD through e's segment fan-out: the
+// AccumulatePSD sum over half-overlapped Hann segments divided by the
+// segment count, as WelchPSD computes it serially.
+func welchAt(e Engine, x []complex128, fftSize int) []float64 {
+	psd := make([]float64, fftSize)
+	if n := e.AccumulatePSD(psd, x, fftSize/2, Hann(fftSize)); n > 0 {
+		for i := range psd {
+			psd[i] /= float64(n)
+		}
+	}
+	return psd
+}
+
 // forwardReference is referenceFFT's forward direction in the shape
 // stftOracle takes.
 func forwardReference(x []complex128) { referenceFFT(x, false) }
@@ -169,8 +182,83 @@ func TestFusedWelchEquivalence(t *testing.T) {
 			want := welchOracle(in.x, g.fftSize)
 			for _, par := range equivParallelisms() {
 				label := fmt.Sprintf("WelchPSD(%s) fft=%d len=%d par=%d", in.shape, g.fftSize, g.length, par)
-				floatBitEqual(t, label, Engine{Parallelism: par}.WelchPSD(in.x, g.fftSize), want)
+				floatBitEqual(t, label, welchAt(Engine{Parallelism: par}, in.x, g.fftSize), want)
 			}
+		}
+	}
+}
+
+// TestSTFTIntoPiecewiseMatchesOracle drives the frame fan-out the way
+// the keystroke detector does: frames transformed a few at a time, each
+// call starting at the next frame's first sample and writing into the
+// next rows of one caller-owned backing array. The rows must equal the
+// serial oracle's bit for bit at every parallelism.
+func TestSTFTIntoPiecewiseMatchesOracle(t *testing.T) {
+	for _, g := range []struct{ fftSize, hop, length, piece int }{
+		{8, 8, 300, 1},
+		{64, 64, 5000, 7},
+		{256, 64, 4096, 5},
+		{1024, 1024, 40000, 16},
+	} {
+		x := randComplex(g.length, int64(g.length)+5)
+		window := Hann(g.fftSize)
+		want := stftOracle(x, g.fftSize, g.hop, window, forwardReference)
+		for _, par := range equivParallelisms() {
+			flat := make([]float64, len(want)*g.fftSize)
+			rows := make([][]float64, len(want))
+			for f := range rows {
+				rows[f] = flat[f*g.fftSize : (f+1)*g.fftSize]
+			}
+			e := Engine{Parallelism: par}
+			for lo := 0; lo < len(rows); lo += g.piece {
+				hi := lo + g.piece
+				if hi > len(rows) {
+					hi = len(rows)
+				}
+				e.STFTInto(rows[lo:hi], x[lo*g.hop:], g.hop, window)
+			}
+			for f := range want {
+				floatBitEqual(t, fmt.Sprintf("fft=%d hop=%d piece=%d par=%d frame %d",
+					g.fftSize, g.hop, g.piece, par, f), rows[f], want[f])
+			}
+		}
+	}
+}
+
+// TestAccumulatePSDPiecewiseMatchesOracle drives the segment fan-out
+// the way the covert receiver does: the capture arrives in pieces of
+// awkward lengths, each call starting at the next segment's first
+// sample, and one caller-owned sum collects every segment in order. The
+// averaged sum must equal the serial Welch oracle bit for bit at every
+// parallelism.
+func TestAccumulatePSDPiecewiseMatchesOracle(t *testing.T) {
+	for _, g := range []struct{ fftSize, length, piece int }{
+		{8, 300, 9},
+		{64, 5000, 100},
+		{1024, 1 << 15, 9973},
+	} {
+		x := randComplex(g.length, int64(g.length)+6)
+		want := welchOracle(x, g.fftSize)
+		window, hop := Hann(g.fftSize), g.fftSize/2
+		for _, par := range equivParallelisms() {
+			e := Engine{Parallelism: par}
+			sum := make([]float64, g.fftSize)
+			start, segments := 0, 0
+			for end := g.piece; start < len(x); end += g.piece {
+				if end > len(x) {
+					end = len(x)
+				}
+				n := e.AccumulatePSD(sum, x[start:end], hop, window)
+				segments += n
+				start += n * hop
+				if end == len(x) {
+					break
+				}
+			}
+			for i := range sum {
+				sum[i] /= float64(segments)
+			}
+			floatBitEqual(t, fmt.Sprintf("fft=%d piece=%d par=%d", g.fftSize, g.piece, par), sum, want)
 		}
 	}
 }
@@ -186,7 +274,7 @@ func TestFusedWelchEquivalence(t *testing.T) {
 func TestWelchPSDShorterThanSegment(t *testing.T) {
 	for _, length := range []int{0, 1, 511, 1023} {
 		for _, par := range []int{1, 4} {
-			psd := Engine{Parallelism: par}.WelchPSD(randComplex(length, 9), 1024)
+			psd := welchAt(Engine{Parallelism: par}, randComplex(length, 9), 1024)
 			if len(psd) != 1024 {
 				t.Fatalf("len=%d par=%d: PSD has %d bins, want 1024", length, par, len(psd))
 			}
@@ -210,7 +298,7 @@ func TestWelchPSDFFTSizeTwo(t *testing.T) {
 	r := realInComplex(realSignal(64, 18))
 	for _, par := range []int{1, 4} {
 		e := Engine{Parallelism: par}
-		for _, psd := range [][]float64{e.WelchPSD(x, 2), e.WelchPSD(r, 2)} {
+		for _, psd := range [][]float64{welchAt(e, x, 2), welchAt(e, r, 2)} {
 			if len(psd) != 2 || psd[0] != 0 || psd[1] != 0 {
 				t.Fatalf("par=%d: WelchPSD fftSize 2 = %v, want [0 0]", par, psd)
 			}
@@ -228,7 +316,7 @@ func TestWelchPSDRejectsDegenerateSizes(t *testing.T) {
 					t.Errorf("WelchPSD fftSize %d did not panic", fftSize)
 				}
 			}()
-			Engine{Parallelism: 1}.WelchPSD(make([]complex128, 256), fftSize)
+			WelchPSD(make([]complex128, 256), fftSize)
 		}()
 	}
 }
@@ -246,6 +334,6 @@ func TestWelchPSDOneSegmentExact(t *testing.T) {
 	for i, v := range seg {
 		want[i] = real(v)*real(v) + imag(v)*imag(v)
 	}
-	got := Engine{Parallelism: 1}.WelchPSD(x, n)
+	got := WelchPSD(x, n)
 	floatBitEqual(t, "one-segment Welch", got, want)
 }

@@ -5,10 +5,9 @@ import (
 	"math/cmplx"
 )
 
-// ResonatorBank tracks the amplitude of a set of narrowband components
-// at exact (not bin-quantized) baseband frequencies. Each component is
-// followed by a single-pole complex resonator — an exponentially
-// weighted sliding DFT:
+// Resonator tracks the amplitude of one narrowband component at an
+// exact (not bin-quantized) baseband frequency: a single-pole complex
+// resonator — an exponentially weighted sliding DFT —
 //
 //	z[n] = decay * e^{i·2π·f/fs} * z[n-1] + x[n]
 //
@@ -16,32 +15,32 @@ import (
 // amplitude with a time constant of 1/(1-decay) samples and an effective
 // bandwidth of roughly (1-decay)·fs/π Hz.
 //
-// The receiver uses it as the practical form of the paper's Eq. (1):
-// summing the tracked magnitudes of the VRM spike set S gives the
-// per-sample acquisition trace Y[n] without FFT-grid scalloping loss.
-//
-// offsets are the component frequencies normalized by the sample rate
-// (f/fs, may be negative); decay must be in (0, 1).
-func ResonatorBank(x []complex128, offsets []float64, decay float64) []float64 {
+// The covert receiver uses a bank of them as the practical form of the
+// paper's Eq. (1): summing the tracked magnitudes of the VRM spike set S
+// gives the per-sample acquisition trace Y[n] without FFT-grid
+// scalloping loss.
+type Resonator struct {
+	rot complex128
+	// Z is the resonator state, carried sample to sample (and across
+	// chunk boundaries and checkpoints by its owner).
+	Z complex128
+}
+
+// NewResonator returns a resonator with zero state at the normalized
+// frequency norm (f/fs, may be negative); decay must be in (0, 1).
+func NewResonator(norm, decay float64) Resonator {
 	if decay <= 0 || decay >= 1 {
-		panic("dsp: ResonatorBank decay must be in (0,1)")
+		panic("dsp: Resonator decay must be in (0,1)")
 	}
-	rot := make([]complex128, len(offsets))
-	for i, f := range offsets {
-		rot[i] = cmplx.Exp(complex(0, 2*math.Pi*f)) * complex(decay, 0)
-	}
-	z := make([]complex128, len(offsets))
-	out := make([]float64, len(x))
-	gain := 1 - decay
-	for n, v := range x {
-		var sum float64
-		for i := range z {
-			z[i] = z[i]*rot[i] + v
-			sum += cmplx.Abs(z[i])
-		}
-		out[n] = sum * gain
-	}
-	return out
+	return Resonator{rot: cmplx.Exp(complex(0, 2*math.Pi*norm)) * complex(decay, 0)}
+}
+
+// Step advances the resonator by one input sample and returns the new
+// state z; |z|·(1-decay) is the component's amplitude estimate. Step is
+// small enough to inline into a caller's per-sample loop.
+func (r *Resonator) Step(x complex128) complex128 {
+	r.Z = r.Z*r.rot + x
+	return r.Z
 }
 
 // ResonatorBandwidth returns the approximate -3 dB bandwidth (Hz) of a

@@ -16,10 +16,29 @@ func resTone(n int, f, amp float64) []complex128 {
 	return x
 }
 
+// resonatorBank is the Eq. (1) acquisition trace built from Resonator
+// steps the way the covert receiver builds it: per sample, the sum of
+// one resonator's magnitude per offset, scaled by (1-decay).
+func resonatorBank(x []complex128, offsets []float64, decay float64) []float64 {
+	bank := make([]Resonator, len(offsets))
+	for i, f := range offsets {
+		bank[i] = NewResonator(f, decay)
+	}
+	out := make([]float64, len(x))
+	for n, v := range x {
+		var sum float64
+		for i := range bank {
+			sum += cmplx.Abs(bank[i].Step(v))
+		}
+		out[n] = sum * (1 - decay)
+	}
+	return out
+}
+
 func TestResonatorTracksOnFrequencyTone(t *testing.T) {
 	const f = 0.123 // normalized
 	x := resTone(20000, f, 2.5)
-	y := ResonatorBank(x, []float64{f}, 0.995)
+	y := resonatorBank(x, []float64{f}, 0.995)
 	// After several time constants the output settles at the amplitude.
 	settled := y[10000:]
 	if m := Mean(settled); math.Abs(m-2.5) > 0.05 {
@@ -33,7 +52,7 @@ func TestResonatorTracksOffGridFrequency(t *testing.T) {
 	const m = 256
 	f := (41.5) / float64(m) // half-bin offset for an m-point DFT
 	x := resTone(20000, f, 1.0)
-	y := ResonatorBank(x, []float64{f}, 0.995)
+	y := resonatorBank(x, []float64{f}, 0.995)
 	if got := Mean(y[10000:]); math.Abs(got-1.0) > 0.03 {
 		t.Fatalf("off-grid amplitude = %v, want 1.0", got)
 	}
@@ -42,7 +61,7 @@ func TestResonatorTracksOffGridFrequency(t *testing.T) {
 func TestResonatorRejectsDistantTone(t *testing.T) {
 	const fTone, fTrack = 0.2, 0.3
 	x := resTone(20000, fTone, 1.0)
-	y := ResonatorBank(x, []float64{fTrack}, 0.995)
+	y := resonatorBank(x, []float64{fTrack}, 0.995)
 	if got := Mean(y[10000:]); got > 0.05 {
 		t.Fatalf("distant tone leaked: %v", got)
 	}
@@ -52,7 +71,7 @@ func TestResonatorStepResponseTimeConstant(t *testing.T) {
 	const f = 0.1
 	const decay = 0.99 // time constant 100 samples
 	x := resTone(2000, f, 1.0)
-	y := ResonatorBank(x, []float64{f}, decay)
+	y := resonatorBank(x, []float64{f}, decay)
 	// At one time constant the response is ~1-1/e of final.
 	if y[100] < 0.55 || y[100] > 0.72 {
 		t.Fatalf("response at tau = %v, want ~0.63", y[100])
@@ -68,7 +87,7 @@ func TestResonatorSumsMultipleComponents(t *testing.T) {
 	for i := range x {
 		x[i] += x2[i]
 	}
-	y := ResonatorBank(x, []float64{0.1, -0.2}, 0.995)
+	y := resonatorBank(x, []float64{0.1, -0.2}, 0.995)
 	if got := Mean(y[10000:]); math.Abs(got-1.5) > 0.05 {
 		t.Fatalf("summed amplitude = %v, want 1.5", got)
 	}
@@ -86,7 +105,7 @@ func TestResonatorTracksAmplitudeModulation(t *testing.T) {
 		}
 		x[i] = complex(amp, 0) * cmplx.Exp(complex(0, 2*math.Pi*f*float64(i)))
 	}
-	y := ResonatorBank(x, []float64{f}, 0.998) // tau = 500 samples
+	y := resonatorBank(x, []float64{f}, 0.998) // tau = 500 samples
 	on := Mean(y[3000:5000])
 	off := Mean(y[8000:10000])
 	if off > on/10 {
@@ -102,7 +121,7 @@ func TestResonatorBadDecayPanics(t *testing.T) {
 					t.Errorf("decay %v accepted", d)
 				}
 			}()
-			ResonatorBank(nil, []float64{0.1}, d)
+			NewResonator(0.1, d)
 		}()
 	}
 }
@@ -114,8 +133,8 @@ func TestResonatorNoiseFloorScales(t *testing.T) {
 		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
 	}
 	// Narrower resonator (higher decay) -> lower noise output.
-	wide := Mean(ResonatorBank(x, []float64{0.1}, 0.99)[10000:])
-	narrow := Mean(ResonatorBank(x, []float64{0.1}, 0.999)[10000:])
+	wide := Mean(resonatorBank(x, []float64{0.1}, 0.99)[10000:])
+	narrow := Mean(resonatorBank(x, []float64{0.1}, 0.999)[10000:])
 	if narrow >= wide {
 		t.Fatalf("narrowband noise %v not below wideband %v", narrow, wide)
 	}

@@ -70,11 +70,25 @@ func STFT(x []complex128, fftSize, hop int, window []float64, sampleRate float64
 // WelchPSD estimates the power spectral density of x by averaging the
 // power spectra of Hann-windowed segments with 50% overlap. It returns
 // one value per FFT bin; a signal shorter than fftSize yields all
-// zeros. The receiver uses it to locate the VRM carrier before
-// demodulation. This is the single-threaded path; Engine.WelchPSD
-// computes the bit-identical result on a worker pool.
+// zeros. This is the single-threaded path over Engine.AccumulatePSD,
+// the segment fan-out the covert receiver's carrier search runs chunk
+// by chunk.
 func WelchPSD(x []complex128, fftSize int) []float64 {
-	return Engine{Parallelism: 1}.WelchPSD(x, fftSize)
+	if !IsPowerOfTwo(fftSize) {
+		panic(fmt.Sprintf("dsp: WelchPSD fftSize %d not a power of two", fftSize))
+	}
+	if fftSize < 2 {
+		// fftSize 1 would make the 50%-overlap hop zero; the historical
+		// implementation looped forever on it.
+		panic("dsp: WelchPSD fftSize must be >= 2")
+	}
+	psd := make([]float64, fftSize)
+	if segments := (Engine{Parallelism: 1}).AccumulatePSD(psd, x, fftSize/2, Hann(fftSize)); segments > 0 {
+		for i := range psd {
+			psd[i] /= float64(segments)
+		}
+	}
+	return psd
 }
 
 // WriteCSV emits the spectrogram as CSV: a header row of bin center

@@ -14,9 +14,9 @@ type DetectorConfig struct {
 	// Window is the STFT segment length (the paper: 5 ms,
 	// non-overlapping).
 	Window sim.Time
-	// ExpectedF0 is the VRM frequency hint; zero means the band is
-	// found by peak detection ("can also be easily found using
-	// standard peak detection techniques").
+	// ExpectedF0 is the VRM frequency hint: the band starts at its
+	// spike and the tracker follows the drift from there. NewDetector
+	// rejects a config without one.
 	ExpectedF0 float64
 	// BandBins is how many bins around the spike are summed.
 	BandBins int
@@ -31,7 +31,8 @@ type DetectorConfig struct {
 	MaxKeystroke sim.Time
 	// TrackBlock re-acquires the spike frequency once per block of
 	// this duration, following the VRM clock's slow thermal drift over
-	// multi-minute captures. Zero uses a single static band.
+	// multi-minute captures; a block longer than the capture is one
+	// static band. NewDetector rejects a zero TrackBlock.
 	TrackBlock sim.Time
 	// GapAware re-normalizes the band trace per TrackBlock before
 	// thresholding. A mid-capture AGC gain step (or the level
@@ -109,64 +110,52 @@ type Detection struct {
 	Threshold float64
 }
 
-// Geometry is the derived STFT/tracking geometry of one detector run —
-// everything the streaming detector needs to frame samples and schedule
-// block re-acquisitions before it has seen any data.
-type Geometry struct {
-	// FFTSize is the non-overlapping STFT frame length in samples
+// geometry is the derived STFT/tracking geometry of one detector: how
+// to frame samples and schedule block re-acquisitions before any data
+// has arrived.
+type geometry struct {
+	// fftSize is the non-overlapping STFT frame length in samples
 	// (NextPowerOfTwo of the configured window).
-	FFTSize int
-	// FrameDT is seconds per STFT frame.
-	FrameDT float64
-	// BlockFrames is the re-acquisition block length in frames; 0 means
-	// a single global block spanning the whole capture (TrackBlock
-	// unset), which only the batch path can realize.
-	BlockFrames int
-	// SearchBins is the half-width of the per-block spike search.
-	SearchBins int
+	fftSize int
+	// frameDT is seconds per STFT frame.
+	frameDT float64
+	// blockFrames is the re-acquisition block length in frames.
+	blockFrames int
+	// searchBins is the half-width of the per-block spike search:
+	// ±25 kHz — the drift between blocks is small, but the initial hint
+	// may be a few kHz off — and never less than ±2.
+	searchBins int
 }
 
-// PlanGeometry derives the detector geometry for a sample rate. ok is
-// false when the configured window rounds to zero samples at this rate
-// — the batch path returns an empty Detection for such captures, and a
-// streaming detector has nothing to frame.
-func PlanGeometry(cfg DetectorConfig, sampleRate float64) (g Geometry, ok bool) {
+// planGeometry derives the detector geometry for a sample rate. ok is
+// false when the configured window rounds to zero samples at this rate:
+// such a capture cannot resolve the window, so there is nothing to
+// frame and nothing to detect.
+func planGeometry(cfg DetectorConfig, sampleRate float64) (g geometry, ok bool) {
 	windowSamples := int(cfg.Window.Seconds() * sampleRate)
 	if windowSamples < 1 {
 		return g, false
 	}
-	g.FFTSize = dsp.NextPowerOfTwo(windowSamples)
-	g.FrameDT = float64(g.FFTSize) / sampleRate
-	if cfg.TrackBlock > 0 {
-		g.BlockFrames = int(cfg.TrackBlock.Seconds() / g.FrameDT)
-		if g.BlockFrames < 1 {
-			g.BlockFrames = 1
-		}
+	g.fftSize = dsp.NextPowerOfTwo(windowSamples)
+	g.frameDT = float64(g.fftSize) / sampleRate
+	g.blockFrames = int(cfg.TrackBlock.Seconds() / g.frameDT)
+	if g.blockFrames < 1 {
+		g.blockFrames = 1
 	}
-	g.SearchBins = DriftSearchBins(g.FFTSize, sampleRate)
+	g.searchBins = int(25e3 * float64(g.fftSize) / sampleRate)
+	if g.searchBins < 2 {
+		g.searchBins = 2
+	}
 	return g, true
 }
 
-// DriftSearchBins is the half-width, in bins, of the per-block spike
-// re-acquisition search: ±25 kHz — the drift between blocks is small,
-// but the initial hint may be a few kHz off — and never less than ±2.
-func DriftSearchBins(fftSize int, sampleRate float64) int {
-	searchBins := int(25e3 * float64(fftSize) / sampleRate)
-	if searchBins < 2 {
-		searchBins = 2
-	}
-	return searchBins
-}
-
-// ScanBlock runs one block of the §V-C band tracker: re-acquire the
+// scanBlock runs one block of the §V-C band tracker: re-acquire the
 // spike bin by searching ±searchBins around center over the block's
 // mean spectrum (skipping the receiver's DC bin), then write each
-// frame's BandBins-wide band energy into out. mag holds the block's
+// frame's bandBins-wide band energy into out. mag holds the block's
 // STFT magnitude rows and out must have the same length. Returns the
-// re-acquired center for the next block. The batch detector and the
-// streaming detector both express their block loop through this
-// function, which is what keeps their Band traces byte-identical.
-func ScanBlock(mag [][]float64, out []float64, center, fftSize, searchBins, bandBins int) int {
+// re-acquired center for the next block.
+func scanBlock(mag [][]float64, out []float64, center, fftSize, searchBins, bandBins int) int {
 	// Mean spectrum of the block, searched near the last center.
 	best, bestVal := center, -1.0
 	for d := -searchBins; d <= searchBins; d++ {
@@ -197,13 +186,13 @@ func ScanBlock(mag [][]float64, out []float64, center, fftSize, searchBins, band
 	return center
 }
 
-// FinishDetection runs the global tail of the detector over a complete
+// finishDetection runs the global tail of the detector over a complete
 // band trace: optional per-block gain normalization (GapAware), global
 // normalization, the bimodal threshold, and the merge/duration interval
 // passes. It takes ownership of band (the returned Detection aliases
 // and mutates it). blockFrames is the per-block normalization width for
-// GapAware; pass the full trace length when tracking is off.
-func FinishDetection(band []float64, frameDT float64, blockFrames int, cfg DetectorConfig) *Detection {
+// GapAware.
+func finishDetection(band []float64, frameDT float64, blockFrames int, cfg DetectorConfig) *Detection {
 	det := &Detection{Band: band, FrameDT: frameDT}
 	if cfg.GapAware {
 		normalizeBlocks(det.Band, blockFrames)
@@ -239,56 +228,255 @@ func FinishDetection(band []float64, frameDT float64, blockFrames int, cfg Detec
 	return det
 }
 
-// Detect runs the §V-C detector: STFT with non-overlapping ~5 ms
-// windows, band selection around the PMU spike, thresholding, a merge
-// pass, and the minimum-duration filter.
-func Detect(cap *sdr.Capture, cfg DetectorConfig) *Detection {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	g, ok := PlanGeometry(cfg, cap.SampleRate)
-	if !ok {
-		// The STFT window rounds to zero samples (NextPowerOfTwo would
-		// panic): the capture cannot resolve the configured window, so
-		// there is nothing to detect.
-		return &Detection{}
-	}
-	if g.FFTSize > len(cap.IQ) {
-		return &Detection{}
-	}
-	// Non-overlapping windows: hop = fftSize.
-	s := dsp.NewEngine(cfg.Parallelism).STFT(cap.IQ, g.FFTSize, g.FFTSize, dsp.Hann(g.FFTSize), cap.SampleRate)
+// Detector is the §V-C keystroke detector as an incremental processor —
+// the one implementation behind both Detect and the streaming daemon.
+// Push IQ chunks of any size as they arrive, then Finalize; the
+// Detection depends only on the concatenation of the pushed samples,
+// never on where the chunk boundaries fell.
+//
+// The STFT streams naturally: frames do not overlap, so at most one
+// partial frame carries across a chunk boundary, and the frames each
+// chunk completes up to the next block boundary are transformed across
+// Parallelism workers into the block's magnitude rows. The band
+// tracker is block-local: as soon as one TrackBlock of frames has
+// accumulated, the block re-acquires the spike and reduces its rows to
+// one band sample per frame, and the rows are reused for the next
+// block. Only the band trace (one float per frame) accumulates for the
+// global tail — normalization, threshold, interval passes — which runs
+// at Finalize. A detector holds O(TrackBlock·SampleRate +
+// Samples/fftSize) floats, however long the capture.
+//
+// The initial band comes from the ExpectedF0 hint and the blocks from
+// TrackBlock, so NewDetector needs both set; every production caller
+// sets them.
+type Detector struct {
+	cfg        DetectorConfig
+	g          geometry
+	degenerate bool // the window rounds to zero samples at this rate
+	eng        dsp.Engine
 
-	// Band selection: start around the expected spike (or the
-	// strongest non-DC peak), then re-acquire per block so the band
-	// follows the VRM clock's slow thermal drift.
-	var center int
-	if cfg.ExpectedF0 > 0 {
-		center = s.Bin(cfg.ExpectedF0 - cap.CenterFreqHz)
-	} else {
-		mean := make([]float64, g.FFTSize)
-		for _, row := range s.Mag {
-			for i, v := range row {
-				mean[i] += v
+	window []float64
+	frame  []complex128 // partial frame carried across chunks
+	rows   [][]float64  // the current block's magnitude rows
+	band   []float64
+	center int
+
+	total     int
+	finalized bool
+}
+
+// NewDetector validates the config for a capture at sampleRate tuned to
+// centerFreqHz and returns a detector with empty state.
+func NewDetector(cfg DetectorConfig, sampleRate, centerFreqHz float64) (*Detector, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if sampleRate <= 0 {
+		return nil, fmt.Errorf("keylog: sample rate %v must be positive", sampleRate)
+	}
+	if cfg.ExpectedF0 <= 0 {
+		return nil, fmt.Errorf("keylog: detector needs an ExpectedF0 hint for its initial band")
+	}
+	if cfg.TrackBlock <= 0 {
+		return nil, fmt.Errorf("keylog: detector needs a positive TrackBlock")
+	}
+	d := &Detector{cfg: cfg, eng: dsp.NewEngine(cfg.Parallelism)}
+	g, ok := planGeometry(cfg, sampleRate)
+	if !ok {
+		// The detector accepts the samples and reports the empty
+		// Detection such a capture gets at Finalize.
+		d.degenerate = true
+		return d, nil
+	}
+	d.g = g
+	d.window = dsp.Hann(g.fftSize)
+	d.frame = make([]complex128, 0, g.fftSize)
+	d.center = dsp.FrequencyBin(cfg.ExpectedF0-centerFreqHz, g.fftSize, sampleRate)
+	return d, nil
+}
+
+// Push consumes one chunk of IQ samples. Not safe for concurrent use.
+func (d *Detector) Push(chunk []complex128) {
+	if d.finalized {
+		panic("keylog: Push after Finalize")
+	}
+	d.total += len(chunk)
+	if d.degenerate {
+		return
+	}
+	m := d.g.fftSize
+	if len(d.frame) > 0 {
+		take := m - len(d.frame)
+		if take > len(chunk) {
+			take = len(chunk)
+		}
+		d.frame = append(d.frame, chunk[:take]...)
+		chunk = chunk[take:]
+		if len(d.frame) < m {
+			return
+		}
+		d.transform(d.frame, 1)
+		d.frame = d.frame[:0]
+	}
+	for len(chunk) >= m {
+		n := len(chunk) / m
+		if room := d.g.blockFrames - len(d.rows); n > room {
+			n = room
+		}
+		d.transform(chunk, n)
+		chunk = chunk[n*m:]
+	}
+	d.frame = append(d.frame, chunk...)
+}
+
+// transform appends the magnitude rows of the n frames at the start of
+// x to the current block and flushes the block once it is full.
+func (d *Detector) transform(x []complex128, n int) {
+	lo := len(d.rows)
+	d.growRows(lo + n)
+	d.eng.STFTInto(d.rows[lo:], x, d.g.fftSize, d.window)
+	if len(d.rows) == d.g.blockFrames {
+		d.flushBlock()
+	}
+}
+
+// growRows extends the current block to n rows. The backing array
+// grows geometrically up to one block and is reused for every block
+// after the first.
+func (d *Detector) growRows(n int) {
+	if n > cap(d.rows) {
+		c := 2 * cap(d.rows)
+		if c > d.g.blockFrames {
+			c = d.g.blockFrames
+		}
+		if c < n {
+			c = n
+		}
+		m := d.g.fftSize
+		flat := make([]float64, c*m)
+		rows := make([][]float64, c)
+		for f := range rows {
+			rows[f] = flat[f*m : (f+1)*m : (f+1)*m]
+			if f < len(d.rows) {
+				copy(rows[f], d.rows[f])
 			}
 		}
-		mean[0] = 0
-		_, center = dsp.Max(mean)
+		d.rows = rows[:len(d.rows)]
 	}
-	blockFrames := g.BlockFrames
-	if blockFrames == 0 {
-		blockFrames = s.Frames()
+	d.rows = d.rows[:n]
+}
+
+// flushBlock runs the §V-C per-block spike re-acquisition over the
+// current block's rows and appends the block's band samples to the
+// trace; the rows are then reused for the next block.
+func (d *Detector) flushBlock() {
+	if len(d.rows) == 0 {
+		return
 	}
-	band := make([]float64, s.Frames())
-	for blockStart := 0; blockStart < s.Frames(); blockStart += blockFrames {
-		blockEnd := blockStart + blockFrames
-		if blockEnd > s.Frames() {
-			blockEnd = s.Frames()
+	lo := len(d.band)
+	d.band = append(d.band, make([]float64, len(d.rows))...)
+	d.center = scanBlock(d.rows, d.band[lo:], d.center, d.g.fftSize, d.g.searchBins, d.cfg.BandBins)
+	d.rows = d.rows[:0]
+}
+
+// StateBytes estimates the detector's retained memory: the block rows
+// (bounded by TrackBlock) plus the band trace (one float per frame).
+func (d *Detector) StateBytes() int {
+	return cap(d.frame)*16 + cap(d.rows)*d.g.fftSize*8 + cap(d.window)*8 + cap(d.band)*8
+}
+
+// Finalize closes the detector, flushes the final (possibly partial)
+// block, and runs the global tail. Trailing samples shorter than a
+// frame are dropped. Further pushes panic.
+func (d *Detector) Finalize() *Detection {
+	d.finalized = true
+	if d.degenerate || d.total < d.g.fftSize {
+		// A capture shorter than one STFT frame detects nothing.
+		return &Detection{}
+	}
+	d.flushBlock()
+	return finishDetection(d.band, d.g.frameDT, d.g.blockFrames, d.cfg)
+}
+
+// DetectorState is a Detector's carried state: what a checkpoint must
+// hold to resume it. NewDetector re-derives everything else (geometry,
+// window) from the config. The slices alias the detector's buffers, so
+// read them before the next Push.
+type DetectorState struct {
+	// Samples counts the IQ samples pushed so far.
+	Samples int
+	// Center is the band tracker's current spike bin.
+	Center int
+	// Frame is the partial STFT frame, Rows the current block's
+	// magnitude rows, and Band the band trace of the flushed blocks.
+	Frame []complex128
+	Rows  [][]float64
+	Band  []float64
+}
+
+// State returns the detector's carried state.
+func (d *Detector) State() DetectorState {
+	return DetectorState{Samples: d.total, Center: d.center, Frame: d.frame, Rows: d.rows, Band: d.band}
+}
+
+// Restore loads s into a detector fresh from NewDetector with the
+// config and capture parameters of the one that produced it. s is
+// checked against the detector's geometry and against the sample count
+// first — the partial frame, the block rows and the band trace follow
+// from Samples — so a state from another config, or a corrupted one, is
+// an error and leaves the detector untouched.
+func (d *Detector) Restore(s DetectorState) error {
+	switch {
+	case d.finalized:
+		return fmt.Errorf("keylog: Restore after Finalize")
+	case d.total != 0:
+		return fmt.Errorf("keylog: Restore needs a fresh detector (this one has consumed %d samples)", d.total)
+	case s.Samples < 0:
+		return fmt.Errorf("keylog: state has negative sample count %d", s.Samples)
+	}
+	if d.degenerate {
+		if s.Center != 0 || len(s.Frame) != 0 || len(s.Rows) != 0 || len(s.Band) != 0 {
+			return fmt.Errorf("keylog: state carries STFT data for a detector whose window does not resolve")
 		}
-		center = ScanBlock(s.Mag[blockStart:blockEnd], band[blockStart:blockEnd],
-			center, g.FFTSize, g.SearchBins, cfg.BandBins)
+		d.total = s.Samples
+		return nil
 	}
-	return FinishDetection(band, g.FrameDT, blockFrames, cfg)
+	m, frames := d.g.fftSize, s.Samples/d.g.fftSize
+	switch {
+	case len(s.Frame) != s.Samples%m:
+		return fmt.Errorf("keylog: state partial frame holds %d samples, %d samples leave %d", len(s.Frame), s.Samples, s.Samples%m)
+	case len(s.Rows) != frames%d.g.blockFrames || len(s.Band) != frames-len(s.Rows):
+		return fmt.Errorf("keylog: state holds %d block rows and %d band samples, %d frames at %d per block make %d and %d",
+			len(s.Rows), len(s.Band), frames, d.g.blockFrames, frames%d.g.blockFrames, frames-frames%d.g.blockFrames)
+	case s.Center < 0 || s.Center >= m:
+		return fmt.Errorf("keylog: state center bin %d outside [0,%d)", s.Center, m)
+	}
+	for i, row := range s.Rows {
+		if len(row) != m {
+			return fmt.Errorf("keylog: state block row %d has %d bins, frame size is %d", i, len(row), m)
+		}
+	}
+	d.total = s.Samples
+	d.center = s.Center
+	d.frame = append(d.frame[:0], s.Frame...)
+	d.growRows(len(s.Rows))
+	for i, row := range s.Rows {
+		copy(d.rows[i], row)
+	}
+	d.band = append([]float64(nil), s.Band...)
+	return nil
+}
+
+// Detect runs the §V-C detector over a capture: one Detector, the whole
+// capture pushed as one chunk, then Finalize. It panics on a config the
+// detector rejects.
+func Detect(cap *sdr.Capture, cfg DetectorConfig) *Detection {
+	d, err := NewDetector(cfg, cap.SampleRate, cap.CenterFreqHz)
+	if err != nil {
+		panic(err)
+	}
+	d.Push(cap.IQ)
+	return d.Finalize()
 }
 
 // normalizeBlocks rescales each blockFrames-wide stretch of the band

@@ -14,11 +14,16 @@ import (
 )
 
 // buildKeylogCapture runs the typing -> emanation -> acquisition half
-// of the pipeline once so the detector can be rerun under different
-// settings on the identical capture.
+// of the pipeline once on the Dell Precision 7290 so the detector can be
+// rerun under different settings on the identical capture.
 func buildKeylogCapture(t *testing.T, text string, seed int64) (*sdr.Capture, laptop.Profile) {
 	t.Helper()
 	prof, _ := laptop.ByModel("Dell Precision 7290")
+	return profileKeylogCapture(prof, text, seed), prof
+}
+
+// profileKeylogCapture is buildKeylogCapture on any laptop.
+func profileKeylogCapture(prof laptop.Profile, text string, seed int64) *sdr.Capture {
 	sys := laptop.NewSystem(prof, seed)
 	defer sys.Close()
 
@@ -34,8 +39,7 @@ func buildKeylogCapture(t *testing.T, text string, seed int64) (*sdr.Capture, la
 
 	sdrCfg := sdr.DefaultConfig()
 	sdrCfg.SampleRate = plan.SampleRate
-	cap := sdr.Acquire(field, plan.CenterFreqHz, sdrCfg, rng.Fork())
-	return cap, prof
+	return sdr.Acquire(field, plan.CenterFreqHz, sdrCfg, rng.Fork())
 }
 
 func detectionEqual(t *testing.T, label string, a, b *Detection) {
@@ -102,7 +106,7 @@ func TestDetectorConfigParallelismValidate(t *testing.T) {
 // yield an empty detection, not a panic.
 func TestDetectZeroSampleWindow(t *testing.T) {
 	cap := &sdr.Capture{IQ: make([]complex128, 4096), SampleRate: 240e3}
-	cfg := DefaultDetectorConfig()
+	cfg := noiseConfig()
 	cfg.Window = 1 // 1 simulated nanosecond << one sample period
 	det := Detect(cap, cfg)
 	if len(det.Keystrokes) != 0 || len(det.Band) != 0 {

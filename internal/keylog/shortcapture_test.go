@@ -27,17 +27,26 @@ func shortCapture(n int) *sdr.Capture {
 	return &sdr.Capture{IQ: iq, SampleRate: 240e3}
 }
 
+// noiseConfig is the default detector hinted at a 60 kHz spike: the
+// noise captures here have none, but the detector needs a hint to start
+// its band from.
+func noiseConfig() DetectorConfig {
+	cfg := DefaultDetectorConfig()
+	cfg.ExpectedF0 = 60e3
+	return cfg
+}
+
 // TestDetectCaptureShorterThanSegment pins the one-segment cutoff: at
 // fftSize-1 samples the detection is empty (no Band, no FrameDT), and
 // one sample later the STFT runs and produces exactly one frame.
 func TestDetectCaptureShorterThanSegment(t *testing.T) {
 	for _, n := range []int{0, 1, 600, 1023} {
-		det := Detect(shortCapture(n), DefaultDetectorConfig())
+		det := Detect(shortCapture(n), noiseConfig())
 		if len(det.Keystrokes) != 0 || len(det.Band) != 0 || det.FrameDT != 0 {
 			t.Fatalf("%d-sample capture (< fftSize 1024) produced %+v", n, det)
 		}
 	}
-	det := Detect(shortCapture(1024), DefaultDetectorConfig())
+	det := Detect(shortCapture(1024), noiseConfig())
 	if len(det.Band) != 1 {
 		t.Fatalf("1024-sample capture: %d band frames, want 1", len(det.Band))
 	}
@@ -53,7 +62,7 @@ func TestDetectCaptureShorterThanSegment(t *testing.T) {
 // (fftSize 1 is unreachable: the windowSamples < 1 guard returns first,
 // covered by TestDetectZeroSampleWindow.)
 func TestDetectFFTSizeTwo(t *testing.T) {
-	cfg := DefaultDetectorConfig()
+	cfg := noiseConfig()
 	cfg.Window = sim.Microsecond // 2 samples at 2 MHz
 	cap := shortCapture(4096)
 	cap.SampleRate = 2e6
@@ -76,7 +85,7 @@ func TestDetectFusedEquivalence(t *testing.T) {
 	cap := shortCapture(1 << 15)
 	var want *Detection
 	for _, par := range []int{1, 4} {
-		cfg := DefaultDetectorConfig()
+		cfg := noiseConfig()
 		cfg.Parallelism = par
 		det := Detect(cap, cfg)
 		if want == nil {

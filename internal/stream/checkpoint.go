@@ -3,29 +3,34 @@ package stream
 // Checkpoint/restore for the stream processors — the piece that extends
 // the repo's determinism contract across process death. A processor's
 // carried state is already compact by construction (the whole point of
-// streaming: O(FFTSize + n/DecimateFactor) floats, never raw IQ), so a
-// checkpoint is a versioned binary serialization of exactly that state
-// plus the consumed-sample count. Restoring it into a freshly
-// constructed processor and replaying the capture from Consumed()
-// onward finishes byte-identical to an uninterrupted run: float bits
-// round-trip exactly through math.Float64bits, and both processors are
-// chunk-size-invariant (the differential tests), so the resumed chunk
-// boundaries need not match the original ones.
+// streaming: O(FFTSize + n/DecimateFactor) floats, never raw IQ), and
+// covert.Receiver and keylog.Detector each expose it as a state
+// snapshot; a checkpoint is a versioned binary serialization of that
+// snapshot. Restoring it into a freshly constructed processor and
+// replaying the capture from Consumed() onward finishes byte-identical
+// to an uninterrupted run: float bits round-trip exactly through
+// math.Float64bits, and both processors are chunk-size-invariant, so the
+// resumed chunk boundaries need not match the original ones.
 //
 // Wire format (little endian):
 //
 //	magic   [4]byte  "EMCK"
-//	version uint16   (currently 1)
+//	version uint16   (currently 2)
 //	kind    uint8    (1 = covert receiver, 2 = keylog detector)
 //	flags   uint8    (reserved, must be 0)
 //	paylen  uint64   payload byte count
 //	digest  uint64   FNV-64a over the payload bytes
 //	payload [paylen]byte
 //
+// Version 2 dropped version 1's running period tracker and keeps one
+// decimated trace per distinct carrier-retry offset set instead of one
+// per retry level; a version-1 file fails with "version unsupported".
+//
 // Decode is defensive end to end: a truncated, corrupted, or
 // wrong-kind checkpoint returns an error — never a panic and never a
-// silently wrong restore (the digest catches bit flips the structural
-// checks cannot). FuzzCheckpointDecode pins that contract.
+// silently wrong restore (the digest catches bit flips, and the
+// processor's Restore checks the decoded state against its own geometry
+// and sample count). FuzzCheckpointDecode pins that contract.
 
 import (
 	"encoding/binary"
@@ -35,6 +40,8 @@ import (
 	"os"
 	"path/filepath"
 
+	"pmuleak/internal/covert"
+	"pmuleak/internal/keylog"
 	"pmuleak/internal/telemetry"
 )
 
@@ -67,7 +74,7 @@ type Checkpointer interface {
 }
 
 const (
-	ckptVersion = 1
+	ckptVersion = 2
 
 	ckptKindCovert uint8 = 1
 	ckptKindKeylog uint8 = 2
@@ -239,229 +246,126 @@ func (d *ckptDec) finish() error {
 }
 
 // ---------------------------------------------------------------------
-// CovertReceiver.
+// The checkpointable processors.
+
+// CovertReceiver is covert.Receiver with checkpoint/restore: the
+// receiver's carried state (covert.ReceiverState) in the versioned
+// wire format above.
+type CovertReceiver struct{ *covert.Receiver }
+
+// NewCovertReceiver returns a checkpointable covert.NewReceiver.
+func NewCovertReceiver(cfg covert.RXConfig, sampleRate, centerFreqHz float64) (*CovertReceiver, error) {
+	rx, err := covert.NewReceiver(cfg, sampleRate, centerFreqHz)
+	if err != nil {
+		return nil, err
+	}
+	return &CovertReceiver{rx}, nil
+}
 
 // Consumed returns the number of IQ samples pushed so far.
-func (c *CovertReceiver) Consumed() int { return c.total }
+func (c *CovertReceiver) Consumed() int { return c.State().Samples }
 
-// EncodeState serializes the receiver's carried state: the pending
-// Welch segment, the PSD accumulator, the resonator bank's complex
-// state, every widen level's decimation carry and trace, and the
-// running tracker. Everything else (plans, windows, rotation tables) is
-// re-derived by NewCovertReceiver from the config.
+// EncodeState serializes the receiver's carried state: the Welch
+// accumulator and its carried tail, the resonator bank's complex state,
+// and every decimated trace with its partial block.
 func (c *CovertReceiver) EncodeState() []byte {
+	s := c.State()
 	var e ckptEnc
-	e.i64(c.total)
-	e.i64(c.segments)
-	e.c128s(c.seg)
-	e.f64s(c.psdSum)
-	e.c128s(c.z)
-	e.u64(uint64(len(c.levels)))
-	for i := range c.levels {
-		lv := &c.levels[i]
-		e.f64(lv.sum)
-		e.i64(lv.count)
-		e.f64s(lv.y)
+	e.i64(s.Samples)
+	e.c128s(s.Tail)
+	e.f64s(s.PSDSum)
+	e.c128s(s.Z)
+	e.u64(uint64(len(s.Traces)))
+	for _, tr := range s.Traces {
+		e.f64(tr.Sum)
+		e.f64s(tr.Y)
 	}
-	e.i64(c.nextTrack)
-	e.f64(c.periodS)
-	e.f64(c.confidence)
-	e.i64(c.edges)
 	return sealCheckpoint(ckptKindCovert, e.b)
 }
 
 // RestoreState loads a checkpoint produced by EncodeState into a fresh
-// receiver constructed with the same config and tuning. Structural
-// invariants are checked against the constructed geometry, so a
-// checkpoint from a different config errors instead of corrupting the
-// stream.
+// receiver constructed with the same config and tuning; the receiver
+// checks the decoded state against its own geometry.
 func (c *CovertReceiver) RestoreState(data []byte) error {
-	if c.finalized {
-		return fmt.Errorf("stream: RestoreState after Finalize")
-	}
-	if c.total != 0 || c.segments != 0 {
-		return fmt.Errorf("stream: RestoreState requires a freshly constructed receiver (this one has consumed %d samples)", c.total)
-	}
 	payload, err := openCheckpoint(ckptKindCovert, data)
 	if err != nil {
 		return err
 	}
 	d := &ckptDec{b: payload}
-	total := d.i64()
-	segments := d.i64()
-	seg := d.c128s()
-	psdSum := d.f64s()
-	z := d.c128s()
-	nLevels := d.sliceLen(8 + 8 + 8) // lower bound: sum+count+len per level
-	type levelState struct {
-		sum   float64
-		count int
-		y     []float64
+	var s covert.ReceiverState
+	s.Samples = d.i64()
+	s.Tail = d.c128s()
+	s.PSDSum = d.f64s()
+	s.Z = d.c128s()
+	n := d.sliceLen(8 + 8) // lower bound: sum+len per trace
+	for i := 0; i < n && d.err == nil; i++ {
+		var tr covert.TraceState
+		tr.Sum = d.f64()
+		tr.Y = d.f64s()
+		s.Traces = append(s.Traces, tr)
 	}
-	levels := make([]levelState, 0, nLevels)
-	for i := 0; i < nLevels && d.err == nil; i++ {
-		var lv levelState
-		lv.sum = d.f64()
-		lv.count = d.i64()
-		lv.y = d.f64s()
-		levels = append(levels, lv)
-	}
-	nextTrack := d.i64()
-	periodS := d.f64()
-	confidence := d.f64()
-	edges := d.i64()
 	if err := d.finish(); err != nil {
 		return err
 	}
-
-	switch {
-	case total < 0 || segments < 0 || edges < 0:
-		return fmt.Errorf("stream: checkpoint has negative counters (total %d, segments %d, edges %d)", total, segments, edges)
-	case len(seg) >= c.fftSize:
-		return fmt.Errorf("stream: checkpoint pending segment holds %d samples, receiver FFT size is %d", len(seg), c.fftSize)
-	case len(psdSum) != c.fftSize:
-		return fmt.Errorf("stream: checkpoint PSD has %d bins, receiver FFT size is %d", len(psdSum), c.fftSize)
-	case len(z) != len(c.rot):
-		return fmt.Errorf("stream: checkpoint resonator bank has %d states, receiver has %d offsets", len(z), len(c.rot))
-	case len(levels) != len(c.levels):
-		return fmt.Errorf("stream: checkpoint has %d widen levels, receiver has %d", len(levels), len(c.levels))
-	case nextTrack < c.trackStride || nextTrack%c.trackStride != 0:
-		return fmt.Errorf("stream: checkpoint tracker cursor %d is not a positive multiple of the stride %d", nextTrack, c.trackStride)
-	}
-	for i, lv := range levels {
-		if lv.count < 0 || lv.count >= c.cfg.DecimateFactor {
-			return fmt.Errorf("stream: checkpoint level %d decimation carry %d outside [0,%d)", i, lv.count, c.cfg.DecimateFactor)
-		}
-	}
-
-	c.total = total
-	c.segments = segments
-	c.seg = append(c.seg[:0], seg...)
-	copy(c.psdSum, psdSum)
-	copy(c.z, z)
-	for i := range c.levels {
-		c.levels[i].sum = levels[i].sum
-		c.levels[i].count = levels[i].count
-		c.levels[i].y = levels[i].y
-	}
-	c.nextTrack = nextTrack
-	c.periodS = periodS
-	c.confidence = confidence
-	c.edges = edges
-	return nil
+	return c.Restore(s)
 }
 
-// ---------------------------------------------------------------------
-// KeylogDetector.
+// KeylogDetector is keylog.Detector with checkpoint/restore: the
+// detector's carried state (keylog.DetectorState) in the versioned wire
+// format above.
+type KeylogDetector struct{ *keylog.Detector }
+
+// NewKeylogDetector returns a checkpointable keylog.NewDetector.
+func NewKeylogDetector(cfg keylog.DetectorConfig, sampleRate, centerFreqHz float64) (*KeylogDetector, error) {
+	kd, err := keylog.NewDetector(cfg, sampleRate, centerFreqHz)
+	if err != nil {
+		return nil, err
+	}
+	return &KeylogDetector{kd}, nil
+}
 
 // Consumed returns the number of IQ samples pushed so far.
-func (d *KeylogDetector) Consumed() int { return d.total }
+func (k *KeylogDetector) Consumed() int { return k.State().Samples }
 
 // EncodeState serializes the detector's carried state: the partial STFT
-// frame, the current block's magnitude rows, the accumulated band
-// trace, and the spike tracker's center bin.
-func (d *KeylogDetector) EncodeState() []byte {
+// frame, the current block's magnitude rows, the band trace, and the
+// spike tracker's center bin.
+func (k *KeylogDetector) EncodeState() []byte {
+	s := k.State()
 	var e ckptEnc
-	if d.degenerate {
-		e.u64(1)
-		e.i64(d.total)
-		return sealCheckpoint(ckptKindKeylog, e.b)
+	e.i64(s.Samples)
+	e.i64(s.Center)
+	e.c128s(s.Frame)
+	e.u64(uint64(len(s.Rows)))
+	for _, row := range s.Rows {
+		e.f64s(row)
 	}
-	e.u64(0)
-	e.i64(d.total)
-	e.i64(d.frames)
-	e.i64(d.blocks)
-	e.i64(d.center)
-	e.c128s(d.frame)
-	e.u64(uint64(len(d.rows)))
-	for _, row := range d.rows {
-		for _, v := range row {
-			e.f64(v)
-		}
-	}
-	e.f64s(d.band)
+	e.f64s(s.Band)
 	return sealCheckpoint(ckptKindKeylog, e.b)
 }
 
 // RestoreState loads a checkpoint produced by EncodeState into a fresh
-// detector constructed with the same config and tuning.
-func (d *KeylogDetector) RestoreState(data []byte) error {
-	if d.finalized {
-		return fmt.Errorf("stream: RestoreState after Finalize")
-	}
-	if d.total != 0 {
-		return fmt.Errorf("stream: RestoreState requires a freshly constructed detector (this one has consumed %d samples)", d.total)
-	}
+// detector constructed with the same config and tuning; the detector
+// checks the decoded state against its own geometry.
+func (k *KeylogDetector) RestoreState(data []byte) error {
 	payload, err := openCheckpoint(ckptKindKeylog, data)
 	if err != nil {
 		return err
 	}
-	dec := &ckptDec{b: payload}
-	degenerate := dec.u64()
-	if dec.err == nil && degenerate > 1 {
-		return fmt.Errorf("stream: checkpoint degenerate flag %d is not 0 or 1", degenerate)
+	d := &ckptDec{b: payload}
+	var s keylog.DetectorState
+	s.Samples = d.i64()
+	s.Center = d.i64()
+	s.Frame = d.c128s()
+	n := d.sliceLen(8) // lower bound: one length prefix per row
+	for i := 0; i < n && d.err == nil; i++ {
+		s.Rows = append(s.Rows, d.f64s())
 	}
-	if degenerate == 1 {
-		total := dec.i64()
-		if err := dec.finish(); err != nil {
-			return err
-		}
-		if !d.degenerate {
-			return fmt.Errorf("stream: degenerate checkpoint for a detector with resolvable geometry")
-		}
-		if total < 0 {
-			return fmt.Errorf("stream: checkpoint has negative sample count %d", total)
-		}
-		d.total = total
-		return nil
-	}
-	if d.degenerate {
-		return fmt.Errorf("stream: non-degenerate checkpoint for a detector whose geometry does not resolve")
-	}
-	total := dec.i64()
-	frames := dec.i64()
-	blocks := dec.i64()
-	center := dec.i64()
-	frame := dec.c128s()
-	nRows := dec.sliceLen(8 * d.g.FFTSize)
-	if dec.err == nil && nRows >= d.g.BlockFrames {
-		return fmt.Errorf("stream: checkpoint holds %d block rows, a full block is %d (it would have been flushed)", nRows, d.g.BlockFrames)
-	}
-	rows := make([][]float64, 0, nRows)
-	for r := 0; r < nRows && dec.err == nil; r++ {
-		row := make([]float64, d.g.FFTSize)
-		for i := range row {
-			row[i] = dec.f64()
-		}
-		rows = append(rows, row)
-	}
-	band := dec.f64s()
-	if err := dec.finish(); err != nil {
+	s.Band = d.f64s()
+	if err := d.finish(); err != nil {
 		return err
 	}
-
-	switch {
-	case total < 0 || frames < 0 || blocks < 0:
-		return fmt.Errorf("stream: checkpoint has negative counters (total %d, frames %d, blocks %d)", total, frames, blocks)
-	case len(frame) >= d.g.FFTSize:
-		return fmt.Errorf("stream: checkpoint partial frame holds %d samples, frame size is %d", len(frame), d.g.FFTSize)
-	case center < 0 || center >= d.g.FFTSize:
-		return fmt.Errorf("stream: checkpoint center bin %d outside [0,%d)", center, d.g.FFTSize)
-	}
-
-	d.total = total
-	d.frames = frames
-	d.blocks = blocks
-	d.center = center
-	d.frame = append(d.frame[:0], frame...)
-	d.rows = d.rows[:0]
-	for r, row := range rows {
-		dst := d.rowsBak[r*d.g.FFTSize : (r+1)*d.g.FFTSize]
-		copy(dst, row)
-		d.rows = append(d.rows, dst)
-	}
-	d.band = band
-	return nil
+	return k.Restore(s)
 }
 
 // ---------------------------------------------------------------------

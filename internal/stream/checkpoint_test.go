@@ -1,10 +1,12 @@
 package stream_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pmuleak/internal/covert"
@@ -205,6 +207,28 @@ func TestRestoreRejectsKindMismatch(t *testing.T) {
 	}
 }
 
+// asVersion1 returns a copy of a checkpoint with its header's version
+// field set to 1; the payload digest still matches.
+func asVersion1(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint16(out[4:], 1)
+	return out
+}
+
+// TestRestoreRejectsVersion1: version 1 carried the running period
+// tracker and one trace per carrier-retry level; a version-2 processor
+// refuses it by its header rather than misreading the payload.
+func TestRestoreRejectsVersion1(t *testing.T) {
+	p := prepCovert(t, false, 1)
+	defer p.Cap.Recycle()
+	rx := freshCovert(t, p.RXCfg, p.Cap)
+	rx.Push(stream.Chunks(p.Cap.IQ, 20000)[0])
+	err := freshCovert(t, p.RXCfg, p.Cap).RestoreState(asVersion1(rx.EncodeState()))
+	if err == nil || !strings.Contains(err.Error(), "version 1 unsupported") {
+		t.Fatalf("version-1 checkpoint: err = %v, want a version-unsupported error", err)
+	}
+}
+
 // TestRestoreRequiresFreshProcessor: restoring over a processor that
 // has already consumed samples must error, not splice states.
 func TestRestoreRequiresFreshProcessor(t *testing.T) {
@@ -319,6 +343,15 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("EMCK"))
 	f.Add([]byte("not a checkpoint at all, just bytes"))
+	// A version-1 header over a valid payload, and a detector past its
+	// first TrackBlock (band samples and block rows both present).
+	f.Add(asVersion1(valid))
+	kdBlock, err := stream.NewKeylogDetector(keyCfg, 240e3, 300e3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	kdBlock.Push(make([]complex128, 500000))
+	f.Add(kdBlock.EncodeState())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rx, err := stream.NewCovertReceiver(covCfg, covCap.SampleRate, covCap.CenterFreqHz)

@@ -191,7 +191,8 @@ func TestDaemonQueueDepthAndLatency(t *testing.T) {
 // concurrent streams — four covert receivers and four keylog detectors,
 // fed the same captures at different chunk sizes by competing producer
 // goroutines over a three-worker pool — all finalize to outputs
-// DeepEqual to their batch pipelines. This is the same contract CI's
+// DeepEqual to covert.Demodulate and keylog.Detect, the same processors
+// fed the whole capture as one chunk. This is the same contract CI's
 // daemon smoke job checks end-to-end through `emscope serve -verify`.
 func TestDaemonStreamsMatchBatch(t *testing.T) {
 	pc := prepCovert(t, true, 2)

@@ -6,6 +6,7 @@ import (
 
 	"pmuleak/internal/core"
 	"pmuleak/internal/covert"
+	"pmuleak/internal/dsp"
 	"pmuleak/internal/faults"
 	"pmuleak/internal/keylog"
 	"pmuleak/internal/sdr"
@@ -50,11 +51,14 @@ func prepCovert(t *testing.T, withFaults bool, parallelism int) *core.PreparedCo
 	return p
 }
 
-// TestCovertStreamEqualsBatch is the tentpole differential: for every
-// chunk size in the sweep — hop-aligned or not — with faults off and
-// on, at receiver parallelism 1 and 4, the streaming receiver's
-// finalized Demod equals the batch Demodulate output field for field
-// (decoded bits, BER inputs, traces, quality report).
+// TestCovertStreamEqualsBatch pins chunking invariance through the
+// daemon's checkpointable wrapper: for every chunk size in the sweep —
+// hop-aligned or not — with faults off and on, at receiver parallelism
+// 1 and 4, the chunked receiver's finalized Demod equals
+// covert.Demodulate (the same receiver fed the capture as one chunk)
+// field for field (decoded bits, BER inputs, traces, quality report).
+// The covert package holds the receiver to the pre-streaming batch
+// pipeline, kept there as a test oracle.
 func TestCovertStreamEqualsBatch(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -99,8 +103,8 @@ func abbreviateDemod(d *covert.Demod) covert.Demod {
 }
 
 // TestCovertStreamShortCapture pins the degenerate gate: a capture
-// shorter than 4 FFT windows decodes to the same empty Demod on both
-// paths, for chunk sizes below, at, and above the capture length.
+// shorter than 4 FFT windows decodes to the same empty Demod chunked and
+// whole, for chunk sizes below, at, and above the capture length.
 func TestCovertStreamShortCapture(t *testing.T) {
 	cfg := covert.DefaultRXConfig()
 	cfg.ExpectedF0 = 360e3
@@ -127,10 +131,9 @@ func TestCovertStreamShortCapture(t *testing.T) {
 	}
 }
 
-// TestCovertStreamRequiresHint pins the streaming contract: without an
-// ExpectedF0 hint the batch path falls back to blind PSD peak selection
-// (a function of the finished capture), which the streaming receiver
-// must refuse up front rather than silently diverge.
+// TestCovertStreamRequiresHint pins the receiver contract: the offsets
+// must be known before the capture ends, so a config without an
+// ExpectedF0 hint is refused up front.
 func TestCovertStreamRequiresHint(t *testing.T) {
 	cfg := covert.DefaultRXConfig()
 	if _, err := stream.NewCovertReceiver(cfg, 2.4e6, 540e3); err == nil {
@@ -157,9 +160,10 @@ func prepKeylog(t *testing.T, withFaults bool, parallelism int) *core.PreparedKe
 	return p
 }
 
-// TestKeylogStreamEqualsBatch: the streaming detector's finalized
-// Detection equals keylog.Detect over the same capture for the full
-// chunk sweep, faults off and on, parallelism 1 and 4. With faults on,
+// TestKeylogStreamEqualsBatch: the chunked detector's finalized
+// Detection equals keylog.Detect (the same detector fed the capture as
+// one chunk) for the full chunk sweep, faults off and on, parallelism 1
+// and 4. With faults on,
 // the injected block drops delete samples before chunking, so the
 // splice seams land mid-chunk for large sizes and exactly on chunk
 // boundaries for size 1.
@@ -200,21 +204,18 @@ func TestKeylogStreamEqualsBatch(t *testing.T) {
 }
 
 // TestKeylogStreamShortCapture: a capture shorter than one STFT frame
-// detects nothing on both paths.
+// detects nothing, chunked or whole.
 func TestKeylogStreamShortCapture(t *testing.T) {
 	cfg := keylog.DefaultDetectorConfig()
 	cfg.ExpectedF0 = 360e3
-	g, ok := keylog.PlanGeometry(cfg, 240e3)
-	if !ok {
-		t.Fatal("geometry unexpectedly degenerate")
-	}
+	fftSize := dsp.NextPowerOfTwo(int(cfg.Window.Seconds() * 240e3))
 	cap := &sdr.Capture{
-		IQ:           make([]complex128, g.FFTSize-1),
+		IQ:           make([]complex128, fftSize-1),
 		SampleRate:   240e3,
 		CenterFreqHz: 300e3,
 	}
 	batch := keylog.Detect(cap, cfg)
-	for _, size := range []int{1, g.FFTSize / 3, len(cap.IQ) + 1} {
+	for _, size := range []int{1, fftSize / 3, len(cap.IQ) + 1} {
 		det, err := stream.NewKeylogDetector(cfg, cap.SampleRate, cap.CenterFreqHz)
 		if err != nil {
 			t.Fatalf("NewKeylogDetector: %v", err)
@@ -228,7 +229,8 @@ func TestKeylogStreamShortCapture(t *testing.T) {
 	}
 }
 
-// TestKeylogStreamContract pins the two streaming prerequisites.
+// TestKeylogStreamContract pins the detector's two prerequisites: an
+// ExpectedF0 hint for the initial band and a positive TrackBlock.
 func TestKeylogStreamContract(t *testing.T) {
 	cfg := keylog.DefaultDetectorConfig()
 	if _, err := stream.NewKeylogDetector(cfg, 240e3, 300e3); err == nil {
@@ -242,42 +244,5 @@ func TestKeylogStreamContract(t *testing.T) {
 	cfg.TrackBlock = keylog.DefaultDetectorConfig().TrackBlock
 	if _, err := stream.NewKeylogDetector(cfg, 240e3, 300e3); err != nil {
 		t.Fatalf("NewKeylogDetector rejected a valid streaming config: %v", err)
-	}
-}
-
-// TestRunStreamMatchesRunBatch closes the loop at the result level: the
-// core entry points produce identical scored results — decoded bits and
-// BER for covert, keystroke precision/recall/F1 for keylog — through
-// the batch and streaming receivers, at -jobs 1 and 4.
-func TestRunStreamMatchesRunBatch(t *testing.T) {
-	for _, jobs := range []int{1, 4} {
-		tb := core.NewTestbed(core.WithSeed(3))
-		ccfg := core.CovertConfig{PayloadBits: 64, Parallelism: jobs}
-		batchC := tb.RunCovert(ccfg)
-		streamC, err := tb.RunCovertStream(ccfg, 10000)
-		if err != nil {
-			t.Fatalf("RunCovertStream: %v", err)
-		}
-		if !reflect.DeepEqual(batchC.Measurement, streamC.Measurement) {
-			t.Errorf("jobs %d: covert measurement diverged: batch %+v stream %+v",
-				jobs, batchC.Measurement, streamC.Measurement)
-		}
-		if !reflect.DeepEqual(batchC.Demod.Bits, streamC.Demod.Bits) {
-			t.Errorf("jobs %d: covert bits diverged", jobs)
-		}
-
-		kcfg := core.KeylogConfig{Words: 3, Parallelism: jobs}
-		batchK := tb.RunKeylog(kcfg)
-		streamK, err := tb.RunKeylogStream(kcfg, 7777)
-		if err != nil {
-			t.Fatalf("RunKeylogStream: %v", err)
-		}
-		if !reflect.DeepEqual(batchK.Char, streamK.Char) {
-			t.Errorf("jobs %d: keystroke scores diverged: batch %+v stream %+v",
-				jobs, batchK.Char, streamK.Char)
-		}
-		if !reflect.DeepEqual(batchK.Detection, streamK.Detection) {
-			t.Errorf("jobs %d: detections diverged", jobs)
-		}
 	}
 }

@@ -1,37 +1,27 @@
-// Package stream turns the repo's batch receive pipelines into
-// incremental, bounded-memory stream processors — the shape of the
+// Package stream is the transport and supervision layer of the
 // long-lived attack monitor the paper's threat model implies (§V runs
 // continuous near-field monitoring; an always-on receiver cannot hold
-// the whole capture).
+// the whole capture). The receive pipelines themselves live in the
+// packages that define them, as incremental processors: covert.Receiver
+// (§IV-B) and keylog.Detector (§V-C) consume chunks of any size and are
+// also what covert.Demodulate and keylog.Detect run, with the whole
+// capture as one chunk. This package moves chunks to them and keeps
+// them alive:
 //
-// Two processors mirror the two batch pipelines:
+//   - Ring is the chunked ring-buffer source that feeds a processor from
+//     another goroutine with bounded buffering and blocking
+//     backpressure;
+//   - Daemon multiplexes many Ring→processor streams over a fixed worker
+//     pool, with panic quarantine, admission control and load shedding
+//     (daemon.go), and supervised sources with stall retry and restart
+//     (supervise.go);
+//   - CovertReceiver and KeylogDetector wrap the two processors with
+//     EMCK checkpoint/restore (checkpoint.go), so a killed daemon
+//     resumes byte-identically.
 //
-//   - CovertReceiver streams §IV-B: an online Welch PSD accumulator, a
-//     resonator bank carried sample-to-sample across chunk boundaries
-//     (one decimated acquisition trace per carrier-retry widen level),
-//     and a running carrier/period tracker. Finalize hands the compact
-//     decimated trace to covert.DemodulateTrace — the exact batch back
-//     half — so the decoded bits are byte-identical to
-//     covert.Demodulate over the concatenated samples.
-//
-//   - KeylogDetector streams §V-C: an online non-overlapping STFT with
-//     the partial frame carried across chunk boundaries, per-block
-//     spike re-acquisition through keylog.ScanBlock as each TrackBlock
-//     fills, and keylog.FinishDetection over the accumulated band
-//     trace at Finalize — byte-identical to keylog.Detect.
-//
-// The memory contract is the point: a CovertReceiver holds O(FFTSize +
-// n/DecimateFactor) floats instead of the 16 n bytes of raw IQ, and a
-// KeylogDetector holds O(TrackBlock·rate + n/fftSize). Both processors
-// consume chunks of any size — including size 1, chunks larger than
-// the whole capture, and sizes not divisible by the STFT hop — and the
-// differential tests pin bit-equality against the batch pipelines for
-// all of them.
-//
-// Ring is the chunked ring-buffer source that feeds a processor from
-// another goroutine with bounded buffering and blocking backpressure;
-// Daemon multiplexes many Ring→processor streams over a fixed worker
-// pool (see daemon.go).
+// The memory contract is the processors': a covert.Receiver holds
+// O(FFTSize + n/DecimateFactor) floats instead of the 16 n bytes of raw
+// IQ, and a keylog.Detector holds O(TrackBlock·rate + n/fftSize).
 package stream
 
 import (

@@ -310,13 +310,34 @@ func TestSuperviseTransientSourceErrors(t *testing.T) {
 // control as AttachE.
 func TestSuperviseAdmission(t *testing.T) {
 	d := stream.NewDaemon(1, stream.WithMaxStreams(1))
-	sv, err := d.Supervise("sup_adm0", &countProc{}, 2, stream.NewSliceSource(make([]complex128, 64), 16), stream.SuperviseConfig{})
+	// The first stream's source holds it open until the refusal has been
+	// checked: a source that could drain first would release the only
+	// admission slot and let the second stream in.
+	gate := &gateSource{release: make(chan struct{})}
+	sv, err := d.Supervise("sup_adm0", &countProc{}, 2, gate, stream.SuperviseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Supervise("sup_adm1", &countProc{}, 2, stream.NewSliceSource(make([]complex128, 64), 16), stream.SuperviseConfig{}); err == nil {
 		t.Fatal("Supervise ignored the admission limit")
 	}
+	close(gate.release)
 	sv.Wait()
 	d.Drain()
+}
+
+// gateSource serves one chunk, then blocks in Next until release is
+// closed, then ends the capture.
+type gateSource struct {
+	release chan struct{}
+	served  bool
+}
+
+func (s *gateSource) Next() ([]complex128, error) {
+	if !s.served {
+		s.served = true
+		return make([]complex128, 16), nil
+	}
+	<-s.release
+	return nil, io.EOF
 }
