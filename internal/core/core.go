@@ -133,10 +133,10 @@ func NewTestbed(opts ...Option) *Testbed {
 }
 
 // Validate reports configuration errors in the assembled testbed — the
-// checks emchannel.Apply and sdr.Acquire would otherwise panic on deep
-// inside a run. Command-line tools call it right after flag parsing so
-// a bad -distance or -noise exits with a message instead of a stack
-// trace.
+// checks of emchannel.NewPath and sdr.NewFrontend that a run would
+// otherwise panic on deep inside. Command-line tools call it right
+// after flag parsing so a bad -distance or -noise exits with a message
+// instead of a stack trace.
 func (tb *Testbed) Validate() error {
 	if err := tb.Channel.Validate(); err != nil {
 		return err
@@ -188,7 +188,7 @@ type CovertConfig struct {
 	Parallelism int
 	// Faults injects acquisition faults (USB overrun drops, clock ppm
 	// error, AGC gain steps, saturation bursts, truncation) into the
-	// capture between sdr.Acquire and the demodulator. The zero value
+	// finished capture, before the demodulator. The zero value
 	// injects nothing. The fault schedule derives from the testbed
 	// seed, so it is reproducible and independent of -jobs; it is
 	// receiver-side, so transmitter-trace cache hits are unaffected.
@@ -274,20 +274,16 @@ func (tb *Testbed) PrepareCovert(cfg CovertConfig) *PreparedCovert {
 	cfg.fill(tb)
 	tr, cached := tb.transmitterTrace(cfg)
 
-	rng := xrand.New(tb.Seed + 104729)
-	chSpan := stageChannel.Start()
-	field := emchannel.Apply(tr.field, tr.plan.SampleRate, tb.Channel, rng)
-	chSpan.End()
+	cap, sp := tb.synthesize(emission{plan: tr.plan, field: tr.field},
+		xrand.New(tb.Seed+channelSeedOffset), false)
+	stageChannel.Observe(sp.channel)
+	stageSDR.Observe(sp.radio)
 	if !cached {
 		// A non-cached trace is exclusively ours and its pre-channel
-		// field is dead once Apply has consumed it.
+		// field is dead once the channel has read it.
 		dsp.PutIQ(tr.field)
 		tr.field = nil
 	}
-	sdrSpan := stageSDR.Start()
-	cap := sdr.Acquire(field, tr.plan.CenterFreqHz, tb.Radio, rng.Fork())
-	sdrSpan.End()
-	dsp.PutIQ(field) // Acquire copied what it needed
 
 	var faultRep faults.Report
 	if cfg.Faults.Enabled() {
@@ -406,8 +402,8 @@ type KeylogConfig struct {
 	// default, 1 = serial); nonzero values override the Detector
 	// config's own knob. Parallel and serial paths are bit-identical.
 	Parallelism int
-	// Faults injects acquisition faults into the capture between
-	// sdr.Acquire and the detector (see CovertConfig.Faults).
+	// Faults injects acquisition faults into the finished capture,
+	// before the detector (see CovertConfig.Faults).
 	Faults faults.Config
 	// GapAware turns on the detector's per-block threshold
 	// normalization (keylog.DetectorConfig.GapAware) without having to
@@ -494,20 +490,10 @@ func (tb *Testbed) PrepareKeylog(cfg KeylogConfig) *PreparedKeylog {
 	sys.Run(horizon)
 	simSpan.End()
 
-	plan := tb.keylogPlan()
-	emitSpan := stageEmit.Start()
-	raw := sys.Emanations(horizon, plan)
-	emitSpan.End()
-	chSpan := stageChannel.Start()
-	field := emchannel.Apply(raw, plan.SampleRate, tb.Channel, rng.Fork())
-	chSpan.End()
-	dsp.PutIQ(raw)
-	radio := tb.Radio
-	radio.SampleRate = plan.SampleRate
-	sdrSpan := stageSDR.Start()
-	cap := sdr.Acquire(field, plan.CenterFreqHz, radio, rng.Fork())
-	sdrSpan.End()
-	dsp.PutIQ(field)
+	cap, sp := tb.synthesize(emission{plan: tb.keylogPlan(), sys: sys, horizon: horizon}, rng, true)
+	stageEmit.Observe(sp.emit)
+	stageChannel.Observe(sp.channel)
+	stageSDR.Observe(sp.radio)
 
 	var faultRep faults.Report
 	if cfg.Faults.Enabled() {
@@ -567,13 +553,7 @@ func (tb *Testbed) MicrobenchSpectrogram(active, idle sim.Time, cycles int) *dsp
 	workload.Microbench(sys.Kernel(), active, idle, cycles)
 	horizon := sim.Time(float64(active+idle)*float64(cycles)*1.3) + 2*sim.Millisecond
 	sys.Run(horizon)
-	plan := sys.DefaultPlan()
-	raw := sys.Emanations(horizon, plan)
-	rng := xrand.New(tb.Seed + 104729)
-	field := emchannel.Apply(raw, plan.SampleRate, tb.Channel, rng)
-	dsp.PutIQ(raw)
-	cap := sdr.Acquire(field, plan.CenterFreqHz, tb.Radio, rng.Fork())
-	dsp.PutIQ(field)
+	cap := tb.Capture(sys, horizon, sys.DefaultPlan())
 	s := dsp.STFT(cap.IQ, 1024, 512, dsp.Hann(1024), cap.SampleRate)
 	cap.Recycle()
 	return s
@@ -589,14 +569,7 @@ func (tb *Testbed) KeylogSpectrogram(text string) (*dsp.Spectrogram, []keylog.Ke
 	horizon := keylog.SessionHorizon(events)
 	keylog.Inject(sys.Kernel(), events, horizon, keylog.DefaultHandlingConfig(), rng.Fork())
 	sys.Run(horizon)
-	plan := tb.keylogPlan()
-	raw := sys.Emanations(horizon, plan)
-	field := emchannel.Apply(raw, plan.SampleRate, tb.Channel, rng.Fork())
-	dsp.PutIQ(raw)
-	radio := tb.Radio
-	radio.SampleRate = plan.SampleRate
-	cap := sdr.Acquire(field, plan.CenterFreqHz, radio, rng.Fork())
-	dsp.PutIQ(field)
+	cap, _ := tb.synthesize(emission{plan: tb.keylogPlan(), sys: sys, horizon: horizon}, rng, true)
 	fft := 2048
 	s := dsp.STFT(cap.IQ, fft, fft, dsp.Hann(fft), cap.SampleRate)
 	cap.Recycle()
@@ -641,12 +614,7 @@ func (tb *Testbed) StateAblation(active, idle sim.Time, cycles int) []AblationRo
 		horizon := sim.Time(float64(active+idle) * float64(cycles) * 1.2)
 		sys.Run(horizon)
 		plan := sys.DefaultPlan()
-		raw := sys.Emanations(horizon, plan)
-		rng := xrand.New(tb.Seed + 104729)
-		field := emchannel.Apply(raw, plan.SampleRate, tb.Channel, rng)
-		dsp.PutIQ(raw)
-		cap := sdr.Acquire(field, plan.CenterFreqHz, tb.Radio, rng.Fork())
-		dsp.PutIQ(field)
+		cap := tb.Capture(sys, horizon, plan)
 		sys.Close()
 
 		s := dsp.STFT(cap.IQ, 1024, 512, dsp.Hann(1024), cap.SampleRate)
@@ -678,15 +646,7 @@ func (tb *Testbed) ActivityDuration(work sim.Time) (float64, error) {
 	sys.Kernel().InjectBurst(start, work)
 	horizon := start + work + 40*sim.Millisecond
 	sys.Run(horizon)
-	plan := tb.keylogPlan()
-	raw := sys.Emanations(horizon, plan)
-	rng := xrand.New(tb.Seed + 104729)
-	field := emchannel.Apply(raw, plan.SampleRate, tb.Channel, rng)
-	dsp.PutIQ(raw)
-	radio := tb.Radio
-	radio.SampleRate = plan.SampleRate
-	cap := sdr.Acquire(field, plan.CenterFreqHz, radio, rng.Fork())
-	dsp.PutIQ(field)
+	cap := tb.Capture(sys, horizon, tb.keylogPlan())
 
 	detCfg := keylog.DefaultDetectorConfig()
 	detCfg.ExpectedF0 = tb.Profile.VRM.SwitchingFreqHz

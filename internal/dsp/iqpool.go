@@ -12,9 +12,11 @@ import (
 //
 // Contract: GetIQ returns a buffer of exactly length n whose contents
 // are ARBITRARY — callers must fully overwrite every element before
-// reading any (emchannel.Apply and sdr.Acquire both do). PutIQ must
-// only be called once the buffer is provably dead: no Capture, Demod,
-// or cached trace may still reference it.
+// reading any (em.Render, emchannel.Path.Process and
+// sdr.Frontend.Process all do, so a capture's buffer is rendered, run
+// through the channel and the radio in place, and handed to the
+// capture). PutIQ must only be called once the buffer is provably
+// dead: no Capture, Demod, or cached trace may still reference it.
 var iqPool sync.Pool
 
 // The pool's accounting. Gets and puts count call sites and are

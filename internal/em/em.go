@@ -133,17 +133,29 @@ func (c Config) SampleCount(horizon sim.Time) int {
 }
 
 // renderBlock is how many envelope buckets the pulse walk gets ahead
-// of the sample loop between hand-offs.
+// of the sample loop between hand-offs, and the longest piece the
+// sample loop renders before it calls the stage.
 const renderBlock = 1 << 14
 
+// Stage processes a piece of Render's output in place. Render calls it
+// on the render goroutine (Render's caller) once for each consecutive
+// piece of out, in sample order, as soon as the piece is final; the
+// pieces tile out, and none is longer than renderBlock samples.
+type Stage func(piece []complex128)
+
 // Render converts a VRM pulse train into an IQ baseband stream over
-// [0, horizon). The result has Config.SampleCount(horizon) samples.
+// [0, horizon), written to out, which must hold
+// Config.SampleCount(horizon) samples. Render writes every sample, so
+// out may come from dsp.GetIQ. When stage is not nil, Render calls it
+// on each piece of out as soon as the piece is final.
 //
 // The train is never materialized: each pulse's charge goes straight
 // into its envelope bucket as the train is walked, and the sample loop
 // smooths and renders buckets once they are final. With more than one
 // P the walk runs on its own goroutine, a block ahead of the sample
-// loop, and has exited when Render returns. The walk draws only from
+// loop and the stage; with one P it runs first, and the sample loop
+// and the stage then follow a piece at a time. The walk has exited when
+// Render returns, also when the stage panics. The walk draws only from
 // the train's random source and the sample loop only from rng, so the
 // output does not depend on the overlap.
 //
@@ -152,14 +164,16 @@ const renderBlock = 1 << 14
 // guarantees for a VRM switching at that frequency. Render panics if a
 // pulse lands in a bucket already marked final, or if the train
 // panics.
-func Render(train vrm.Train, horizon sim.Time, cfg Config, rng *xrand.Source) []complex128 {
+func Render(out []complex128, train vrm.Train, horizon sim.Time, cfg Config, rng *xrand.Source, stage Stage) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	n := cfg.SampleCount(horizon)
-	out := make([]complex128, n)
+	if len(out) != n {
+		panic(fmt.Sprintf("em: Render into %d samples, want %d", len(out), n))
+	}
 	if n == 0 {
-		return out
+		return
 	}
 	env := newEnvelope(horizon, n, cfg)
 	syn := newSynth(cfg, rng)
@@ -172,20 +186,25 @@ func Render(train vrm.Train, horizon sim.Time, cfg Config, rng *xrand.Source) []
 			defer func() { env.panicked = recover() }()
 			train(env.add)
 		}()
+		// If the stage panics, wait for the walk to finish before the
+		// panic leaves Render.
+		defer func() {
+			for range env.ready {
+			}
+		}()
 		for final := range env.ready {
-			syn.render(out, env.rate, syn.renderable(final))
+			syn.emit(out, env.rate, syn.renderable(final), stage)
 		}
 	} else {
 		train(env.add)
 	}
-	syn.render(out, env.rate, n)
 	if env.panicked != nil {
 		panic(env.panicked)
 	}
 	if env.late {
 		panic("em: pulse train is out of walk order for its switching frequency")
 	}
-	return out
+	syn.emit(out, env.rate, n, stage)
 }
 
 // envelope is the emission envelope built from a pulse train as it is
@@ -332,6 +351,18 @@ func newSynth(cfg Config, rng *xrand.Source) *synth {
 // reaches w-half-1 buckets past it.
 func (s *synth) renderable(final int) int {
 	return max(final+s.half-s.w+1, 0)
+}
+
+// emit renders samples up to (not including) upTo in pieces of at
+// most renderBlock, and stages each piece once it is rendered.
+func (s *synth) emit(out []complex128, env []float64, upTo int, stage Stage) {
+	for s.next < upTo {
+		lo := s.next
+		s.render(out, env, min(lo+renderBlock, upTo))
+		if stage != nil {
+			stage(out[lo:s.next])
+		}
+	}
 }
 
 // render renders samples up to (not including) upTo.

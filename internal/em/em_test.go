@@ -21,6 +21,13 @@ func replay(pulses []vrm.Pulse) vrm.Train {
 	}
 }
 
+// render renders train into a fresh buffer with no stage.
+func render(train vrm.Train, horizon sim.Time, cfg Config, rng *xrand.Source) []complex128 {
+	out := make([]complex128, cfg.SampleCount(horizon))
+	Render(out, train, horizon, cfg, rng, nil)
+	return out
+}
+
 // fullLoadPulses builds a constant full-load pulse train at the config's
 // switching frequency.
 func fullLoadPulses(cfg Config, horizon sim.Time, charge float64) []vrm.Pulse {
@@ -94,7 +101,7 @@ func TestRenderSpikesAtHarmonics(t *testing.T) {
 	cfg.PhaseNoiseSigma = 0
 	horizon := 20 * sim.Millisecond
 	pulses := fullLoadPulses(cfg, horizon, 20/cfg.SwitchingFreqHz)
-	iq := Render(replay(pulses), horizon, cfg, xrand.New(1))
+	iq := render(replay(pulses), horizon, cfg, xrand.New(1))
 
 	psd := dsp.WelchPSD(iq, 4096)
 	fundBin := dsp.FrequencyBin(cfg.SwitchingFreqHz-cfg.CenterFreqHz, 4096, cfg.SampleRate)
@@ -123,8 +130,8 @@ func TestRenderAmplitudeTracksLoad(t *testing.T) {
 	horizon := 10 * sim.Millisecond
 	strong := fullLoadPulses(cfg, horizon, 20/cfg.SwitchingFreqHz)
 	weak := fullLoadPulses(cfg, horizon, 0.5/cfg.SwitchingFreqHz)
-	strongIQ := Render(replay(strong), horizon, cfg, xrand.New(2))
-	weakIQ := Render(replay(weak), horizon, cfg, xrand.New(2))
+	strongIQ := render(replay(strong), horizon, cfg, xrand.New(2))
+	weakIQ := render(replay(weak), horizon, cfg, xrand.New(2))
 	if RMS(strongIQ) < 10*RMS(weakIQ) {
 		t.Fatalf("strong RMS %v vs weak RMS %v: modulation too shallow",
 			RMS(strongIQ), RMS(weakIQ))
@@ -143,7 +150,7 @@ func TestRenderOnOffKeying(t *testing.T) {
 			firstHalf = append(firstHalf, p)
 		}
 	}
-	iq := Render(replay(firstHalf), horizon, cfg, xrand.New(3))
+	iq := render(replay(firstHalf), horizon, cfg, xrand.New(3))
 	n := len(iq)
 	on := RMS(iq[:n/3])
 	off := RMS(iq[2*n/3:])
@@ -156,8 +163,8 @@ func TestRenderDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	horizon := sim.Millisecond
 	pulses := fullLoadPulses(cfg, horizon, 1e-5)
-	a := Render(replay(pulses), horizon, cfg, xrand.New(4))
-	b := Render(replay(pulses), horizon, cfg, xrand.New(4))
+	a := render(replay(pulses), horizon, cfg, xrand.New(4))
+	b := render(replay(pulses), horizon, cfg, xrand.New(4))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("render diverged at sample %d", i)
@@ -167,7 +174,7 @@ func TestRenderDeterministic(t *testing.T) {
 
 func TestRenderEmptyPulses(t *testing.T) {
 	cfg := DefaultConfig()
-	iq := Render(replay(nil), sim.Millisecond, cfg, xrand.New(5))
+	iq := render(replay(nil), sim.Millisecond, cfg, xrand.New(5))
 	if len(iq) != cfg.SampleCount(sim.Millisecond) {
 		t.Fatalf("len = %d", len(iq))
 	}
@@ -177,7 +184,7 @@ func TestRenderEmptyPulses(t *testing.T) {
 }
 
 func TestRenderZeroHorizon(t *testing.T) {
-	iq := Render(replay(nil), 0, DefaultConfig(), xrand.New(6))
+	iq := render(replay(nil), 0, DefaultConfig(), xrand.New(6))
 	if len(iq) != 0 {
 		t.Fatalf("len = %d", len(iq))
 	}
@@ -190,7 +197,7 @@ func TestPhaseNoiseBroadensSpike(t *testing.T) {
 		cfg.Harmonics = 1
 		cfg.PhaseNoiseSigma = sigma
 		pulses := fullLoadPulses(cfg, horizon, 20/cfg.SwitchingFreqHz)
-		iq := Render(replay(pulses), horizon, cfg, xrand.New(7))
+		iq := render(replay(pulses), horizon, cfg, xrand.New(7))
 		psd := dsp.WelchPSD(iq, 8192)
 		peak, _ := dsp.Max(psd)
 		// Count bins above half the peak.
@@ -227,7 +234,7 @@ func TestCarrierDriftMovesSpike(t *testing.T) {
 	cfg.CarrierDriftHzPerS = 50e3 // exaggerated for a short render
 	horizon := 100 * sim.Millisecond
 	pulses := fullLoadPulses(cfg, horizon, 20/cfg.SwitchingFreqHz)
-	iq := Render(replay(pulses), horizon, cfg, xrand.New(30))
+	iq := render(replay(pulses), horizon, cfg, xrand.New(30))
 
 	// Compare the spike position in the first and last fifths.
 	n := len(iq)
@@ -250,7 +257,7 @@ func TestCarrierDriftMovesSpike(t *testing.T) {
 func renderPanic(procs int, train vrm.Train) (got any) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	defer func() { got = recover() }()
-	Render(train, 20*sim.Millisecond, DefaultConfig(), xrand.New(8))
+	render(train, 20*sim.Millisecond, DefaultConfig(), xrand.New(8))
 	return nil
 }
 
@@ -298,7 +305,7 @@ func TestRenderWaitsForFinalBuckets(t *testing.T) {
 	for i := range pulses {
 		pulses[i].Charge *= 1 + 0.5*math.Sin(float64(i))
 	}
-	render := func(procs int) []complex128 {
+	renderAt := func(procs int) []complex128 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		train := func(emit func(vrm.Pulse)) {
 			for _, p := range pulses {
@@ -309,9 +316,9 @@ func TestRenderWaitsForFinalBuckets(t *testing.T) {
 				}
 			}
 		}
-		return Render(train, horizon, cfg, xrand.New(9))
+		return render(train, horizon, cfg, xrand.New(9))
 	}
-	want, got := render(1), render(4)
+	want, got := renderAt(1), renderAt(4)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("sample %d = %v, want %v", i, got[i], want[i])

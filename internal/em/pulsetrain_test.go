@@ -167,7 +167,7 @@ func TestPulseTrainAgreesWithOscillatorModel(t *testing.T) {
 
 	oscCfg := DefaultConfig()
 	oscCfg.PhaseNoiseSigma = 0
-	fast := Render(replay(pulses), horizon, oscCfg, xrand.New(8))
+	fast := render(replay(pulses), horizon, oscCfg, xrand.New(8))
 
 	peakBin := func(iq []complex128) int {
 		psd := dsp.WelchPSD(iq, 4096)

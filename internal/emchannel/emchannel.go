@@ -120,26 +120,62 @@ func (c Config) PathGain() float64 {
 
 // Apply propagates the IQ stream through the channel: scales by the path
 // gain, then adds interference and noise. A fresh slice is returned; the
-// input is not modified. The output buffer may come from the process
-// sample-buffer pool (dsp.GetIQ) — callers that are done with it can
+// input is not modified. The output buffer comes from the process
+// sample-buffer pool (dsp.GetIQ); callers that are done with it can
 // hand it back with dsp.PutIQ. sampleRate is needed to synthesize the
 // interferers.
 //
-// Apply panics on an invalid configuration; it is for callers whose
-// configs are validated by construction (the experiment runners).
-// Callers handling user input should use ApplyE and report the error.
+// Apply is NewPath and one Process over the whole stream. It panics on
+// an invalid configuration; it is for callers whose configs are
+// validated by construction. Callers handling user input build a Path
+// and report NewPath's error.
 func Apply(iq []complex128, sampleRate float64, cfg Config, rng *xrand.Source) []complex128 {
-	out, err := ApplyE(iq, sampleRate, cfg, rng)
+	p, err := NewPath(cfg, sampleRate, len(iq), rng)
 	if err != nil {
 		panic(err)
 	}
+	out := dsp.GetIQ(len(iq))
+	p.Process(out, iq)
 	return out
 }
 
-// ApplyE is Apply with the configuration errors returned instead of
-// panicking, including the rate-dependent checks (sub-sample interferer
-// gate periods) that Config.Validate alone cannot see.
-func ApplyE(iq []complex128, sampleRate float64, cfg Config, rng *xrand.Source) ([]complex128, error) {
+// Path is the channel as a block processor: it propagates a stream of
+// n samples a piece at a time, in sample order, carrying its state from
+// one piece to the next. Any split of the stream into pieces gives the
+// same bits.
+//
+// The random draws are interferer-major: for each interferer with
+// nonzero amplitude, in list order, one Uniform phase, then (for a
+// broadband one) two Normals per gated-on sample of the whole stream.
+// The noise's two Normals per sample come after all of them. So
+// NewPath draws every phase and every broadband value up front, and
+// Process draws only the noise.
+type Path struct {
+	gain  float64
+	sigma float64
+	ints  []interferer
+	rng   *xrand.Source
+	next  int // index of the next sample
+	n     int
+}
+
+// interferer is one nonzero-amplitude interferer's state.
+type interferer struct {
+	kind      InterfererKind
+	amp       float64
+	phase     float64
+	step      float64
+	gate, on  int          // gate period and gated-on length, in samples; gate 0 for CW
+	broadband []complex128 // pre-drawn values of the gated-on samples, in order
+	drawn     int          // broadband values used
+}
+
+// NewPath validates cfg against sampleRate and returns the channel for
+// a stream of n samples. It reports every configuration error,
+// including the rate-dependent checks (sub-sample interferer gate
+// periods) that Config.Validate alone cannot see. A broadband
+// interferer pre-draws its values, 16 B per gated-on sample.
+func NewPath(cfg Config, sampleRate float64, n int, rng *xrand.Source) (*Path, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -155,60 +191,73 @@ func ApplyE(iq []complex128, sampleRate float64, cfg Config, rng *xrand.Source) 
 		}
 	}
 	chApplies.Inc()
-	chSamples.Add(uint64(len(iq)))
-	gain := cfg.PathGain()
-	// Pooled buffer: the gain loop below overwrites every element before
-	// any read-modify op, so no zeroing is needed.
-	out := dsp.GetIQ(len(iq))
-	for i, v := range iq {
-		out[i] = v * complex(gain, 0)
-	}
+	p := &Path{gain: cfg.PathGain(), sigma: cfg.NoiseSigma, rng: rng, n: n}
 	for _, in := range cfg.Interferers {
-		addInterferer(out, sampleRate, in, rng)
-	}
-	if cfg.NoiseSigma > 0 {
-		for i := range out {
-			out[i] += complex(rng.Normal(0, cfg.NoiseSigma), rng.Normal(0, cfg.NoiseSigma))
-		}
-	}
-	return out, nil
-}
-
-func addInterferer(iq []complex128, sampleRate float64, in Interferer, rng *xrand.Source) {
-	if in.Amplitude == 0 {
-		return
-	}
-	phase := rng.Uniform(0, 2*math.Pi)
-	step := 2 * math.Pi * in.OffsetHz / sampleRate
-	// Round, don't truncate: a 0.9-sample period used to truncate to a
-	// zero-length gate, which the gateSamples > 0 check below silently
-	// turned into an always-on interferer. ApplyE rejects sub-sample
-	// periods outright, so rounding here only corrects the half-sample
-	// bias for legitimate periods.
-	gateSamples := int(math.Round(in.PeriodS * sampleRate))
-	onSamples := int(in.Duty * float64(gateSamples))
-	for i := range iq {
-		on := true
-		if in.Kind != CW && gateSamples > 0 {
-			on = i%gateSamples < onSamples
-		}
-		if !on {
+		if in.Amplitude == 0 {
 			continue
 		}
-		switch in.Kind {
-		case Broadband:
-			iq[i] += complex(rng.Normal(0, in.Amplitude), rng.Normal(0, in.Amplitude))
-		default:
-			phase += step
-			if phase > math.Pi {
-				phase -= 2 * math.Pi
-			} else if phase < -math.Pi {
-				phase += 2 * math.Pi
-			}
-			s, c := math.Sincos(phase)
-			iq[i] += complex(in.Amplitude*c, in.Amplitude*s)
+		it := interferer{
+			kind:  in.Kind,
+			amp:   in.Amplitude,
+			phase: rng.Uniform(0, 2*math.Pi),
+			step:  2 * math.Pi * in.OffsetHz / sampleRate,
 		}
+		if in.Kind != CW {
+			// Round, don't truncate: a 0.9-sample period used to
+			// truncate to a zero-length gate, which turned it into an
+			// always-on interferer. Sub-sample periods are rejected
+			// above, so rounding only corrects the half-sample bias.
+			it.gate = int(math.Round(in.PeriodS * sampleRate))
+			it.on = int(in.Duty * float64(it.gate))
+		}
+		if in.Kind == Broadband {
+			it.broadband = make([]complex128, n/it.gate*it.on+min(n%it.gate, it.on))
+			for j := range it.broadband {
+				it.broadband[j] = complex(rng.Normal(0, in.Amplitude), rng.Normal(0, in.Amplitude))
+			}
+		}
+		p.ints = append(p.ints, it)
 	}
+	return p, nil
+}
+
+// Process propagates the next len(src) samples of the stream into dst,
+// which must be as long as src and may alias it. It panics past the
+// stream's n samples.
+func (p *Path) Process(dst, src []complex128) {
+	if p.next+len(src) > p.n {
+		panic(fmt.Sprintf("emchannel: Process past the path's %d samples", p.n))
+	}
+	dst = dst[:len(src)]
+	chSamples.Add(uint64(len(src)))
+	gain := complex(p.gain, 0)
+	for i, v := range src {
+		x := v * gain
+		for j := range p.ints {
+			in := &p.ints[j]
+			if in.gate > 0 && (p.next+i)%in.gate >= in.on {
+				continue
+			}
+			if in.kind == Broadband {
+				x += in.broadband[in.drawn]
+				in.drawn++
+				continue
+			}
+			in.phase += in.step
+			if in.phase > math.Pi {
+				in.phase -= 2 * math.Pi
+			} else if in.phase < -math.Pi {
+				in.phase += 2 * math.Pi
+			}
+			s, c := math.Sincos(in.phase)
+			x += complex(in.amp*c, in.amp*s)
+		}
+		if p.sigma > 0 {
+			x += complex(p.rng.Normal(0, p.sigma), p.rng.Normal(0, p.sigma))
+		}
+		dst[i] = x
+	}
+	p.next += len(src)
 }
 
 // OfficePrinter returns the paper's Fig. 10 printer-style interferer: a

@@ -7,8 +7,8 @@ import (
 )
 
 // TestSubSamplePeriodRejected: the old truncation bug made an
-// interferer with PeriodS*sampleRate < 1 silently always-on; ApplyE now
-// rejects it, and a period that rounds to at least one sample gates
+// interferer with PeriodS*sampleRate < 1 silently always-on; NewPath
+// now rejects it, and a period that rounds to at least one sample gates
 // properly.
 func TestSubSamplePeriodRejected(t *testing.T) {
 	cfg := DefaultConfig()
@@ -19,8 +19,8 @@ func TestSubSamplePeriodRejected(t *testing.T) {
 		PeriodS:   1e-9, // well under one sample at any practical rate
 		Duty:      0.5,
 	}}
-	if _, err := ApplyE(make([]complex128, 64), 2.4e6, cfg, xrand.New(1)); err == nil {
-		t.Fatal("ApplyE accepted a sub-sample interferer gate period")
+	if _, err := NewPath(cfg, 2.4e6, 64, xrand.New(1)); err == nil {
+		t.Fatal("NewPath accepted a sub-sample interferer gate period")
 	}
 }
 
@@ -37,10 +37,12 @@ func TestNearSampleGateRounds(t *testing.T) {
 		PeriodS:   1.6 / rate, // rounds to 2 samples
 		Duty:      0.5,        // 1 sample on, 1 off
 	}}
-	out, err := ApplyE(make([]complex128, 32), rate, cfg, xrand.New(1))
+	p, err := NewPath(cfg, rate, 32, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([]complex128, 32)
+	p.Process(out, out)
 	// Duty 0.5 of a 2-sample gate: every other sample carries the
 	// interferer, the rest must be exactly zero (zero input, no noise).
 	var on, off int
@@ -62,14 +64,14 @@ func TestNearSampleGateRounds(t *testing.T) {
 	}
 }
 
-func TestApplyEReturnsError(t *testing.T) {
+func TestNewPathReturnsError(t *testing.T) {
 	bad := DefaultConfig()
 	bad.DistanceM = -1
-	if _, err := ApplyE(make([]complex128, 16), 2.4e6, bad, xrand.New(1)); err == nil {
-		t.Fatal("ApplyE accepted invalid config")
+	if _, err := NewPath(bad, 2.4e6, 16, xrand.New(1)); err == nil {
+		t.Fatal("NewPath accepted invalid config")
 	}
-	if _, err := ApplyE(make([]complex128, 16), 0, DefaultConfig(), xrand.New(1)); err == nil {
-		t.Fatal("ApplyE accepted zero sample rate")
+	if _, err := NewPath(DefaultConfig(), 0, 16, xrand.New(1)); err == nil {
+		t.Fatal("NewPath accepted zero sample rate")
 	}
 	defer func() {
 		if recover() == nil {

@@ -14,7 +14,6 @@ import (
 	"pmuleak/internal/defense"
 	"pmuleak/internal/dsp"
 	"pmuleak/internal/ecc"
-	"pmuleak/internal/emchannel"
 	"pmuleak/internal/fingerprint"
 	"pmuleak/internal/kernel"
 	"pmuleak/internal/keylog"
@@ -622,13 +621,8 @@ func MultiCoreIsolation(seed int64, scale Scale) MultiCoreResult {
 
 		horizon := covert.AirtimeEstimate(frame, txCfg, prof.Kernel)
 		sys.Run(horizon)
-		plan := sys.DefaultPlan()
-		raw := sys.Emanations(horizon, plan)
-		rng := xrand.New(seed + 104729)
-		field := emchannel.Apply(raw, plan.SampleRate, emchannel.DefaultConfig(), rng)
-		dsp.PutIQ(raw)
-		cap := sdr.Acquire(field, plan.CenterFreqHz, sdr.DefaultConfig(), rng.Fork())
-		dsp.PutIQ(field)
+		tb := core.NewTestbed(core.WithLaptop(prof), core.WithSeed(seed))
+		cap := tb.Capture(sys, horizon, sys.DefaultPlan())
 
 		rxCfg := covert.DefaultRXConfig()
 		rxCfg.ExpectedF0 = prof.VRM.SwitchingFreqHz

@@ -210,7 +210,7 @@ func Fleet(seed int64, scale Scale, cells int64, shards int) FleetResult {
 	}
 
 	// Severity anchors replay the reference laptop's transmitter trace
-	// (faults are injected receiver-side, after sdr.Acquire) with the
+	// (faults are injected receiver-side, into the finished capture) with the
 	// self-healing receiver, matching the Robustness experiment's setup.
 	sevs := fleetSeverities()
 	sevBERs := sweep.Map(len(sevs)*scale.Runs, func(c int) float64 {

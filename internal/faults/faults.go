@@ -1,5 +1,5 @@
 // Package faults is a deterministic fault injector for the acquisition
-// chain. The simulated receiver path (emchannel.Apply → sdr.Acquire)
+// chain. The simulated receiver path (emchannel.Path → sdr.Frontend)
 // models steady-state artifacts — noise, AGC, quantization, interferers
 // — but a real RTL-SDR-v3 capture also suffers transient failures: USB
 // overruns that drop contiguous sample blocks, a sample clock that is

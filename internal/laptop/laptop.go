@@ -307,13 +307,28 @@ func (s *System) EmanationsPulseTrain(horizon sim.Time, plan EmanationPlan) []co
 	return em.RenderPulseTrain(train, horizon, cfg, s.rng.Fork())
 }
 
+// SampleCount returns the number of samples an emission over
+// [0, horizon) has under the plan.
+func (p EmanationPlan) SampleCount(horizon sim.Time) int {
+	return em.Config{SampleRate: p.SampleRate}.SampleCount(horizon)
+}
+
 // Emanations renders the machine's EM output over [0, horizon) as seen
 // at the reference distance. Call after Run has advanced past horizon.
-// The pulse train's random source is forked before the renderer's, so
-// the walk and the sample loop draw from separate streams.
 func (s *System) Emanations(horizon sim.Time, plan EmanationPlan) []complex128 {
+	out := make([]complex128, plan.SampleCount(horizon))
+	s.EmanationsInto(out, horizon, plan, nil)
+	return out
+}
+
+// EmanationsInto is Emanations rendered into out, which must hold
+// plan.SampleCount(horizon) samples, with stage called on each piece
+// of out as soon as it is final (see em.Render). The pulse train's
+// random source is forked before the renderer's, so the walk and the
+// sample loop draw from separate streams.
+func (s *System) EmanationsInto(out []complex128, horizon sim.Time, plan EmanationPlan, stage em.Stage) {
 	train := s.pulseTrain(horizon)
-	return em.Render(train, horizon, s.emConfig(plan), s.rng.Fork())
+	em.Render(out, train, horizon, s.emConfig(plan), s.rng.Fork(), stage)
 }
 
 // emConfig is the oscillator-model synthesis setup for this machine

@@ -53,11 +53,11 @@ func TestRecycleConcurrentMisuse(t *testing.T) {
 	}
 }
 
-func TestAcquireEReturnsError(t *testing.T) {
+func TestNewFrontendReturnsError(t *testing.T) {
 	bad := DefaultConfig()
 	bad.Bits = 0
-	if _, err := AcquireE(make([]complex128, 16), 970e3, bad, xrand.New(1)); err == nil {
-		t.Fatal("AcquireE accepted invalid config")
+	if _, err := NewFrontend(bad, xrand.New(1)); err == nil {
+		t.Fatal("NewFrontend accepted invalid config")
 	}
 	defer func() {
 		if recover() == nil {

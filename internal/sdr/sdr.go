@@ -102,7 +102,7 @@ func (c Config) Validate() error {
 	}
 	// Both impairments are signed: a DC spike can sit on either side of
 	// zero and the Q path can be the stronger one. Validation bounds the
-	// magnitude only; AcquireE applies them on != 0 (a > 0 guard here
+	// magnitude only; Frontend applies them on != 0 (a > 0 guard here
 	// used to silently drop negative values).
 	if math.Abs(c.DCOffset) > 0.2 {
 		return fmt.Errorf("sdr: DCOffset %v out of range [-0.2,0.2]", c.DCOffset)
@@ -173,70 +173,101 @@ func (c *Capture) Recycle() {
 // use-after-recycle into an explicit failure.
 func (c *Capture) Recycled() bool { return c.recycled.Load() }
 
-// recyclePoison enables the debug-mode poison fill in Recycle.
+// recyclePoison enables a debug-mode poison fill in Recycle: the
+// sample buffer is overwritten with NaN before it returns to the pool,
+// so a reader still aliasing a recycled capture's IQ computes garbage
+// loudly (NaN propagates through every DSP stage) instead of reading
+// stale but plausible samples. The package tests set it.
 var recyclePoison atomic.Bool
 
-// SetRecyclePoison toggles debug-mode recycle poisoning: when enabled,
-// Recycle overwrites the sample buffer with NaN before returning it to
-// the pool, so any reader still aliasing a recycled capture's IQ slice
-// computes garbage loudly (NaN propagates through every DSP stage)
-// instead of reading stale-but-plausible samples. Intended for tests and
-// debug builds of the capture daemon; the fill costs one pass over the
-// buffer per recycle.
-func SetRecyclePoison(on bool) { recyclePoison.Store(on) }
-
 // Acquire runs the input field samples through the receiver chain and
-// returns the capture a host application would see.
+// returns the capture a host application would see. The capture's
+// buffer comes from the process sample-buffer pool (dsp.GetIQ); the
+// input is not modified.
 //
-// Acquire panics on an invalid configuration; it is for callers whose
-// configs are validated by construction (the experiment runners).
-// Callers handling user input should use AcquireE and report the error.
+// Acquire is NewFrontend, one Process over the whole input, and
+// Capture. It panics on an invalid configuration; it is for callers
+// whose configs are validated by construction. Callers handling user
+// input build a Frontend and report NewFrontend's error.
 func Acquire(iq []complex128, centerFreqHz float64, cfg Config, rng *xrand.Source) *Capture {
-	cap, err := AcquireE(iq, centerFreqHz, cfg, rng)
+	f, err := NewFrontend(cfg, rng)
 	if err != nil {
 		panic(err)
 	}
-	return cap
+	out := dsp.GetIQ(len(iq))
+	f.Process(out, iq)
+	return f.Capture(out, centerFreqHz)
 }
 
-// AcquireE is Acquire with the configuration errors returned instead of
-// panicking.
-func AcquireE(iq []complex128, centerFreqHz float64, cfg Config, rng *xrand.Source) (*Capture, error) {
+// Frontend is the receiver chain as a block processor. Process runs
+// the analog front end (antenna gain, IQ imbalance, thermal noise) a
+// piece at a time, in sample order, and adds each sample's power to
+// the AGC's sum. Capture then applies the AGC gain, the DC offset and
+// the quantizer, which need that sum over the whole capture. Any split
+// of the input into pieces gives the same bits: the noise draws and the
+// AGC sum both run in sample order.
+type Frontend struct {
+	cfg  Config
+	gain float64
+	rng  *xrand.Source
+	sum  float64 // AGC sum of re²+im², in sample order
+	n    int     // samples processed
+}
+
+// NewFrontend validates cfg and returns a receiver whose thermal noise
+// draws from rng.
+func NewFrontend(cfg Config, rng *xrand.Source) (*Frontend, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	gain := math.Pow(10, cfg.Antenna.GainDB/20)
-	// Pooled buffer: the loop below writes every element before any
-	// read-modify op, so stale contents never leak into the capture.
-	out := dsp.GetIQ(len(iq))
-	for i, v := range iq {
-		out[i] = v * complex(gain, 0)
-		if cfg.IQImbalanceFrac != 0 {
+	return &Frontend{cfg: cfg, gain: math.Pow(10, cfg.Antenna.GainDB/20), rng: rng}, nil
+}
+
+// Process runs the next len(src) samples through the front end into
+// dst, which must be as long as src and may alias it.
+func (f *Frontend) Process(dst, src []complex128) {
+	gain, imbalance, sigma := f.gain, f.cfg.IQImbalanceFrac, f.cfg.ThermalNoiseSigma
+	agc, sum := f.cfg.AGCTargetRMS > 0, f.sum
+	dst = dst[:len(src)]
+	for i, v := range src {
+		x := v * complex(gain, 0)
+		if imbalance != 0 {
 			// Gain mismatch on the I path: scales the real part only,
 			// equivalent to leaking a conjugate image.
-			out[i] = complex(real(out[i])*(1+cfg.IQImbalanceFrac), imag(out[i]))
+			x = complex(real(x)*(1+imbalance), imag(x))
 		}
-		if cfg.ThermalNoiseSigma > 0 {
-			out[i] += complex(rng.Normal(0, cfg.ThermalNoiseSigma),
-				rng.Normal(0, cfg.ThermalNoiseSigma))
+		if sigma > 0 {
+			x += complex(f.rng.Normal(0, sigma), f.rng.Normal(0, sigma))
+		}
+		dst[i] = x
+		if agc {
+			sum += real(x)*real(x) + imag(x)*imag(x)
 		}
 	}
-	// AGC: single measurement over the capture (the RTL's gain is set
-	// once per tuning in practice). The RMS sum stays serial — it is an
-	// order-sensitive float reduction — while the gain application and
-	// the quantizer below are element-wise and run on the worker pool.
+	f.sum = sum
+	f.n += len(src)
+}
+
+// Capture finishes the acquisition of iq, which must hold exactly the
+// samples Process produced, and returns it as a capture that owns iq.
+//
+// AGC: a single measurement over the capture (the RTL's gain is set
+// once per tuning in practice), from the serial sum Process formed.
+// The gain application and the quantizer are element-wise and run on
+// the worker pool.
+func (f *Frontend) Capture(iq []complex128, centerFreqHz float64) *Capture {
+	if len(iq) != f.n {
+		panic(fmt.Sprintf("sdr: Capture of %d samples after Process of %d", len(iq), f.n))
+	}
+	cfg := &f.cfg
 	eng := dsp.NewEngine(cfg.Parallelism)
 	if cfg.AGCTargetRMS > 0 {
-		var sum float64
-		for _, v := range out {
-			sum += real(v)*real(v) + imag(v)*imag(v)
-		}
-		rms := math.Sqrt(sum / math.Max(1, float64(len(out))))
+		rms := math.Sqrt(f.sum / math.Max(1, float64(len(iq))))
 		if rms > 0 {
 			agc := cfg.AGCTargetRMS / rms
-			eng.Chunks(len(out), func(lo, hi int) {
+			eng.Chunks(len(iq), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					out[i] *= complex(agc, 0)
+					iq[i] *= complex(agc, 0)
 				}
 			})
 		}
@@ -244,27 +275,27 @@ func AcquireE(iq []complex128, centerFreqHz float64, cfg Config, rng *xrand.Sour
 	cap := &Capture{SampleRate: cfg.SampleRate, CenterFreqHz: centerFreqHz}
 	levels := float64(int(1) << (cfg.Bits - 1)) // e.g. 128 for 8-bit
 	var clipped atomic.Int64
-	eng.Chunks(len(out), func(lo, hi int) {
+	eng.Chunks(len(iq), func(lo, hi int) {
 		var clips int64
 		for i := lo; i < hi; i++ {
 			if cfg.DCOffset != 0 {
-				out[i] += complex(cfg.DCOffset, 0)
+				iq[i] += complex(cfg.DCOffset, 0)
 			}
-			re, cr := quantize(real(out[i]), levels)
-			im, ci := quantize(imag(out[i]), levels)
+			re, cr := quantize(real(iq[i]), levels)
+			im, ci := quantize(imag(iq[i]), levels)
 			if cr || ci {
 				clips++
 			}
-			out[i] = complex(re, im)
+			iq[i] = complex(re, im)
 		}
 		clipped.Add(clips)
 	})
 	cap.Clipped = int(clipped.Load())
-	cap.IQ = out
+	cap.IQ = iq
 	sdrCaptures.Inc()
-	sdrSamples.Add(uint64(len(out)))
+	sdrSamples.Add(uint64(len(iq)))
 	sdrClipped.Add(uint64(cap.Clipped))
-	return cap, nil
+	return cap
 }
 
 // quantize maps v in [-1,1) onto the ADC grid, clipping outside.

@@ -20,6 +20,18 @@ func quietConfig() Config {
 	return cfg
 }
 
+// acquire runs iq through a Frontend built from cfg in one piece.
+func acquire(t *testing.T, iq []complex128, cfg Config) *Capture {
+	t.Helper()
+	f, err := NewFrontend(cfg, xrand.New(1))
+	if err != nil {
+		t.Fatalf("NewFrontend: %v", err)
+	}
+	out := make([]complex128, len(iq))
+	f.Process(out, iq)
+	return f.Capture(out, 0)
+}
+
 // TestNegativeDCOffsetApplied pins the signed-impairment contract: a
 // negative DCOffset validates and shifts the capture the other way. The
 // historical `> 0` guard silently dropped it, making -0.05 behave as 0.
@@ -31,10 +43,7 @@ func TestNegativeDCOffsetApplied(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("Validate(DCOffset=%v): %v", cfg.DCOffset, err)
 		}
-		cap, err := AcquireE(iq, 0, cfg, xrand.New(1))
-		if err != nil {
-			t.Fatalf("AcquireE: %v", err)
-		}
+		cap := acquire(t, iq, cfg)
 		var mean complex128
 		for _, v := range cap.IQ {
 			mean += v
@@ -61,10 +70,7 @@ func TestNegativeIQImbalanceApplied(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate(IQImbalanceFrac=-0.1): %v", err)
 	}
-	cap, err := AcquireE(iq, 0, cfg, xrand.New(1))
-	if err != nil {
-		t.Fatalf("AcquireE: %v", err)
-	}
+	cap := acquire(t, iq, cfg)
 	// I path scaled by 1-0.1 = 0.9: 0.45*128 = 57.6 rounds to 58.
 	wantRe, wantIm := math.Round(0.5*0.9*128)/128, math.Round(0.5*128)/128
 	got := cap.IQ[17]
@@ -119,12 +125,9 @@ func TestDurationZeroSampleRate(t *testing.T) {
 // TestRecyclePoison pins the debug-mode use-after-recycle detector: an
 // aliased slice reads NaN after Recycle instead of stale samples.
 func TestRecyclePoison(t *testing.T) {
-	SetRecyclePoison(true)
-	defer SetRecyclePoison(false)
-	cap, err := AcquireE(make([]complex128, 2048), 0, quietConfig(), xrand.New(1))
-	if err != nil {
-		t.Fatalf("AcquireE: %v", err)
-	}
+	recyclePoison.Store(true)
+	defer recyclePoison.Store(false)
+	cap := acquire(t, make([]complex128, 2048), quietConfig())
 	alias := cap.IQ
 	if cap.Recycled() {
 		t.Fatal("fresh capture reports Recycled")
