@@ -373,19 +373,6 @@ func BenchmarkStageResonators(b *testing.B) {
 	}
 }
 
-func BenchmarkStageSlidingDFT(b *testing.B) {
-	rng := xrand.New(3)
-	x := make([]complex128, 1<<15)
-	for i := range x {
-		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
-	}
-	b.SetBytes(int64(len(x) * 16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dsp.SlidingDFT(x, 1024, []int{207, 817})
-	}
-}
-
 // BenchmarkSTFTParallel measures the engine's spectrogram throughput at
 // several worker counts over a half-megasample capture (the Fig. 2
 // shape: 1024-point FFT, 4x overlap). The parallel path also commits to
@@ -400,7 +387,7 @@ func BenchmarkSTFTParallel(b *testing.B) {
 	window := dsp.Hann(1024)
 	for _, p := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			eng := dsp.NewEngine(p)
+			eng := dsp.Engine{Parallelism: p}
 			b.ReportAllocs()
 			b.SetBytes(int64(len(x) * 16))
 			b.ResetTimer()
@@ -412,9 +399,10 @@ func BenchmarkSTFTParallel(b *testing.B) {
 }
 
 // BenchmarkDemodulateParallel times the receiver alone — the capture is
-// built once outside the loop — serial versus parallel, on a 256-bit
-// frame. The decoded bits are bit-identical between the sub-benchmarks
-// by the engine's equivalence guarantee; only wall-clock may differ.
+// built once outside the loop — serial versus parallel (the process-wide
+// DSP worker count), on a 256-bit frame. The decoded bits are
+// bit-identical between the sub-benchmarks by the engine's equivalence
+// guarantee; only wall-clock may differ.
 func BenchmarkDemodulateParallel(b *testing.B) {
 	prof := laptop.Reference()
 	sys := laptop.NewSystem(prof, 9)
@@ -435,12 +423,12 @@ func BenchmarkDemodulateParallel(b *testing.B) {
 	cfg.MinBitPeriod = txCfg.BitPeriod() / 2
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			c := cfg
-			c.Parallelism = p
+			dsp.SetDefaultParallelism(p)
+			b.Cleanup(func() { dsp.SetDefaultParallelism(0) })
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				covert.Demodulate(cap, c)
+				covert.Demodulate(cap, cfg)
 			}
 		})
 	}
@@ -502,53 +490,23 @@ func BenchmarkStageAlignment(b *testing.B) {
 // Experiment orchestrator (internal/sweep) benches.
 
 // BenchmarkTable3Orchestrated runs the Table III distance sweep through
-// the cell orchestrator at several worker counts, with the
-// transmitter-trace cache on and off. The rows are bit-identical across
+// the cell orchestrator at several worker counts, each iteration from
+// an empty transmitter-trace cache. The rows are bit-identical across
 // every sub-benchmark (the sweep contract); allocation reporting makes
-// the pooled-buffer savings visible. Note the Table III cells use
-// distinct seeds, so the cache helps only via RateSearch re-attempts
-// within a cell, not across cells.
+// the pooled-buffer savings visible.
 func BenchmarkTable3Orchestrated(b *testing.B) {
 	for _, jobs := range []int{1, runtime.NumCPU()} {
-		for _, cache := range []bool{false, true} {
-			b.Run(fmt.Sprintf("jobs=%d/cache=%v", jobs, cache), func(b *testing.B) {
-				sweep.SetDefaultJobs(jobs)
-				core.SetTraceCacheEnabled(cache)
-				b.Cleanup(func() {
-					sweep.SetDefaultJobs(0)
-					core.SetTraceCacheEnabled(true)
-					core.ResetTraceCache()
-				})
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					core.ResetTraceCache()
-					experiments.TableIII(7, benchScale)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationsTraceCache isolates the memoization win: the
-// receiver-ablation sweep runs the same transmitter configurations
-// twice (|S|=2 and |S|=1 groups share seeds), so with the cache on the
-// second group replays instead of re-simulating.
-func BenchmarkAblationsTraceCache(b *testing.B) {
-	for _, cache := range []bool{false, true} {
-		b.Run(fmt.Sprintf("cache=%v", cache), func(b *testing.B) {
-			sweep.SetDefaultJobs(1)
-			core.SetTraceCacheEnabled(cache)
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			sweep.SetDefaultJobs(jobs)
 			b.Cleanup(func() {
 				sweep.SetDefaultJobs(0)
-				core.SetTraceCacheEnabled(true)
 				core.ResetTraceCache()
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				core.ResetTraceCache()
-				experiments.ReceiverAblations(18, benchScale)
+				experiments.TableIII(7, benchScale)
 			}
 		})
 	}

@@ -57,7 +57,7 @@ func (a *artifactRun) write(cfg benchConfig, snap telemetry.Snapshot) (string, e
 // manifestFlags flattens the run configuration into the manifest's
 // stringly-typed flag map. Every knob that exists is recorded — the
 // report-identity ones (scale, only, seed, spectrograms, cells) because
-// -validate replays them, the execution-only ones (jobs, caches,
+// -validate replays them, the execution-only ones (parallel, jobs,
 // shards) because a regression hunt needs to know how the timed run was
 // shaped.
 func manifestFlags(cfg benchConfig) map[string]string {
@@ -71,8 +71,6 @@ func manifestFlags(cfg benchConfig) map[string]string {
 		"spectrograms":       strconv.FormatBool(cfg.Show),
 		"parallel":           strconv.Itoa(cfg.Parallel),
 		"jobs":               strconv.Itoa(cfg.Jobs),
-		"tracecache":         strconv.FormatBool(cfg.TraceCache),
-		"tracecache_cap":     strconv.Itoa(cfg.TraceCacheCap),
 		"cells":              strconv.FormatInt(cfg.Cells, 10),
 		"shards":             strconv.Itoa(cfg.Shards),
 	}
@@ -81,6 +79,9 @@ func manifestFlags(cfg benchConfig) map[string]string {
 // configFromManifest reconstructs a replayable benchConfig from
 // recorded flags. Observational outputs (stats, metrics, profiles,
 // artifacts) stay off: the replay's only product is the stdout digest.
+// Keys of retired execution-only flags in older manifests (nofused,
+// tracecache, tracecache_cap) are ignored: every value of them gave the
+// same report.
 func configFromManifest(m artifacts.Manifest) (benchConfig, error) {
 	get := func(key string) (string, error) {
 		v, ok := m.Flags[key]
@@ -148,12 +149,6 @@ func configFromManifest(m artifacts.Manifest) (benchConfig, error) {
 		return cfg, err
 	}
 	if cfg.Jobs, err = atoi("jobs"); err != nil {
-		return cfg, err
-	}
-	if cfg.TraceCache, err = atob("tracecache"); err != nil {
-		return cfg, err
-	}
-	if cfg.TraceCacheCap, err = atoi("tracecache_cap"); err != nil {
 		return cfg, err
 	}
 	runCellsStr, err := get("cells")

@@ -27,14 +27,13 @@ import (
 func resetOrchestrator(t *testing.T) {
 	t.Cleanup(func() {
 		sweep.SetDefaultJobs(0)
-		core.SetTraceCacheEnabled(true)
 		core.ResetTraceCache()
 	})
 }
 
 // executeArtifacts runs the harness with -artifacts under the golden
-// settings (serial, uncached, seed 2020) and returns stdout plus the
-// run directory.
+// settings (serial, seed 2020, an empty trace cache) and returns stdout
+// plus the run directory.
 func executeArtifacts(t *testing.T, root string) ([]byte, string) {
 	t.Helper()
 	core.ResetTraceCache()
@@ -154,33 +153,40 @@ func TestValidateReplay(t *testing.T) {
 // TestManifestFlagsRoundTrip pins that every recorded flag reconstructs
 // the configuration it came from, including a custom scale. Run
 // directories recorded while paperbench still had its -nofused kernel
-// switch carry "nofused": "false" or "true"; the two kernel sets were
-// byte-identical, so their recorded digests hold for the one path left,
-// and the key must be ignored rather than rejected.
+// switch carry "nofused": "false" or "true", and those recorded before
+// the trace cache lost its -tracecache and -tracecache-cap flags carry
+// "tracecache" and "tracecache_cap". Every value of those flags gave
+// the same report, so the recorded digests hold for the one path left,
+// and the keys must be ignored rather than rejected.
 func TestManifestFlagsRoundTrip(t *testing.T) {
 	cfg := benchConfig{
-		Scale:         goldenScale,
-		Only:          "table2",
-		Seed:          7,
-		Show:          true,
-		Parallel:      2,
-		Jobs:          3,
-		TraceCache:    true,
-		TraceCacheCap: 9,
-		Cells:         1 << 10,
-		Shards:        4,
+		Scale:    goldenScale,
+		Only:     "table2",
+		Seed:     7,
+		Show:     true,
+		Parallel: 2,
+		Jobs:     3,
+		Cells:    1 << 10,
+		Shards:   4,
 	}
-	for _, nofused := range []string{"", "false", "true"} {
+	for _, legacy := range []map[string]string{
+		nil,
+		{"nofused": "false"},
+		{"nofused": "true"},
+		{"tracecache": "true", "tracecache_cap": "0"},
+		{"tracecache": "false", "tracecache_cap": "0"},
+		{"tracecache": "true", "tracecache_cap": "9"},
+	} {
 		m := artifacts.Manifest{Flags: manifestFlags(cfg)}
-		if nofused != "" {
-			m.Flags["nofused"] = nofused
+		for k, v := range legacy {
+			m.Flags[k] = v
 		}
 		got, err := configFromManifest(m)
 		if err != nil {
-			t.Fatalf("nofused=%q: configFromManifest: %v", nofused, err)
+			t.Fatalf("legacy keys %v: configFromManifest: %v", legacy, err)
 		}
 		if got != cfg {
-			t.Fatalf("nofused=%q: round trip mismatch:\n got %+v\nwant %+v", nofused, got, cfg)
+			t.Fatalf("legacy keys %v: round trip mismatch:\n got %+v\nwant %+v", legacy, got, cfg)
 		}
 	}
 

@@ -12,18 +12,16 @@ import (
 
 // renderFleet runs only the fleet experiment through the binary's
 // execute path under the given campaign knobs.
-func renderFleet(t *testing.T, shards, jobs, cacheCap int, cells int64) []byte {
+func renderFleet(t *testing.T, shards, jobs int, cells int64) []byte {
 	t.Helper()
 	core.ResetTraceCache()
 	cfg := benchConfig{
-		Scale:         goldenScale,
-		Only:          "fleet",
-		Seed:          2020,
-		Jobs:          jobs,
-		Shards:        shards,
-		Cells:         cells,
-		TraceCache:    true,
-		TraceCacheCap: cacheCap,
+		Scale:  goldenScale,
+		Only:   "fleet",
+		Seed:   2020,
+		Jobs:   jobs,
+		Shards: shards,
+		Cells:  cells,
 	}
 	var out, errs bytes.Buffer
 	if code := execute(cfg, &out, &errs); code != 0 {
@@ -35,24 +33,22 @@ func renderFleet(t *testing.T, shards, jobs, cacheCap int, cells int64) []byte {
 
 // TestFleetShardGolden is the campaign layer's end-to-end acceptance
 // criterion: the fleet report on stdout must be byte-identical at every
-// shard count × worker count, and at every trace-cache capacity. Only
-// -cells may change the report — it selects a different population.
+// shard count × worker count. Only -cells may change the report — it
+// selects a different population.
 func TestFleetShardGolden(t *testing.T) {
 	t.Cleanup(func() {
 		sweep.SetDefaultJobs(0)
-		core.SetTraceCacheEnabled(true)
-		core.SetTraceCacheCapacity(0)
 		core.ResetTraceCache()
 		telemetry.Reset()
 	})
 
-	baseline := renderFleet(t, 1, 1, 0, 0)
+	baseline := renderFleet(t, 1, 1, 0)
 	if len(baseline) == 0 {
 		t.Fatal("fleet render is empty")
 	}
 	for _, grid := range fleetGoldenGrid {
 		t.Run(fmt.Sprintf("shards=%d,jobs=%d", grid.shards, grid.jobs), func(t *testing.T) {
-			got := renderFleet(t, grid.shards, grid.jobs, 0, 0)
+			got := renderFleet(t, grid.shards, grid.jobs, 0)
 			if !bytes.Equal(got, baseline) {
 				t.Fatalf("fleet report differs from shards=1/jobs=1 baseline\nfirst divergence: %s",
 					firstDiff(baseline, got))
@@ -60,21 +56,11 @@ func TestFleetShardGolden(t *testing.T) {
 		})
 	}
 
-	// A tiny trace-cache capacity forces the anchor sweep through
-	// eviction and re-simulation; the report must not move a byte.
-	t.Run("tracecache-cap=2", func(t *testing.T) {
-		got := renderFleet(t, 4, 4, 2, 0)
-		if !bytes.Equal(got, baseline) {
-			t.Fatalf("fleet report depends on trace-cache capacity\nfirst divergence: %s",
-				firstDiff(baseline, got))
-		}
-	})
-
 	// -cells IS part of the report's identity: a different population
 	// must produce a different (but valid) report. Guards against the
 	// flag being silently dropped on the way to the campaign.
 	t.Run("cells-override", func(t *testing.T) {
-		got := renderFleet(t, 4, 4, 0, goldenScale.Cells/2)
+		got := renderFleet(t, 4, 4, goldenScale.Cells/2)
 		if bytes.Equal(got, baseline) {
 			t.Fatal("-cells override did not change the fleet report")
 		}

@@ -18,11 +18,10 @@
 // Experiments run on the internal/sweep orchestrator: independent
 // (laptop × run × sweep-point) cells fan out across -jobs workers, and
 // sweeps that differ only receiver-side replay memoized transmitter
-// traces (-tracecache). Reports are byte-identical for every -jobs /
-// -tracecache / telemetry setting: stdout carries only the experiment
-// report, while timing, cache statistics, and the telemetry summary go
-// to stderr, the -metrics JSON snapshot to its own file, and profiles
-// to theirs.
+// traces. Reports are byte-identical for every -jobs / -parallel /
+// telemetry setting: stdout carries only the experiment report, while
+// timing, cache statistics, and the telemetry summary go to stderr, the
+// -metrics JSON snapshot to its own file, and profiles to theirs.
 package main
 
 import (
@@ -49,24 +48,21 @@ func main() {
 // benchConfig is the parsed command line. The golden tests build it
 // directly (bypassing flag parsing) to drive the harness in-process.
 type benchConfig struct {
-	Scale      experiments.Scale
-	Only       string
-	Seed       int64
-	Show       bool
-	Parallel   int
-	Jobs       int
-	TraceCache bool
-	// TraceCacheCap resizes the transmitter-trace LRU (0 = default
-	// capacity); Cells and Shards drive the fleet campaign's population
-	// and execution batching. None of the three changes a report byte
-	// (Cells changes which report is produced, not its stability).
-	TraceCacheCap int
-	Cells         int64
-	Shards        int
-	Stats         bool
-	Metrics       string // write a telemetry JSON snapshot here at exit
-	PprofCPU      string // write a runtime/pprof CPU profile here
-	PprofHeap     string // write a runtime/pprof heap profile here
+	Scale    experiments.Scale
+	Only     string
+	Seed     int64
+	Show     bool
+	Parallel int
+	Jobs     int
+	// Cells and Shards drive the fleet campaign's population and
+	// execution batching. Shards never changes a report byte; Cells
+	// changes which report is produced, not its stability.
+	Cells     int64
+	Shards    int
+	Stats     bool
+	Metrics   string // write a telemetry JSON snapshot here at exit
+	PprofCPU  string // write a runtime/pprof CPU profile here
+	PprofHeap string // write a runtime/pprof heap profile here
 	// Artifacts names a root directory to persist this run under: a
 	// timestamped subdirectory holding the per-experiment CSV, the
 	// telemetry snapshot, the stdout report, and an environment
@@ -85,43 +81,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		quick      = fs.Bool("quick", false, "CI-sized experiment scale")
-		only       = fs.String("only", "", "run a single experiment: "+strings.Join(registryNames(), ", "))
-		seed       = fs.Int64("seed", 2020, "experiment seed")
-		show       = fs.Bool("spectrograms", false, "render ASCII spectrograms for the figures")
-		parallel   = fs.Int("parallel", 0, "DSP worker count: 0 = all CPUs, 1 = serial, n = n workers (results are bit-identical either way)")
-		jobs       = fs.Int("jobs", 0, "experiment-cell worker count: 0 = all CPUs, 1 = exact legacy serial (results are bit-identical either way)")
-		tracecache = fs.Bool("tracecache", true, "memoize transmitter traces across receiver-side sweeps (results are bit-identical either way)")
-		tccap      = fs.Int("tracecache-cap", 0, "transmitter-trace cache capacity in entries: 0 = default; size to the anchor working set for fleet-scale runs (results are bit-identical at every capacity)")
-		cells      = fs.Int64("cells", 0, "fleet campaign population size: 0 = the scale's default")
-		shards     = fs.Int("shards", 0, "fleet campaign execution shards: 0 = default (reports are byte-identical at every value)")
-		stats      = fs.Bool("stats", true, "report per-experiment wall time and the telemetry summary on stderr")
-		metrics    = fs.String("metrics", "", "write a telemetry JSON snapshot to this file at exit")
-		pprofCPU   = fs.String("pprof-cpu", "", "write a CPU profile (runtime/pprof) to this file")
-		pprofHeap  = fs.String("pprof-heap", "", "write a heap profile (runtime/pprof) to this file")
-		arts       = fs.String("artifacts", "", "persist this run as a timestamped directory (CSV + telemetry snapshot + manifest + report) under this root; stdout is byte-identical either way")
-		validate   = fs.String("validate", "", "replay the flags recorded in this manifest.json (or run dir) and verify the stdout digest reproduces; all other flags are ignored")
+		quick     = fs.Bool("quick", false, "CI-sized experiment scale")
+		only      = fs.String("only", "", "run a single experiment: "+strings.Join(registryNames(), ", "))
+		seed      = fs.Int64("seed", 2020, "experiment seed")
+		show      = fs.Bool("spectrograms", false, "render ASCII spectrograms for the figures")
+		parallel  = fs.Int("parallel", 0, "DSP worker count: 0 = all CPUs, 1 = serial, n = n workers (results are bit-identical either way)")
+		jobs      = fs.Int("jobs", 0, "experiment-cell worker count: 0 = all CPUs, 1 = exact legacy serial (results are bit-identical either way)")
+		cells     = fs.Int64("cells", 0, "fleet campaign population size: 0 = the scale's default")
+		shards    = fs.Int("shards", 0, "fleet campaign execution shards: 0 = default (reports are byte-identical at every value)")
+		stats     = fs.Bool("stats", true, "report per-experiment wall time and the telemetry summary on stderr")
+		metrics   = fs.String("metrics", "", "write a telemetry JSON snapshot to this file at exit")
+		pprofCPU  = fs.String("pprof-cpu", "", "write a CPU profile (runtime/pprof) to this file")
+		pprofHeap = fs.String("pprof-heap", "", "write a heap profile (runtime/pprof) to this file")
+		arts      = fs.String("artifacts", "", "persist this run as a timestamped directory (CSV + telemetry snapshot + manifest + report) under this root; stdout is byte-identical either way")
+		validate  = fs.String("validate", "", "replay the flags recorded in this manifest.json (or run dir) and verify the stdout digest reproduces; all other flags are ignored")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	cfg := benchConfig{
-		Scale:         experiments.Full,
-		Only:          *only,
-		Seed:          *seed,
-		Show:          *show,
-		Parallel:      *parallel,
-		Jobs:          *jobs,
-		TraceCache:    *tracecache,
-		TraceCacheCap: *tccap,
-		Cells:         *cells,
-		Shards:        *shards,
-		Stats:         *stats,
-		Metrics:       *metrics,
-		PprofCPU:      *pprofCPU,
-		PprofHeap:     *pprofHeap,
-		Artifacts:     *arts,
-		Validate:      *validate,
+		Scale:     experiments.Full,
+		Only:      *only,
+		Seed:      *seed,
+		Show:      *show,
+		Parallel:  *parallel,
+		Jobs:      *jobs,
+		Cells:     *cells,
+		Shards:    *shards,
+		Stats:     *stats,
+		Metrics:   *metrics,
+		PprofCPU:  *pprofCPU,
+		PprofHeap: *pprofHeap,
+		Artifacts: *arts,
+		Validate:  *validate,
 	}
 	if *quick {
 		cfg.Scale = experiments.Quick
@@ -132,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // execute runs the selected experiments under cfg. Only the experiment
 // report is written to stdout; everything observational goes to stderr
 // or to the files named by cfg, so stdout stays byte-stable across
-// -jobs, -tracecache, -stats, -metrics, and -pprof-* settings.
+// -jobs, -parallel, -stats, -metrics, and -pprof-* settings.
 func execute(cfg benchConfig, stdout, stderr io.Writer) int {
 	if cfg.Validate != "" {
 		return runValidate(cfg.Validate, stdout, stderr)
@@ -140,8 +132,6 @@ func execute(cfg benchConfig, stdout, stderr io.Writer) int {
 
 	dsp.SetDefaultParallelism(cfg.Parallel)
 	sweep.SetDefaultJobs(cfg.Jobs)
-	core.SetTraceCacheEnabled(cfg.TraceCache)
-	core.SetTraceCacheCapacity(cfg.TraceCacheCap)
 
 	specs := registry()
 	if cfg.Only != "" {

@@ -10,20 +10,32 @@ import (
 	"pmuleak/internal/sweep"
 )
 
-// goldenCombo is one (jobs, trace-cache) setting compared against the
-// serial/uncached baseline. The list lives in the build-tagged scale
-// files: the race build runs a reduced grid.
-type goldenCombo struct {
-	jobs  int
-	cache bool
+// goldenBaseline renders the serial reference output once and caches
+// it for every golden test in the package: a full render is the
+// expensive part of these tests (minutes under -race), and the baseline
+// is identical for all of them — jobs=1, an empty trace cache at the
+// start, seed 2020, goldenScale.
+var golden struct {
+	once     sync.Once
+	baseline []byte
 }
 
-// renderAll runs every registered experiment into one buffer under the
-// given orchestrator settings.
-func renderAll(t *testing.T, jobs int, cache bool) []byte {
+func goldenBaseline(t *testing.T) []byte {
 	t.Helper()
+	golden.once.Do(func() {
+		t.Cleanup(func() { sweep.SetDefaultJobs(0) })
+		golden.baseline = renderAll(1)
+	})
+	if len(golden.baseline) == 0 {
+		t.Fatal("baseline render is empty")
+	}
+	return golden.baseline
+}
+
+// renderAll runs every registered experiment into one buffer at the
+// given worker count, starting from an empty transmitter-trace cache.
+func renderAll(jobs int) []byte {
 	sweep.SetDefaultJobs(jobs)
-	core.SetTraceCacheEnabled(cache)
 	core.ResetTraceCache()
 	var buf bytes.Buffer
 	rc := runContext{Seed: 2020, Scale: goldenScale}
@@ -33,43 +45,27 @@ func renderAll(t *testing.T, jobs int, cache bool) []byte {
 	return buf.Bytes()
 }
 
-// goldenBaseline renders the serial/uncached reference output once and
-// caches it for every golden test in the package: a full render is the
-// expensive part of these tests (minutes under -race), and the baseline
-// is identical for all of them — jobs=1, trace cache off, seed 2020,
-// goldenScale.
-var golden struct {
-	once     sync.Once
-	baseline []byte
-}
-
-func goldenBaseline(t *testing.T) []byte {
-	t.Helper()
-	golden.once.Do(func() { golden.baseline = renderAll(t, 1, false) })
-	if len(golden.baseline) == 0 {
-		t.Fatal("baseline render is empty")
-	}
-	return golden.baseline
-}
-
-// TestGoldenEquivalence is the orchestrator's contract test: every
-// experiment renderer must produce byte-identical output whether cells
-// run serially or fanned out, and whether transmitter traces are
-// simulated fresh or replayed from the cache. It runs in the -race
-// tier-1 set (at a trimmed scale there — see scale_race_test.go).
+// TestGoldenEquivalence is the orchestrator's contract test on the
+// telemetry-silent path: every experiment renderer must produce
+// byte-identical output whether cells run serially or fanned out, with
+// the transmitter-trace cache replaying shared traces within the render
+// (concurrently, at jobs > 1). The cache is always on, which the
+// cache=true in each subtest's name records; that a replay equals a
+// fresh simulation is core's TestTraceCacheEquivalence. The -jobs grid
+// is build-tagged (jobs 4 only under -race, at a trimmed scale — see
+// scale_race_test.go).
 func TestGoldenEquivalence(t *testing.T) {
 	t.Cleanup(func() {
 		sweep.SetDefaultJobs(0)
-		core.SetTraceCacheEnabled(true)
 		core.ResetTraceCache()
 	})
 
-	baseline := goldenBaseline(t) // exact legacy serial, no memoization
-	for _, tc := range goldenCombos {
-		t.Run(fmt.Sprintf("jobs=%d,cache=%v", tc.jobs, tc.cache), func(t *testing.T) {
-			got := renderAll(t, tc.jobs, tc.cache)
+	baseline := goldenBaseline(t)
+	for _, jobs := range goldenEquivalenceJobs {
+		t.Run(fmt.Sprintf("jobs=%d,cache=true", jobs), func(t *testing.T) {
+			got := renderAll(jobs)
 			if !bytes.Equal(got, baseline) {
-				t.Fatalf("output differs from serial/uncached baseline\n"+
+				t.Fatalf("output differs from the serial baseline\n"+
 					"baseline %d bytes, got %d bytes\nfirst divergence: %s",
 					len(baseline), len(got), firstDiff(baseline, got))
 			}

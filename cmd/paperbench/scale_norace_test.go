@@ -4,17 +4,13 @@ package main
 
 import "pmuleak/internal/experiments"
 
-// goldenScale is the scale the golden equivalence test runs at. Without
-// the race detector the full Quick scale is tractable.
+// goldenScale is the scale the golden tests run at. Without the race
+// detector the full Quick scale is tractable.
 var goldenScale = experiments.Quick
 
-// goldenCombos is the (jobs, trace-cache) grid compared against the
-// serial/uncached baseline.
-var goldenCombos = []goldenCombo{
-	{jobs: 1, cache: true},
-	{jobs: 4, cache: false},
-	{jobs: 4, cache: true},
-}
+// goldenEquivalenceJobs is the -jobs grid TestGoldenEquivalence
+// compares against the serial baseline.
+var goldenEquivalenceJobs = []int{1, 4}
 
 // telemetryGoldenJobs is the -jobs grid for the telemetry golden test;
 // two settings so the deterministic counter series can be compared

@@ -4,24 +4,24 @@ package main
 
 import "pmuleak/internal/experiments"
 
-// goldenScale is the scale the golden equivalence test runs at. Under
-// the race detector every simulation step costs ~10x and CI may have a
-// single vCPU, so the grid is trimmed hard: the point of the -race pass
-// is catching unsynchronized access in the orchestrator, not
-// statistical fidelity (the !race run covers the full Quick scale).
+// goldenScale is the scale the golden tests run at. Under the race
+// detector every simulation step costs ~10x and CI may have a single
+// vCPU, so the grid is trimmed hard: the point of the -race pass is
+// catching unsynchronized access in the orchestrator, not statistical
+// fidelity (the !race run covers the full Quick scale).
 // Cells is trimmed the same way: the fleet campaign's surrogate loop is
 // pure math, but under race every atomic claim and rng step is traced.
 var goldenScale = experiments.Scale{PayloadBits: 32, Runs: 1, Words: 6, Cells: 1 << 16}
 
-// goldenCombos under race: one comparison render, on the configuration
-// that exercises both the worker pool and the concurrent trace cache.
-var goldenCombos = []goldenCombo{
-	{jobs: 4, cache: true},
-}
+// goldenEquivalenceJobs under race: one comparison render, on the
+// setting that exercises both the worker pool and the concurrent trace
+// cache.
+var goldenEquivalenceJobs = []int{4}
 
-// telemetryGoldenJobs under race: one telemetry-enabled render is
-// enough to race-check the instrumented fan-out path; the cross-jobs
-// counter-equality assertion runs in the !race tier (it needs two).
+// telemetryGoldenJobs under race: one telemetry-enabled render at
+// jobs 4 races the worker pool, the concurrent trace cache and the
+// instrumented fan-out path; the cross-jobs counter-equality assertion
+// runs in the !race tier (it needs two).
 var telemetryGoldenJobs = []int{4}
 
 // fleetGoldenGrid under race: one sharded/fanned-out render against the

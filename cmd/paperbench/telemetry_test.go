@@ -46,17 +46,21 @@ var deterministicCounters = []string{
 	"sweep.grids",
 }
 
-// TestTelemetryGolden is satellite coverage for the observability
-// contract: running the full harness with telemetry fully enabled
-// (-stats and -metrics) must produce stdout byte-identical to the
-// telemetry-silent serial baseline, at every -jobs setting in the
-// build-tagged grid. It also validates the -metrics snapshot itself:
-// the JSON parses, carries the trace-cache / FFT-plan-cache / IQ-pool /
-// stage-span series, and its deterministic counters agree across -jobs.
+// TestTelemetryGolden carries TestGoldenEquivalence's contract through
+// execute with telemetry fully enabled (-stats and -metrics): every
+// experiment renderer must produce byte-identical output whether cells
+// run serially or fanned out across the worker pool, and with telemetry
+// on or silent. Each render in the
+// build-tagged -jobs grid (jobs 4 under -race, at a trimmed scale —
+// see scale_race_test.go) must equal the telemetry-silent jobs-1
+// baseline. Every render starts from an empty transmitter-trace cache,
+// so the fanned-out renders also race the cache's concurrent replays.
+// It also validates the -metrics snapshot itself: the JSON parses,
+// carries the trace-cache / FFT-plan-cache / IQ-pool / stage-span
+// series, and its deterministic counters agree across -jobs.
 func TestTelemetryGolden(t *testing.T) {
 	t.Cleanup(func() {
 		sweep.SetDefaultJobs(0)
-		core.SetTraceCacheEnabled(true)
 		core.ResetTraceCache()
 		dsp.SetDefaultParallelism(0)
 		telemetry.Reset()
@@ -72,12 +76,11 @@ func TestTelemetryGolden(t *testing.T) {
 
 		mpath := filepath.Join(t.TempDir(), "metrics.json")
 		cfg := benchConfig{
-			Scale:      goldenScale,
-			Seed:       2020,
-			Jobs:       jobs,
-			TraceCache: true,
-			Stats:      true,
-			Metrics:    mpath,
+			Scale:   goldenScale,
+			Seed:    2020,
+			Jobs:    jobs,
+			Stats:   true,
+			Metrics: mpath,
 		}
 		var out, errs bytes.Buffer
 		if code := execute(cfg, &out, &errs); code != 0 {

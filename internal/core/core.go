@@ -182,10 +182,6 @@ type CovertConfig struct {
 	// Interleave sets the transmitter's block-interleave depth
 	// (values > 1 spread burst errors across codewords).
 	Interleave int
-	// Parallelism is the receiver's DSP worker count (0 = process
-	// default, 1 = serial). Parallel and serial paths are
-	// bit-identical, so it only affects wall-clock time.
-	Parallelism int
 	// Faults injects acquisition faults (USB overrun drops, clock ppm
 	// error, AGC gain steps, saturation bursts, truncation) into the
 	// finished capture, before the demodulator. The zero value
@@ -232,12 +228,11 @@ type CovertResult struct {
 // transmitter-side config fields — never the channel or receiver
 // config — so it is memoized in a process-wide cache: sweeps that vary
 // only receiver-side parameters (distance, walls, antennas, noise,
-// harmonic count) synthesize the pulse train once and replay it. The
-// cache is on by default (SetTraceCacheEnabled to opt out) and results
-// are bit-identical either way, because the receiver's random stream is
-// independently seeded. When the trace comes from the cache, the
-// result's Run, Payload, and TXCfg fields are shared with other results
-// of the same transmitter configuration — treat them as read-only.
+// harmonic count) synthesize the pulse train once and replay it. A
+// replay gives the bytes a fresh simulation would, because the
+// receiver's random stream is independently seeded. The result's Run,
+// Payload, and TXCfg fields are shared with other results of the same
+// transmitter configuration — treat them as read-only.
 func (tb *Testbed) RunCovert(cfg CovertConfig) *CovertResult {
 	p := tb.PrepareCovert(cfg)
 	demodSpan := stageDemod.Start()
@@ -256,8 +251,8 @@ func (tb *Testbed) RunCovert(cfg CovertConfig) *CovertResult {
 // capture production and demodulation that lets RunCovert
 // (covert.Demodulate) and the streaming daemon (stream.CovertReceiver)
 // consume the identical capture. The caller owns Cap and must Recycle
-// it; when the transmitter trace came from the cache, Run, Payload, and
-// TXCfg are shared — treat them as read-only.
+// it; Run, Payload, and TXCfg come from the shared transmitter trace —
+// treat them as read-only.
 type PreparedCovert struct {
 	Cap     *sdr.Capture
 	RXCfg   covert.RXConfig
@@ -272,18 +267,12 @@ type PreparedCovert struct {
 // demodulation — and returns the assembled receiver-side input.
 func (tb *Testbed) PrepareCovert(cfg CovertConfig) *PreparedCovert {
 	cfg.fill(tb)
-	tr, cached := tb.transmitterTrace(cfg)
+	tr := tb.transmitterTrace(cfg)
 
 	cap, sp := tb.synthesize(emission{plan: tr.plan, field: tr.field},
 		xrand.New(tb.Seed+channelSeedOffset), false)
 	stageChannel.Observe(sp.channel)
 	stageSDR.Observe(sp.radio)
-	if !cached {
-		// A non-cached trace is exclusively ours and its pre-channel
-		// field is dead once the channel has read it.
-		dsp.PutIQ(tr.field)
-		tr.field = nil
-	}
 
 	var faultRep faults.Report
 	if cfg.Faults.Enabled() {
@@ -314,7 +303,6 @@ func (tb *Testbed) CovertRXConfig(cfg CovertConfig) covert.RXConfig {
 	rxCfg := covert.DefaultRXConfig()
 	rxCfg.ExpectedF0 = tb.Profile.VRM.SwitchingFreqHz
 	rxCfg.MinBitPeriod = txCfg.BitPeriod() / 2
-	rxCfg.Parallelism = cfg.Parallelism
 	rxCfg.Resync = cfg.RXResync
 	rxCfg.CarrierRetries = cfg.RXCarrierRetries
 	if cfg.RXHarmonics > 0 {
@@ -398,10 +386,6 @@ type KeylogConfig struct {
 	// example a finer STFT window when keystroke timing precision
 	// matters more than runtime).
 	Detector *keylog.DetectorConfig
-	// Parallelism is the detector's DSP worker count (0 = process
-	// default, 1 = serial); nonzero values override the Detector
-	// config's own knob. Parallel and serial paths are bit-identical.
-	Parallelism int
 	// Faults injects acquisition faults into the finished capture,
 	// before the detector (see CovertConfig.Faults).
 	Faults faults.Config
@@ -507,9 +491,6 @@ func (tb *Testbed) PrepareKeylog(cfg KeylogConfig) *PreparedKeylog {
 		detCfg = *cfg.Detector
 	}
 	detCfg.ExpectedF0 = tb.Profile.VRM.SwitchingFreqHz
-	if cfg.Parallelism != 0 {
-		detCfg.Parallelism = cfg.Parallelism
-	}
 	if cfg.GapAware {
 		detCfg.GapAware = true
 	}

@@ -253,7 +253,7 @@ func TestCovertRXConfigMatchesPrepareCovert(t *testing.T) {
 		{RXHarmonics: 3, RXResync: true, RXCarrierRetries: 2},
 		{Code: covert.CodeHamming74, Interleave: 4},
 		{SleepPeriod: 250 * sim.Microsecond, Code: covert.CodeParity, Interleave: 2,
-			RXHarmonics: 1, RXResync: true, RXCarrierRetries: 1, Parallelism: 2},
+			RXHarmonics: 1, RXResync: true, RXCarrierRetries: 1},
 	} {
 		cfg.PayloadBits = 16
 		p := tb.PrepareCovert(cfg)

@@ -49,7 +49,7 @@ func sequentialKeylog(tb *Testbed, cfg KeylogConfig) (*sdr.Capture, faults.Repor
 // the same transmitter trace.
 func sequentialCovert(tb *Testbed, cfg CovertConfig) (*sdr.Capture, faults.Report) {
 	cfg.fill(tb)
-	tr, _ := tb.transmitterTrace(cfg)
+	tr := tb.transmitterTrace(cfg)
 	rng := xrand.New(tb.Seed + 104729)
 	field := emchannel.Apply(tr.field, tr.plan.SampleRate, tb.Channel, rng)
 	cap := sdr.Acquire(field, tr.plan.CenterFreqHz, tb.Radio, rng.Fork())

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"pmuleak/internal/covert"
 	"pmuleak/internal/laptop"
@@ -72,8 +71,8 @@ func (tb *Testbed) simulateTxTrace(cfg CovertConfig) *txTrace {
 // render in full under %+v. The rest of the key is the seed, the radio
 // sample rate (the one radio field the tx path reads, via the emanation
 // plan), and the tx-side covert config fields. Receiver-side fields
-// (RXHarmonics, Parallelism) and the channel config are deliberately
-// absent — varying them must hit the cache.
+// (RXHarmonics, RXResync, Faults) and the channel config are
+// deliberately absent — varying them must hit the cache.
 func traceKey(tb *Testbed, cfg CovertConfig) string {
 	p := tb.Profile
 	return fmt.Sprintf("%s|%s|%+v|%+v|%+v|%v|%v|%v|%v|%d|%d|%d|%g|%d|%d|%x|%d|%t|%d",
@@ -97,11 +96,15 @@ type traceEntry struct {
 	used int64 // LRU tick, guarded by traceMu
 }
 
+// traceCap is the cache's entry capacity: large enough for
+// receiver-side sweeps over the Table I laptops, small enough that
+// paper-scale fields do not pin gigabytes.
+const traceCap = 8
+
 var (
 	traceMu      sync.Mutex
 	traceEntries = make(map[string]*traceEntry)
 	traceTick    int64
-	traceCap     = DefaultTraceCacheCapacity
 	// The hit/miss counters live on the telemetry registry (the -metrics
 	// snapshot's core.tracecache.* series); TraceCacheStats remains as a
 	// thin shim over them. Both are bumped under traceMu. hits+misses
@@ -114,52 +117,7 @@ var (
 	traceMisses    = telemetry.NewCounter("core.tracecache.misses")
 	traceEvictions = telemetry.NewCounter("core.tracecache.evictions")
 	traceLive      = telemetry.NewGauge("core.tracecache.entries")
-	// traceDisabled's zero value leaves the cache ON by default.
-	traceDisabled atomic.Bool
 )
-
-// SetTraceCacheEnabled turns the transmitter-trace cache on or off
-// process-wide. Off forces every RunCovert to simulate its transmitter
-// from scratch (the pre-memoization behavior); results are bit-identical
-// either way.
-func SetTraceCacheEnabled(on bool) { traceDisabled.Store(!on) }
-
-// DefaultTraceCacheCapacity is the capacity the cache starts with: large
-// enough for receiver-side sweeps over the Table I laptops, small enough
-// that paper-scale fields (tens of MB each) do not pin gigabytes.
-const DefaultTraceCacheCapacity = 8
-
-// SetTraceCacheCapacity resizes the transmitter-trace LRU. Fleet-scale
-// campaigns anchor against many distinct profiles in one process; the
-// default capacity of 8 would thrash them (every lookup an eviction plus
-// a re-miss), so such runs size the cache to their anchor working set
-// (paperbench -tracecache-cap). Shrinking evicts least-recently-used
-// entries immediately. n < 1 restores the default. Counter semantics are
-// unchanged: lookups still split into hits and misses exactly as before,
-// and evictions still count per entry dropped — only the point where
-// eviction starts moves. Results are bit-identical at every capacity.
-func SetTraceCacheCapacity(n int) {
-	if n < 1 {
-		n = DefaultTraceCacheCapacity
-	}
-	traceMu.Lock()
-	traceCap = n
-	for len(traceEntries) > traceCap {
-		evictOldestLocked()
-	}
-	traceLive.Set(int64(len(traceEntries)))
-	traceMu.Unlock()
-}
-
-// TraceCacheCapacity reports the cache's current entry capacity.
-func TraceCacheCapacity() int {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	return traceCap
-}
-
-// TraceCacheEnabled reports whether the transmitter-trace cache is on.
-func TraceCacheEnabled() bool { return !traceDisabled.Load() }
 
 // TraceCacheStats returns the cumulative hit and miss counts since the
 // last ResetTraceCache. A miss is a simulation; a hit is a replay. It
@@ -183,15 +141,10 @@ func ResetTraceCache() {
 	traceEvictions.Reset()
 }
 
-// transmitterTrace returns the transmitter trace for (tb, cfg), from
-// the cache when enabled. cached reports whether the returned trace is
-// cache-owned: cache-owned traces are shared across runs and their
-// field buffer must never be mutated or recycled; a non-cached trace is
-// exclusively the caller's.
-func (tb *Testbed) transmitterTrace(cfg CovertConfig) (tr *txTrace, cached bool) {
-	if traceDisabled.Load() {
-		return tb.simulateTxTrace(cfg), false
-	}
+// transmitterTrace returns the transmitter trace for (tb, cfg) from the
+// cache, simulating it on a miss. The trace is shared across runs: its
+// field buffer must never be mutated or recycled.
+func (tb *Testbed) transmitterTrace(cfg CovertConfig) *txTrace {
 	key := traceKey(tb, cfg)
 	traceMu.Lock()
 	e, ok := traceEntries[key]
@@ -212,7 +165,7 @@ func (tb *Testbed) transmitterTrace(cfg CovertConfig) (tr *txTrace, cached bool)
 	// Singleflight: concurrent cells wanting the same trace block here
 	// while exactly one simulates it.
 	e.once.Do(func() { e.tr = tb.simulateTxTrace(cfg) })
-	return e.tr, true
+	return e.tr
 }
 
 // evictOldestLocked drops the least-recently-used entry. The evicted

@@ -8,17 +8,12 @@ import (
 	"pmuleak/internal/sdr"
 )
 
-// withTraceCache runs f with the trace cache forced to the given state
-// and restores the default (enabled, empty) afterwards.
-func withTraceCache(t *testing.T, on bool, f func()) {
+// freshTraceCache empties the trace cache now and again when the test
+// ends.
+func freshTraceCache(t *testing.T) {
 	t.Helper()
 	ResetTraceCache()
-	SetTraceCacheEnabled(on)
-	defer func() {
-		SetTraceCacheEnabled(true)
-		ResetTraceCache()
-	}()
-	f()
+	t.Cleanup(ResetTraceCache)
 }
 
 // receiverVariants returns testbeds that share a transmitter
@@ -39,9 +34,10 @@ func receiverVariants(seed int64) []*Testbed {
 // TestTraceCacheEquivalence is the load-bearing soundness check for the
 // transmitter-trace memoization: for testbeds that differ only in
 // channel/receiver configuration, a cached (replayed) transmitter trace
-// must produce byte-for-byte the measurements and demod decisions the
-// uncached path produces. RXHarmonics is varied too — it is
-// receiver-side and must also replay.
+// must produce byte-for-byte the measurements and demod decisions a
+// freshly simulated one produces. The fresh reference empties the cache
+// before every run, so each run misses and simulates. RXHarmonics is
+// varied too — it is receiver-side and must also replay.
 func TestTraceCacheEquivalence(t *testing.T) {
 	const seed = 71
 	cfgs := []CovertConfig{
@@ -53,11 +49,17 @@ func TestTraceCacheEquivalence(t *testing.T) {
 		bits []byte
 		rate float64
 	}
-	capture := func() []outcome {
+	capture := func(fresh bool) []outcome {
 		var out []outcome
 		for _, tb := range receiverVariants(seed) {
 			for _, cfg := range cfgs {
+				if fresh {
+					ResetTraceCache()
+				}
 				res := tb.RunCovert(cfg)
+				if hits, misses := TraceCacheStats(); fresh && (hits != 0 || misses != 1) {
+					t.Fatalf("fresh run: hits=%d misses=%d, want one miss", hits, misses)
+				}
 				out = append(out, outcome{
 					meas: res.Measurement,
 					bits: append([]byte(nil), res.Demod.Bits...),
@@ -68,30 +70,27 @@ func TestTraceCacheEquivalence(t *testing.T) {
 		return out
 	}
 
-	var cold, warm, uncached []outcome
-	withTraceCache(t, true, func() {
-		cold = capture() // populates the cache
-		warm = capture() // replays every transmitter trace
-		hits, misses := TraceCacheStats()
-		if misses == 0 || hits == 0 {
-			t.Fatalf("cache did not engage: hits=%d misses=%d", hits, misses)
-		}
-		// Both cfgs differ only in RXHarmonics (receiver-side), and all
-		// testbeds differ only in channel config, so every run shares a
-		// single transmitter key: exactly one simulation total.
-		if misses != 1 {
-			t.Errorf("misses = %d, want 1 (all runs share one tx config)", misses)
-		}
-	})
-	withTraceCache(t, false, func() {
-		uncached = capture()
-	})
-
-	if !reflect.DeepEqual(cold, uncached) {
-		t.Fatalf("cache-populating pass differs from uncached pass")
+	freshTraceCache(t)
+	fresh := capture(true)
+	ResetTraceCache()
+	cold := capture(false) // populates the cache
+	warm := capture(false) // replays every transmitter trace
+	hits, misses := TraceCacheStats()
+	if misses == 0 || hits == 0 {
+		t.Fatalf("cache did not engage: hits=%d misses=%d", hits, misses)
 	}
-	if !reflect.DeepEqual(warm, uncached) {
-		t.Fatalf("cache-replay pass differs from uncached pass")
+	// Both cfgs differ only in RXHarmonics (receiver-side), and all
+	// testbeds differ only in channel config, so every run shares a
+	// single transmitter key: exactly one simulation total.
+	if misses != 1 {
+		t.Errorf("misses = %d, want 1 (all runs share one tx config)", misses)
+	}
+
+	if !reflect.DeepEqual(cold, fresh) {
+		t.Fatalf("cache-populating pass differs from the fresh pass")
+	}
+	if !reflect.DeepEqual(warm, fresh) {
+		t.Fatalf("cache-replay pass differs from the fresh pass")
 	}
 }
 
@@ -99,107 +98,47 @@ func TestTraceCacheEquivalence(t *testing.T) {
 // a hit here would replay the wrong pulse train.
 func TestTraceCacheKeysTxSide(t *testing.T) {
 	tb := NewTestbed(WithSeed(9))
-	withTraceCache(t, true, func() {
-		tb.RunCovert(CovertConfig{PayloadBits: 48})
-		tb.RunCovert(CovertConfig{PayloadBits: 48, Background: true})
-		tb.RunCovert(CovertConfig{PayloadBits: 48, Interleave: 4})
-		tb.RunCovert(CovertConfig{PayloadBits: 96})
-		// Profile mutations must miss too. laptop.Profile's Stringer
-		// prints only the model name, so a naive %+v key would collide
-		// here and replay an undefended pulse train against the §VI
-		// defenses.
-		pcOff := NewTestbed(WithSeed(9))
-		pcOff.Profile.Power.PStatesEnabled = false
-		pcOff.Profile.Power.CStatesEnabled = false
-		pcOff.RunCovert(CovertConfig{PayloadBits: 48})
-		dither := NewTestbed(WithSeed(9))
-		dither.Profile.VRMDitherHz = 60e3
-		dither.RunCovert(CovertConfig{PayloadBits: 48})
-		hits, misses := TraceCacheStats()
-		if hits != 0 {
-			t.Errorf("tx-side variations hit the cache: hits=%d", hits)
-		}
-		if misses != 6 {
-			t.Errorf("misses = %d, want 6", misses)
-		}
-	})
+	freshTraceCache(t)
+	tb.RunCovert(CovertConfig{PayloadBits: 48})
+	tb.RunCovert(CovertConfig{PayloadBits: 48, Background: true})
+	tb.RunCovert(CovertConfig{PayloadBits: 48, Interleave: 4})
+	tb.RunCovert(CovertConfig{PayloadBits: 96})
+	// Profile mutations must miss too. laptop.Profile's Stringer prints
+	// only the model name, so a naive %+v key would collide here and
+	// replay an undefended pulse train against the §VI defenses.
+	pcOff := NewTestbed(WithSeed(9))
+	pcOff.Profile.Power.PStatesEnabled = false
+	pcOff.Profile.Power.CStatesEnabled = false
+	pcOff.RunCovert(CovertConfig{PayloadBits: 48})
+	dither := NewTestbed(WithSeed(9))
+	dither.Profile.VRMDitherHz = 60e3
+	dither.RunCovert(CovertConfig{PayloadBits: 48})
+	hits, misses := TraceCacheStats()
+	if hits != 0 {
+		t.Errorf("tx-side variations hit the cache: hits=%d", hits)
+	}
+	if misses != 6 {
+		t.Errorf("misses = %d, want 6", misses)
+	}
 }
 
 // TestTraceCacheEviction: the LRU stays bounded and keeps working past
 // capacity.
 func TestTraceCacheEviction(t *testing.T) {
 	tb := NewTestbed(WithSeed(3))
-	withTraceCache(t, true, func() {
-		for bits := 8; bits <= 8*(traceCap+3); bits += 8 {
-			tb.RunCovert(CovertConfig{PayloadBits: bits})
-		}
-		traceMu.Lock()
-		n := len(traceEntries)
-		traceMu.Unlock()
-		if n > traceCap {
-			t.Fatalf("cache grew to %d entries, cap %d", n, traceCap)
-		}
-		// An evicted key re-simulates and still yields a usable result.
-		res := tb.RunCovert(CovertConfig{PayloadBits: 8})
-		if res == nil || len(res.Payload) == 0 {
-			t.Fatalf("post-eviction run broken")
-		}
-	})
-}
-
-// TestTraceCacheCapacity: the capacity knob round-trips, shrinking
-// evicts immediately, growing stops eviction for the larger working
-// set, and n < 1 restores the default.
-func TestTraceCacheCapacity(t *testing.T) {
-	tb := NewTestbed(WithSeed(5))
-	withTraceCache(t, true, func() {
-		defer SetTraceCacheCapacity(0)
-		if got := TraceCacheCapacity(); got != DefaultTraceCacheCapacity {
-			t.Fatalf("default capacity = %d, want %d", got, DefaultTraceCacheCapacity)
-		}
-
-		// Grow past the default: a working set of default+2 distinct
-		// traces stays fully resident with zero evictions.
-		SetTraceCacheCapacity(DefaultTraceCacheCapacity + 2)
-		if got := TraceCacheCapacity(); got != DefaultTraceCacheCapacity+2 {
-			t.Fatalf("capacity = %d after grow, want %d", got, DefaultTraceCacheCapacity+2)
-		}
-		for bits := 8; bits <= 8*(DefaultTraceCacheCapacity+2); bits += 8 {
-			tb.RunCovert(CovertConfig{PayloadBits: bits})
-		}
-		if ev := traceEvictions.Load(); ev != 0 {
-			t.Fatalf("grown cache evicted %d entries for an in-capacity working set", ev)
-		}
-		traceMu.Lock()
-		n := len(traceEntries)
-		traceMu.Unlock()
-		if n != DefaultTraceCacheCapacity+2 {
-			t.Fatalf("cache holds %d entries, want %d", n, DefaultTraceCacheCapacity+2)
-		}
-
-		// Shrink: over-capacity entries are evicted immediately, not on
-		// the next lookup.
-		SetTraceCacheCapacity(2)
-		traceMu.Lock()
-		n = len(traceEntries)
-		traceMu.Unlock()
-		if n > 2 {
-			t.Fatalf("cache holds %d entries after shrinking to 2", n)
-		}
-		if ev := traceEvictions.Load(); ev != uint64(DefaultTraceCacheCapacity) {
-			t.Fatalf("shrink evicted %d entries, want %d", ev, DefaultTraceCacheCapacity)
-		}
-
-		// The shrunken cache still serves usable results.
-		res := tb.RunCovert(CovertConfig{PayloadBits: 8})
-		if res == nil || len(res.Payload) == 0 {
-			t.Fatalf("post-shrink run broken")
-		}
-
-		// n < 1 restores the default.
-		SetTraceCacheCapacity(-3)
-		if got := TraceCacheCapacity(); got != DefaultTraceCacheCapacity {
-			t.Fatalf("capacity = %d after reset, want %d", got, DefaultTraceCacheCapacity)
-		}
-	})
+	freshTraceCache(t)
+	for bits := 8; bits <= 8*(traceCap+3); bits += 8 {
+		tb.RunCovert(CovertConfig{PayloadBits: bits})
+	}
+	traceMu.Lock()
+	n := len(traceEntries)
+	traceMu.Unlock()
+	if n > traceCap {
+		t.Fatalf("cache grew to %d entries, cap %d", n, traceCap)
+	}
+	// An evicted key re-simulates and still yields a usable result.
+	res := tb.RunCovert(CovertConfig{PayloadBits: 8})
+	if res == nil || len(res.Payload) == 0 {
+		t.Fatalf("post-eviction run broken")
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pmuleak/internal/dsp"
 	"pmuleak/internal/emchannel"
 	"pmuleak/internal/faults"
 	"pmuleak/internal/laptop"
@@ -62,15 +63,15 @@ func TestDemodulateFusedEquivalence(t *testing.T) {
 		{"clock", faults.Config{ClockPPM: 25, DriftPPMPerS: 2}},
 		{"analog", faults.Config{GainStepRatePerS: 4, SaturationRatePerS: 4}},
 	}
+	t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
 	for fi, fc := range faultConfigs {
 		cap, rxCfg := linkCapture(laptop.Reference(), 64, 77+int64(fi))
 		faults.MustNew(fc.cfg, 99).Apply(cap)
 
 		var want *Demod
 		for _, par := range []int{1, 4} {
-			cfg := rxCfg
-			cfg.Parallelism = par
-			d := Demodulate(cap, cfg)
+			dsp.SetDefaultParallelism(par)
+			d := Demodulate(cap, rxCfg)
 			if want == nil {
 				if !d.CarrierFound {
 					t.Fatalf("%s: carrier lost in serial demodulation", fc.name)

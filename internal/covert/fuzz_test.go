@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"pmuleak/internal/dsp"
 	"pmuleak/internal/ecc"
 	"pmuleak/internal/sim"
 )
@@ -116,7 +117,7 @@ func FuzzFindPreambleUnderDamage(f *testing.F) {
 }
 
 // FuzzDemodulateParallelism round-trips the full demodulator over a
-// simulated capture under two arbitrary Parallelism settings and
+// simulated capture under two arbitrary DSP worker counts and
 // asserts the decoded bits — and the recovered payload — are identical.
 // This is the fuzzing arm of the engine's bit-equivalence guarantee:
 // whatever worker counts the fuzzer picks, the receiver's output may
@@ -130,10 +131,10 @@ func FuzzDemodulateParallelism(f *testing.F) {
 		cfg := DefaultRXConfig()
 		cfg.ExpectedF0 = prof.VRM.SwitchingFreqHz
 		cfg.MinBitPeriod = txCfg.BitPeriod() / 2
+		t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
 		run := func(p uint8) (*Demod, []byte, bool) {
-			c := cfg
-			c.Parallelism = int(p % 9) // 0 (auto) through 8 workers
-			d := Demodulate(cap, c)
+			dsp.SetDefaultParallelism(int(p % 9)) // 0 (auto) through 8 workers
+			d := Demodulate(cap, cfg)
 			payload, _, ok := d.RecoverPayload(txCfg)
 			return d, payload, ok
 		}

@@ -129,17 +129,18 @@ func receiveChunked(t *testing.T, cap *sdr.Capture, cfg RXConfig, size int) *Dem
 // TestReceiverChunkingInvariance holds the one receiver to the batch
 // oracle: on every laptop, for the default two-harmonic receiver and a
 // one-harmonic receiver with three carrier retries (whose retry levels
-// keep two distinct traces), faults off and on, at Parallelism 1 and 4,
+// keep two distinct traces), faults off and on, at 1 and 4 DSP workers,
 // the Demod of the capture pushed in chunks of 1, 7, 9973 and 65536
 // samples, as one chunk, and as one chunk larger than the capture is
 // reflect.DeepEqual to the oracle's. (Chunks shorter than a segment run
-// at Parallelism 1 only; see the loop.)
+// at 1 worker only; see the loop.)
 func TestReceiverChunkingInvariance(t *testing.T) {
 	oneHarmonic := func(c RXConfig) RXConfig {
 		c.NumHarmonics, c.CarrierRetries, c.Resync = 1, 3, true
 		return c
 	}
 	faulty := faults.Config{DropRatePerS: 120, GainStepRatePerS: 15, GainStepMaxDB: 6}
+	t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
 	for pi, prof := range laptop.Profiles() {
 		clean, base := linkCapture(prof, 16, 300+int64(pi))
 		for _, withFaults := range []bool{false, true} {
@@ -159,17 +160,16 @@ func TestReceiverChunkingInvariance(t *testing.T) {
 						prof.Model, rx.name, withFaults)
 				}
 				for _, par := range []int{1, 4} {
-					cfg := rx.cfg
-					cfg.Parallelism = par
+					dsp.SetDefaultParallelism(par)
 					for _, size := range []int{1, 7, 9973, 65536, len(cap.IQ), len(cap.IQ) + 1} {
-						if par > 1 && size < cfg.FFTSize {
+						if par > 1 && size < rx.cfg.FFTSize {
 							// A chunk shorter than a Welch segment
 							// completes each segment in its own
 							// one-segment transform, which runs serially
-							// whatever the Parallelism: par 1 covered it.
+							// whatever the worker count: par 1 covered it.
 							continue
 						}
-						if got := receiveChunked(t, cap, cfg, size); !reflect.DeepEqual(got, want) {
+						if got := receiveChunked(t, cap, rx.cfg, size); !reflect.DeepEqual(got, want) {
 							t.Errorf("%s %s faults=%v par=%d chunk=%d: receiver differs from the batch oracle: %s",
 								prof.Model, rx.name, withFaults, par, size, demodDiff(got, want))
 						}

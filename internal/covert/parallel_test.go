@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pmuleak/internal/dsp"
 	"pmuleak/internal/emchannel"
 	"pmuleak/internal/laptop"
 	"pmuleak/internal/sdr"
@@ -78,15 +79,16 @@ func demodEqual(t *testing.T, label string, a, b *Demod) {
 // TestDemodulateParallelismIndependence is the end-to-end arm of the
 // differential harness: the full demodulator — Welch carrier search,
 // acquisition, both edge-detection passes, power statistics, decoded
-// bits — must be identical for every Parallelism setting, not just the
-// dsp primitives in isolation.
+// bits — must be identical at every DSP worker count, not just the dsp
+// primitives in isolation.
 func TestDemodulateParallelismIndependence(t *testing.T) {
 	cap, txCfg, payload, prof := buildCapture(96, 41)
 	cfg := DefaultRXConfig()
 	cfg.ExpectedF0 = prof.VRM.SwitchingFreqHz
 	cfg.MinBitPeriod = txCfg.BitPeriod() / 2
 
-	cfg.Parallelism = 1
+	t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
+	dsp.SetDefaultParallelism(1)
 	serial := Demodulate(cap, cfg)
 	if !serial.CarrierFound || len(serial.Bits) == 0 {
 		t.Fatal("baseline serial demodulation found nothing; test capture is broken")
@@ -94,9 +96,8 @@ func TestDemodulateParallelismIndependence(t *testing.T) {
 	serialPayload, _, serialOK := serial.RecoverPayload(txCfg)
 
 	for _, p := range []int{0, 2, 4, 8} {
-		c := cfg
-		c.Parallelism = p
-		d := Demodulate(cap, c)
+		dsp.SetDefaultParallelism(p)
+		d := Demodulate(cap, cfg)
 		demodEqual(t, labelP(p), serial, d)
 		gotPayload, _, ok := d.RecoverPayload(txCfg)
 		if ok != serialOK || len(gotPayload) != len(serialPayload) {
@@ -119,18 +120,6 @@ func labelP(p int) string {
 	return map[int]string{0: "P=auto", 2: "P=2", 4: "P=4", 8: "P=8"}[p]
 }
 
-func TestRXConfigParallelismValidate(t *testing.T) {
-	cfg := DefaultRXConfig()
-	cfg.Parallelism = -1
-	if cfg.Validate() == nil {
-		t.Fatal("negative Parallelism accepted")
-	}
-	cfg.Parallelism = 8
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Parallelism 8 rejected: %v", err)
-	}
-}
-
 // TestDemodulateConcurrentSharedConfig runs the demodulator from many
 // goroutines against one shared capture and one shared config, each
 // goroutine itself fanning out internally. Run under -race this covers
@@ -141,7 +130,8 @@ func TestDemodulateConcurrentSharedConfig(t *testing.T) {
 	cfg := DefaultRXConfig()
 	cfg.ExpectedF0 = prof.VRM.SwitchingFreqHz
 	cfg.MinBitPeriod = txCfg.BitPeriod() / 2
-	cfg.Parallelism = 2
+	t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
+	dsp.SetDefaultParallelism(2)
 
 	baseline := Demodulate(cap, cfg)
 	const goroutines = 8

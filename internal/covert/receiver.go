@@ -27,9 +27,6 @@ type RXConfig struct {
 	// MinBitPeriod bounds the shortest plausible signaling period and
 	// sizes the first-pass edge kernel.
 	MinBitPeriod sim.Time
-	// TrackerTimeConstant is the acquisition tracker's response time.
-	// Zero derives it from MinBitPeriod (a quarter of it).
-	TrackerTimeConstant sim.Time
 	// HistBins is the resolution of the power histogram used for
 	// threshold selection (Fig. 7).
 	HistBins int
@@ -53,12 +50,6 @@ type RXConfig struct {
 	// that window re-locks onto the local period. On a clean capture no
 	// window diverges and the decoded bits are identical to Resync off.
 	Resync bool
-	// Parallelism is the DSP engine's worker count: 0 picks the process
-	// default (normally all CPUs), 1 forces the exact legacy serial
-	// path, n > 1 uses n workers. The engine's parallel paths are
-	// bit-identical to the serial ones, so this knob never changes the
-	// decoded bits — only the wall-clock time.
-	Parallelism int
 }
 
 // DefaultRXConfig mirrors the paper's receiver: 1024-point spectral
@@ -89,9 +80,6 @@ func (c RXConfig) Validate() error {
 	if c.MinBitPeriod <= 0 {
 		return fmt.Errorf("covert: MinBitPeriod must be positive")
 	}
-	if c.TrackerTimeConstant < 0 {
-		return fmt.Errorf("covert: negative TrackerTimeConstant")
-	}
 	if c.HistBins < 4 {
 		return fmt.Errorf("covert: HistBins must be >= 4")
 	}
@@ -103,9 +91,6 @@ func (c RXConfig) Validate() error {
 	}
 	if c.CarrierRetries < 0 || c.CarrierRetries > 8 {
 		return fmt.Errorf("covert: CarrierRetries %d out of range [0,8]", c.CarrierRetries)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("covert: negative Parallelism")
 	}
 	return nil
 }
@@ -253,16 +238,11 @@ func hintedOffsets(cfg RXConfig, sampleRate, centerFreqHz float64, numHarmonics 
 }
 
 // acquisitionDecay returns the Eq. (1) resonators' decay factor for the
-// config.
+// config. The tracker's time constant is a third of the shortest bit
+// period: fast enough to keep bit edges sharp, narrow enough to reject
+// interferers a few tens of kHz away from the tracked spikes.
 func acquisitionDecay(cfg RXConfig, sampleRate float64) float64 {
-	tc := cfg.TrackerTimeConstant
-	if tc == 0 {
-		// A third of the shortest bit period: fast enough to keep bit
-		// edges sharp, narrow enough to reject interferers a few tens
-		// of kHz away from the tracked spikes.
-		tc = cfg.MinBitPeriod / 3
-	}
-	return dsp.DecayForTimeConstant(tc.Seconds(), sampleRate)
+	return dsp.DecayForTimeConstant((cfg.MinBitPeriod / 3).Seconds(), sampleRate)
 }
 
 // Receiver is the §IV-B receive pipeline as an incremental processor —
@@ -274,9 +254,9 @@ func acquisitionDecay(cfg RXConfig, sampleRate float64) float64 {
 // The front half runs as the samples arrive. Welch PSD segments
 // accumulate as each FFTSize window completes (the samples from the
 // next segment start on carried across chunk boundaries), transformed
-// across Parallelism workers and added in segment order. The Eq. (1)
-// resonator bank carries its state sample to sample and feeds each
-// distinct carrier-retry offset set's running decimation block. The
+// across the DSP engine's workers and added in segment order. The
+// Eq. (1) resonator bank carries its state sample to sample and feeds
+// each distinct carrier-retry offset set's running decimation block. The
 // back half — carrier gate, edge detection, period estimation, gap
 // filling, thresholding — needs global views, but only of compact
 // intermediates: the FFTSize-bin PSD and the decimated traces
@@ -291,7 +271,6 @@ type Receiver struct {
 	cfg          RXConfig
 	sampleRate   float64
 	centerFreqHz float64
-	eng          dsp.Engine
 
 	// Welch accumulation: tail holds the samples from the next
 	// segment's start on (fewer than FFTSize), join the scratch for a
@@ -346,7 +325,6 @@ func NewReceiver(cfg RXConfig, sampleRate, centerFreqHz float64) (*Receiver, err
 		cfg:          cfg,
 		sampleRate:   sampleRate,
 		centerFreqHz: centerFreqHz,
-		eng:          dsp.NewEngine(cfg.Parallelism),
 		window:       dsp.Hann(cfg.FFTSize),
 		tail:         make([]complex128, 0, cfg.FFTSize),
 		join:         make([]complex128, cfg.FFTSize),
@@ -392,7 +370,7 @@ func (r *Receiver) accumulateWelch(chunk []complex128) {
 	for ; start < 0 && start+m <= len(chunk); start += hop {
 		copy(r.join, r.tail[n+start:])
 		copy(r.join[-start:], chunk[:m+start])
-		r.segments += r.eng.AccumulatePSD(r.psdSum, r.join, hop, r.window)
+		r.segments += dsp.Engine{}.AccumulatePSD(r.psdSum, r.join, hop, r.window)
 	}
 	if start < 0 {
 		// The chunk ends before the next segment does.
@@ -400,7 +378,7 @@ func (r *Receiver) accumulateWelch(chunk []complex128) {
 		r.tail = append(r.tail, chunk...)
 		return
 	}
-	k := r.eng.AccumulatePSD(r.psdSum, chunk[start:], hop, r.window)
+	k := dsp.Engine{}.AccumulatePSD(r.psdSum, chunk[start:], hop, r.window)
 	r.segments += k
 	r.tail = append(r.tail[:0], chunk[start+k*hop:]...)
 }
@@ -611,7 +589,7 @@ func Demodulate(cap *sdr.Capture, cfg RXConfig) *Demod {
 // already in place: CarrierFound, Offsets, Quality.{CarrierZ,Retries},
 // Y, and DT must be set. The Demod is finished in place and returned.
 func demodulateTrace(d *Demod, cfg RXConfig) *Demod {
-	eng := dsp.NewEngine(cfg.Parallelism)
+	var eng dsp.Engine
 
 	// 3. First-pass edge detection sized by the minimum plausible bit
 	// period (Fig. 5).

@@ -1,6 +1,6 @@
 // Package dsp implements the signal-processing primitives the attack
 // pipeline needs: FFT and short-time Fourier transforms, window
-// functions, convolution, sliding-bin DFTs for the Eq. (1) acquisition,
+// functions, convolution, resonators for the Eq. (1) acquisition,
 // peak detection, histograms, robust statistics, and Rayleigh fitting.
 //
 // Everything is implemented from scratch on the standard library; the
@@ -13,7 +13,8 @@
 // The hot transforms are available in two forms. The package-level
 // functions (FFT, STFT, WelchPSD, Convolve) are single-threaded.
 // Engine wraps the same transforms with a worker pool sized by its
-// Parallelism knob (0 = all CPUs, 1 = serial, n = n goroutines) and a
+// Parallelism field (0 = the process-wide SetDefaultParallelism, itself
+// all CPUs unless set; 1 = serial; n = n goroutines) and a
 // per-size FFT plan cache (PlanFFT) that precomputes twiddle factors
 // and bit-reversal tables once per transform size. Its frame fan-out
 // (Engine.STFTInto) writes magnitude rows into caller-owned rows and its

@@ -62,10 +62,6 @@ type Engine struct {
 	Parallelism int
 }
 
-// NewEngine returns an engine with the given Parallelism knob
-// (0 = auto, 1 = serial).
-func NewEngine(parallelism int) Engine { return Engine{Parallelism: parallelism} }
-
 // workers resolves the Parallelism knob to a concrete worker count.
 func (e Engine) workers() int {
 	p := e.Parallelism

@@ -48,7 +48,7 @@ func TestResonatorTracksOnFrequencyTone(t *testing.T) {
 
 func TestResonatorTracksOffGridFrequency(t *testing.T) {
 	// A frequency that falls exactly between FFT bins must be tracked
-	// at full amplitude; that is the whole point versus SlidingDFT.
+	// at full amplitude; that is the whole point versus slidingDFT.
 	const m = 256
 	f := (41.5) / float64(m) // half-bin offset for an m-point DFT
 	x := resTone(20000, f, 1.0)

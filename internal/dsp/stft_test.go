@@ -176,64 +176,6 @@ func TestSTFTBadArgsPanic(t *testing.T) {
 	}
 }
 
-func TestSlidingDFTMatchesDirect(t *testing.T) {
-	rng := xrand.New(7)
-	const n, m = 700, 64
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
-	}
-	bins := []int{3, 17}
-	got := SlidingDFT(x, m, bins)
-	if len(got) != n-m+1 {
-		t.Fatalf("length = %d, want %d", len(got), n-m+1)
-	}
-	// Direct computation for a few windows.
-	for _, start := range []int{0, 1, 5, 300, n - m} {
-		var want float64
-		for _, k := range bins {
-			var sum complex128
-			for j := 0; j < m; j++ {
-				angle := -2 * math.Pi * float64(k) * float64(j) / float64(m)
-				sum += x[start+j] * cmplx.Exp(complex(0, angle))
-			}
-			want += cmplx.Abs(sum)
-		}
-		if !approxEqual(got[start], want, 1e-6*(want+1)) {
-			t.Fatalf("window %d: got %v want %v", start, got[start], want)
-		}
-	}
-}
-
-func TestSlidingDFTShortInput(t *testing.T) {
-	if out := SlidingDFT(make([]complex128, 10), 64, []int{0}); out != nil {
-		t.Fatalf("short input should return nil, got len %d", len(out))
-	}
-}
-
-func TestSlidingDFTStableOverLongRuns(t *testing.T) {
-	// Drift check: after many recursive updates the value must still
-	// match a direct computation (the renormalization path).
-	rng := xrand.New(8)
-	const n, m = 100000, 128
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
-	}
-	bins := []int{5}
-	got := SlidingDFT(x, m, bins)
-	start := n - m // last window
-	var sum complex128
-	for j := 0; j < m; j++ {
-		angle := -2 * math.Pi * float64(bins[0]) * float64(j) / float64(m)
-		sum += x[start+j] * cmplx.Exp(complex(0, angle))
-	}
-	want := cmplx.Abs(sum)
-	if !approxEqual(got[start], want, 1e-6*(want+1)) {
-		t.Fatalf("drift after long run: got %v want %v", got[start], want)
-	}
-}
-
 func TestSpectrogramWriteCSV(t *testing.T) {
 	x := tone(2048, 100e3, 1e6, 1)
 	s := STFT(x, 256, 128, Hann(256), 1e6)

@@ -43,12 +43,6 @@ type DetectorConfig struct {
 	// contrast in every block. Off — the default — keeps the global
 	// single-pass behavior.
 	GapAware bool
-	// Parallelism is the DSP engine's worker count: 0 picks the process
-	// default (normally all CPUs), 1 forces the exact legacy serial
-	// path, n > 1 uses n workers. The engine's parallel STFT is
-	// bit-identical to the serial one, so this knob never changes which
-	// keystrokes are detected — only the wall-clock time.
-	Parallelism int
 }
 
 // DefaultDetectorConfig mirrors the paper's settings.
@@ -79,9 +73,6 @@ func (c DetectorConfig) Validate() error {
 	}
 	if c.TrackBlock < 0 {
 		return fmt.Errorf("keylog: negative TrackBlock")
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("keylog: negative Parallelism")
 	}
 	return nil
 }
@@ -237,7 +228,7 @@ func finishDetection(band []float64, frameDT float64, blockFrames int, cfg Detec
 // The STFT streams naturally: frames do not overlap, so at most one
 // partial frame carries across a chunk boundary, and the frames each
 // chunk completes up to the next block boundary are transformed across
-// Parallelism workers into the block's magnitude rows. The band
+// the DSP engine's workers into the block's magnitude rows. The band
 // tracker is block-local: as soon as one TrackBlock of frames has
 // accumulated, the block re-acquires the spike and reduces its rows to
 // one band sample per frame, and the rows are reused for the next
@@ -253,7 +244,6 @@ type Detector struct {
 	cfg        DetectorConfig
 	g          geometry
 	degenerate bool // the window rounds to zero samples at this rate
-	eng        dsp.Engine
 
 	window []float64
 	frame  []complex128 // partial frame carried across chunks
@@ -280,7 +270,7 @@ func NewDetector(cfg DetectorConfig, sampleRate, centerFreqHz float64) (*Detecto
 	if cfg.TrackBlock <= 0 {
 		return nil, fmt.Errorf("keylog: detector needs a positive TrackBlock")
 	}
-	d := &Detector{cfg: cfg, eng: dsp.NewEngine(cfg.Parallelism)}
+	d := &Detector{cfg: cfg}
 	g, ok := planGeometry(cfg, sampleRate)
 	if !ok {
 		// The detector accepts the samples and reports the empty
@@ -334,7 +324,7 @@ func (d *Detector) Push(chunk []complex128) {
 func (d *Detector) transform(x []complex128, n int) {
 	lo := len(d.rows)
 	d.growRows(lo + n)
-	d.eng.STFTInto(d.rows[lo:], x, d.g.fftSize, d.window)
+	dsp.Engine{}.STFTInto(d.rows[lo:], x, d.g.fftSize, d.window)
 	if len(d.rows) == d.g.blockFrames {
 		d.flushBlock()
 	}

@@ -19,7 +19,7 @@ func detectOracle(cap *sdr.Capture, cfg DetectorConfig) *Detection {
 	if !ok || g.fftSize > len(cap.IQ) {
 		return &Detection{}
 	}
-	s := dsp.NewEngine(cfg.Parallelism).STFT(cap.IQ, g.fftSize, g.fftSize, dsp.Hann(g.fftSize), cap.SampleRate)
+	s := dsp.STFT(cap.IQ, g.fftSize, g.fftSize, dsp.Hann(g.fftSize), cap.SampleRate)
 	center := s.Bin(cfg.ExpectedF0 - cap.CenterFreqHz)
 	band := make([]float64, s.Frames())
 	for lo := 0; lo < s.Frames(); lo += g.blockFrames {
@@ -52,14 +52,15 @@ func detectChunked(t *testing.T, cap *sdr.Capture, cfg DetectorConfig, size int)
 
 // TestDetectorChunkingInvariance holds the one detector to the batch
 // oracle: on every laptop, faults off and on (with GapAware's per-block
-// normalization on the faulted capture), at Parallelism 1 and 4, the
+// normalization on the faulted capture), at 1 and 4 DSP workers, the
 // Detection of the capture pushed in chunks of 1, 7, 9973 and 65536
 // samples, as one chunk, and as one chunk larger than the capture is
 // reflect.DeepEqual to the oracle's. A one-second TrackBlock puts
 // several block boundaries inside each session. (Chunks shorter than a
-// frame run at Parallelism 1 only; see the loop.)
+// frame run at 1 worker only; see the loop.)
 func TestDetectorChunkingInvariance(t *testing.T) {
 	faulty := faults.Config{DropRatePerS: 2, GainStepRatePerS: 0.5, GainStepMaxDB: 6}
+	t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
 	for pi, prof := range laptop.Profiles() {
 		clean := profileKeylogCapture(prof, RandomWords(3, xrand.New(600+int64(pi))), 610+int64(pi))
 		base := DefaultDetectorConfig()
@@ -78,13 +79,13 @@ func TestDetectorChunkingInvariance(t *testing.T) {
 				t.Fatalf("%s faults=%v: oracle detected no keystrokes; the comparison would be vacuous", prof.Model, withFaults)
 			}
 			for _, par := range []int{1, 4} {
-				cfg.Parallelism = par
+				dsp.SetDefaultParallelism(par)
 				for _, size := range []int{1, 7, 9973, 65536, len(cap.IQ), len(cap.IQ) + 1} {
 					if g, _ := planGeometry(cfg, cap.SampleRate); par > 1 && size < g.fftSize {
 						// A chunk shorter than a frame never completes
 						// two frames in one push, so every transform
-						// runs serially whatever the Parallelism: par 1
-						// covered it.
+						// runs serially whatever the worker count: par
+						// 1 covered it.
 						continue
 					}
 					if got := detectChunked(t, cap, cfg, size); !reflect.DeepEqual(got, want) {

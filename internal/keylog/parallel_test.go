@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pmuleak/internal/covert"
+	"pmuleak/internal/dsp"
 	"pmuleak/internal/emchannel"
 	"pmuleak/internal/laptop"
 	"pmuleak/internal/sdr"
@@ -71,33 +72,21 @@ func detectionEqual(t *testing.T, label string, a, b *Detection) {
 
 // TestDetectParallelismIndependence: the keystroke detector's entire
 // output — band trace, threshold, detected keystrokes — must be
-// bit-identical for every Parallelism setting.
+// bit-identical at every DSP worker count.
 func TestDetectParallelismIndependence(t *testing.T) {
 	cap, prof := buildKeylogCapture(t, "attack at dawn", 71)
 	cfg := DefaultDetectorConfig()
 	cfg.ExpectedF0 = prof.VRM.SwitchingFreqHz
 
-	cfg.Parallelism = 1
+	t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
+	dsp.SetDefaultParallelism(1)
 	serial := Detect(cap, cfg)
 	if len(serial.Keystrokes) == 0 {
 		t.Fatal("baseline serial detection found nothing; test capture is broken")
 	}
 	for _, p := range []int{0, 2, 4, 8} {
-		c := cfg
-		c.Parallelism = p
-		detectionEqual(t, "P="+string(rune('0'+p)), serial, Detect(cap, c))
-	}
-}
-
-func TestDetectorConfigParallelismValidate(t *testing.T) {
-	cfg := DefaultDetectorConfig()
-	cfg.Parallelism = -2
-	if cfg.Validate() == nil {
-		t.Fatal("negative Parallelism accepted")
-	}
-	cfg.Parallelism = 4
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Parallelism 4 rejected: %v", err)
+		dsp.SetDefaultParallelism(p)
+		detectionEqual(t, "P="+string(rune('0'+p)), serial, Detect(cap, cfg))
 	}
 }
 
@@ -121,17 +110,17 @@ func TestDetectZeroSampleWindow(t *testing.T) {
 // different FFT sizes, overlapping worker pools, and shared read-only
 // inputs.
 func TestDemodulateDetectConcurrentStress(t *testing.T) {
+	t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
+	dsp.SetDefaultParallelism(2)
 	keyCap, prof := buildKeylogCapture(t, "race free", 73)
 	detCfg := DefaultDetectorConfig()
 	detCfg.ExpectedF0 = prof.VRM.SwitchingFreqHz
-	detCfg.Parallelism = 2
 	detBase := Detect(keyCap, detCfg)
 
 	covCap, txCfg := buildCovertCapture(t, 75)
 	rxCfg := covert.DefaultRXConfig()
 	rxCfg.ExpectedF0 = laptop.Reference().VRM.SwitchingFreqHz
 	rxCfg.MinBitPeriod = txCfg.BitPeriod() / 2
-	rxCfg.Parallelism = 2
 	covBase := covert.Demodulate(covCap, rxCfg)
 	if len(covBase.Bits) == 0 {
 		t.Fatal("baseline demodulation decoded nothing")

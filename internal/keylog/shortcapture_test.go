@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pmuleak/internal/dsp"
 	"pmuleak/internal/sdr"
 	"pmuleak/internal/sim"
 	"pmuleak/internal/xrand"
@@ -83,11 +84,11 @@ func TestDetectFFTSizeTwo(t *testing.T) {
 // honest bar here, not a tolerance.
 func TestDetectFusedEquivalence(t *testing.T) {
 	cap := shortCapture(1 << 15)
+	t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
 	var want *Detection
 	for _, par := range []int{1, 4} {
-		cfg := noiseConfig()
-		cfg.Parallelism = par
-		det := Detect(cap, cfg)
+		dsp.SetDefaultParallelism(par)
+		det := Detect(cap, noiseConfig())
 		if want == nil {
 			want = det
 			continue

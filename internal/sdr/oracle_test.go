@@ -11,9 +11,9 @@ import (
 )
 
 // acquireOracle is the whole-capture receiver that Frontend replaced,
-// kept verbatim as its oracle: the front end over every sample, then
-// the AGC's sum over every sample, then the gain, DC offset and
-// quantizer.
+// kept as its oracle: the front end over every sample, then the AGC's
+// sum over every sample, then the gain, and then the DC offset and the
+// quantizer as a second pass. It runs on one worker.
 func acquireOracle(iq []complex128, centerFreqHz float64, cfg Config, rng *xrand.Source) (*Capture, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -30,7 +30,7 @@ func acquireOracle(iq []complex128, centerFreqHz float64, cfg Config, rng *xrand
 				rng.Normal(0, cfg.ThermalNoiseSigma))
 		}
 	}
-	eng := dsp.NewEngine(cfg.Parallelism)
+	eng := dsp.Engine{Parallelism: 1}
 	if cfg.AGCTargetRMS > 0 {
 		var sum float64
 		for _, v := range out {
@@ -99,29 +99,33 @@ func cuts(n int, seed int64) map[string][]int {
 
 // TestFrontendMatchesOracle: a Frontend fed any split of the input, in
 // place or into a separate buffer, then Capture, gives the oracle's
-// capture, clip count included.
+// capture, clip count included, at the default DSP worker count and at
+// 4 workers.
 func TestFrontendMatchesOracle(t *testing.T) {
 	type tc struct {
 		name   string
 		mutate func(*Config)
 		scale  float64 // input amplitude; large values rail the ADC
+		par    int     // dsp.SetDefaultParallelism for Capture
 	}
 	cases := []tc{
-		{"default", func(c *Config) {}, 1e-3},
-		{"agc=off", func(c *Config) { c.AGCTargetRMS = 0 }, 0.3},
-		{"iq=+", func(c *Config) { c.IQImbalanceFrac = 0.17 }, 1e-3},
-		{"iq=-", func(c *Config) { c.IQImbalanceFrac = -0.13 }, 1e-3},
-		{"thermal=0", func(c *Config) { c.ThermalNoiseSigma = 0 }, 1e-3},
-		{"dc=+", func(c *Config) { c.DCOffset = 0.15 }, 1e-3},
-		{"dc=-", func(c *Config) { c.DCOffset = -0.15 }, 1e-3},
-		{"loop,16bit", func(c *Config) { c.Antenna = LoopLA390; c.Bits = 16 }, 1e-4},
-		{"clipped", func(c *Config) { c.AGCTargetRMS = 0; c.Antenna = LoopLA390 }, 0.2},
-		{"clipped-agc", func(c *Config) { c.AGCTargetRMS = 0.5; c.DCOffset = 0.2 }, 1},
-		{"parallel", func(c *Config) { c.Parallelism = 4; c.IQImbalanceFrac = -0.05 }, 1e-3},
+		{"default", func(c *Config) {}, 1e-3, 0},
+		{"agc=off", func(c *Config) { c.AGCTargetRMS = 0 }, 0.3, 0},
+		{"iq=+", func(c *Config) { c.IQImbalanceFrac = 0.17 }, 1e-3, 0},
+		{"iq=-", func(c *Config) { c.IQImbalanceFrac = -0.13 }, 1e-3, 0},
+		{"thermal=0", func(c *Config) { c.ThermalNoiseSigma = 0 }, 1e-3, 0},
+		{"dc=+", func(c *Config) { c.DCOffset = 0.15 }, 1e-3, 0},
+		{"dc=-", func(c *Config) { c.DCOffset = -0.15 }, 1e-3, 0},
+		{"loop,16bit", func(c *Config) { c.Antenna = LoopLA390; c.Bits = 16 }, 1e-4, 0},
+		{"clipped", func(c *Config) { c.AGCTargetRMS = 0; c.Antenna = LoopLA390 }, 0.2, 0},
+		{"clipped-agc", func(c *Config) { c.AGCTargetRMS = 0.5; c.DCOffset = 0.2 }, 1, 0},
+		{"parallel", func(c *Config) { c.IQImbalanceFrac = -0.05 }, 1e-3, 4},
 	}
+	t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
 	var clippedSeen bool
 	for _, n := range []int{0, 3, 40000} {
 		for ci, c := range cases {
+			dsp.SetDefaultParallelism(c.par)
 			cfg := DefaultConfig()
 			c.mutate(&cfg)
 			iq := make([]complex128, n)

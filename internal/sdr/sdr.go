@@ -64,13 +64,6 @@ type Config struct {
 	// values model a Q path stronger than the I path and are just as
 	// physical as positive ones.
 	IQImbalanceFrac float64
-	// Parallelism is the worker count for the deterministic receiver
-	// stages (AGC scaling, DC offset, quantization): 0 picks the
-	// process default, 1 forces the serial path. The noise stage stays
-	// serial regardless — it consumes the random stream in sample
-	// order — and the parallel stages are element-wise, so the knob
-	// never changes the capture.
-	Parallelism int
 }
 
 // DefaultConfig returns an RTL-SDR v3 at its maximum stable rate.
@@ -109,9 +102,6 @@ func (c Config) Validate() error {
 	}
 	if math.Abs(c.IQImbalanceFrac) > 0.2 {
 		return fmt.Errorf("sdr: IQImbalanceFrac %v out of range [-0.2,0.2]", c.IQImbalanceFrac)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("sdr: negative Parallelism")
 	}
 	return nil
 }
@@ -253,36 +243,39 @@ func (f *Frontend) Process(dst, src []complex128) {
 //
 // AGC: a single measurement over the capture (the RTL's gain is set
 // once per tuning in practice), from the serial sum Process formed.
-// The gain application and the quantizer are element-wise and run on
-// the worker pool.
+// The gain, the DC offset and the quantizer are element-wise and run
+// as one pass on the worker pool.
 func (f *Frontend) Capture(iq []complex128, centerFreqHz float64) *Capture {
 	if len(iq) != f.n {
 		panic(fmt.Sprintf("sdr: Capture of %d samples after Process of %d", len(iq), f.n))
 	}
 	cfg := &f.cfg
-	eng := dsp.NewEngine(cfg.Parallelism)
+	// The gain multiplies only when the AGC measured a level:
+	// multiplying by 1 instead would turn a −0 component into +0.
+	var (
+		agc   float64
+		scale bool
+	)
 	if cfg.AGCTargetRMS > 0 {
-		rms := math.Sqrt(f.sum / math.Max(1, float64(len(iq))))
-		if rms > 0 {
-			agc := cfg.AGCTargetRMS / rms
-			eng.Chunks(len(iq), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					iq[i] *= complex(agc, 0)
-				}
-			})
+		if rms := math.Sqrt(f.sum / math.Max(1, float64(len(iq)))); rms > 0 {
+			agc, scale = cfg.AGCTargetRMS/rms, true
 		}
 	}
 	cap := &Capture{SampleRate: cfg.SampleRate, CenterFreqHz: centerFreqHz}
 	levels := float64(int(1) << (cfg.Bits - 1)) // e.g. 128 for 8-bit
 	var clipped atomic.Int64
-	eng.Chunks(len(iq), func(lo, hi int) {
+	dsp.Engine{}.Chunks(len(iq), func(lo, hi int) {
 		var clips int64
 		for i := lo; i < hi; i++ {
-			if cfg.DCOffset != 0 {
-				iq[i] += complex(cfg.DCOffset, 0)
+			v := iq[i]
+			if scale {
+				v *= complex(agc, 0)
 			}
-			re, cr := quantize(real(iq[i]), levels)
-			im, ci := quantize(imag(iq[i]), levels)
+			if cfg.DCOffset != 0 {
+				v += complex(cfg.DCOffset, 0)
+			}
+			re, cr := quantize(real(v), levels)
+			im, ci := quantize(imag(v), levels)
 			if cr || ci {
 				clips++
 			}

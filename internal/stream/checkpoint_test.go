@@ -59,7 +59,7 @@ func TestKillAndRestoreMatchesBatch(t *testing.T) {
 				name := fmt.Sprintf("krcov%d_%d", jobs, cut)
 				dir := t.TempDir()
 				d := stream.NewDaemon(2, stream.WithCheckpoints(dir, 1))
-				s := d.Attach(name, freshCovert(t, p.RXCfg, p.Cap), 4)
+				s := attach(t, d, name, freshCovert(t, p.RXCfg, p.Cap), 4)
 				for i := 0; i < cut; i++ {
 					s.Push(chunks[i])
 				}
@@ -93,7 +93,7 @@ func TestKillAndRestoreMatchesBatch(t *testing.T) {
 				name := fmt.Sprintf("krkey%d_%d", jobs, cut)
 				dir := t.TempDir()
 				d := stream.NewDaemon(2, stream.WithCheckpoints(dir, 1))
-				s := d.Attach(name, freshKeylog(t, p.DetCfg, p.Cap), 4)
+				s := attach(t, d, name, freshKeylog(t, p.DetCfg, p.Cap), 4)
 				for i := 0; i < cut; i++ {
 					s.Push(chunks[i])
 				}
@@ -287,7 +287,7 @@ func TestCheckpointWriteErrorSurfacedNotFatal(t *testing.T) {
 	// finishes anyway, and the failure is visible on CheckpointErr.
 	d := stream.NewDaemon(1, stream.WithCheckpoints(badDir, 1))
 	rx2 := freshCovert(t, p.RXCfg, p.Cap)
-	s := d.Attach("ckptfail", rx2, 4)
+	s := attach(t, d, "ckptfail", rx2, 4)
 	for _, c := range stream.Chunks(p.Cap.IQ, 16384) {
 		if !s.Push(c) {
 			t.Fatal("push refused on a healthy stream")

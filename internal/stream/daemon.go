@@ -180,22 +180,11 @@ func NewDaemon(workers int, opts ...DaemonOption) *Daemon {
 	return d
 }
 
-// Attach registers a stream: chunks pushed to the returned
+// AttachE registers a stream: chunks pushed to the returned
 // DaemonStream flow through a ring of queueCap chunks into proc on the
 // worker pool. The name keys the stream's telemetry series
-// (stream.daemon.<name>.*). Attach panics when an admission limit
-// refuses the stream; daemons constructed with WithMaxStreams should
-// use AttachE and handle the error.
-func (d *Daemon) Attach(name string, proc Processor, queueCap int) *DaemonStream {
-	s, err := d.AttachE(name, proc, queueCap)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// AttachE is Attach with admission control surfaced as an error: a
-// daemon at its WithMaxStreams limit refuses the stream (counted under
+// (stream.daemon.<name>.*). A daemon at its WithMaxStreams limit
+// refuses the stream with an error (counted under
 // stream.shed.attach_rejected) instead of overcommitting the pool.
 func (d *Daemon) AttachE(name string, proc Processor, queueCap int) (*DaemonStream, error) {
 	d.mu.Lock()

@@ -14,6 +14,17 @@ import (
 	"pmuleak/internal/telemetry"
 )
 
+// attach registers a stream on d and fails the test if the daemon
+// refuses it.
+func attach(t testing.TB, d *stream.Daemon, name string, proc stream.Processor, queueCap int) *stream.DaemonStream {
+	t.Helper()
+	s, err := d.AttachE(name, proc, queueCap)
+	if err != nil {
+		t.Fatalf("AttachE(%q): %v", name, err)
+	}
+	return s
+}
+
 // TestRingFIFO pins the ring's ordering and close semantics: chunks
 // come out in push order, Close drains the remainder, and pushes after
 // Close are refused.
@@ -101,7 +112,7 @@ func (p *slowProc) Push(chunk []complex128) {
 func TestDaemonBackpressure(t *testing.T) {
 	d := stream.NewDaemon(2)
 	proc := &slowProc{delay: time.Millisecond}
-	s := d.Attach("bp", proc, 2)
+	s := attach(t, d, "bp", proc, 2)
 	const n = 24
 	for i := 0; i < n; i++ {
 		if !s.Push(make([]complex128, 8)) {
@@ -151,7 +162,7 @@ func (p *gatedProc) Push(chunk []complex128) {
 func TestDaemonQueueDepthAndLatency(t *testing.T) {
 	d := stream.NewDaemon(1)
 	proc := &gatedProc{entered: make(chan struct{}, 8), gate: make(chan struct{})}
-	s := d.Attach("depth", proc, 8)
+	s := attach(t, d, "depth", proc, 8)
 
 	s.Push(make([]complex128, 4))
 	// The worker is now parked inside proc.Push with the ring empty, so
@@ -214,13 +225,13 @@ func TestDaemonStreamsMatchBatch(t *testing.T) {
 			t.Fatalf("NewCovertReceiver: %v", err)
 		}
 		covRX[i] = rx
-		sc := d.Attach(fmt.Sprintf("cov%d", i), rx, 4)
+		sc := attach(t, d, fmt.Sprintf("cov%d", i), rx, 4)
 		det, err := stream.NewKeylogDetector(pk.DetCfg, pk.Cap.SampleRate, pk.Cap.CenterFreqHz)
 		if err != nil {
 			t.Fatalf("NewKeylogDetector: %v", err)
 		}
 		keyDet[i] = det
-		sk := d.Attach(fmt.Sprintf("key%d", i), det, 4)
+		sk := attach(t, d, fmt.Sprintf("key%d", i), det, 4)
 
 		wg.Add(2)
 		go func(s *stream.DaemonStream, size int) {
@@ -277,7 +288,7 @@ func TestDaemonFlatStreamMemory(t *testing.T) {
 				t.Fatalf("NewCovertReceiver: %v", err)
 			}
 			rxs[i] = rx
-			s := d.Attach(fmt.Sprintf("mem%d", i), rx, 4)
+			s := attach(t, d, fmt.Sprintf("mem%d", i), rx, 4)
 			wg.Add(1)
 			go func(s *stream.DaemonStream) {
 				defer wg.Done()
@@ -320,7 +331,7 @@ func TestDaemonDrainNoGoroutineLeak(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		proc := &slowProc{delay: 50 * time.Microsecond}
-		s := d.Attach(fmt.Sprintf("leak%d", i), proc, 2)
+		s := attach(t, d, fmt.Sprintf("leak%d", i), proc, 2)
 		wg.Add(1)
 		go func(s *stream.DaemonStream) {
 			defer wg.Done()
@@ -349,7 +360,7 @@ func TestDaemonDrainNoGoroutineLeak(t *testing.T) {
 func TestDaemonDoneSemantics(t *testing.T) {
 	d := stream.NewDaemon(1)
 	defer d.Drain()
-	s := d.Attach("done", &slowProc{}, 2)
+	s := attach(t, d, "done", &slowProc{}, 2)
 	select {
 	case <-s.Done():
 		t.Fatal("Done closed before the stream was closed")
@@ -362,7 +373,7 @@ func TestDaemonDoneSemantics(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Done never closed after close-plus-drain")
 	}
-	empty := d.Attach("done_empty", &slowProc{}, 2)
+	empty := attach(t, d, "done_empty", &slowProc{}, 2)
 	empty.Close()
 	select {
 	case <-empty.Done():

@@ -35,10 +35,20 @@ func covertFaults() faults.Config {
 	}
 }
 
+// setParallelism sets the process-wide DSP worker count until the test
+// ends.
+func setParallelism(t *testing.T, p int) {
+	dsp.SetDefaultParallelism(p)
+	t.Cleanup(func() { dsp.SetDefaultParallelism(0) })
+}
+
+// prepCovert prepares a covert run and sets the DSP worker count for
+// the rest of the test.
 func prepCovert(t *testing.T, withFaults bool, parallelism int) *core.PreparedCovert {
 	t.Helper()
+	setParallelism(t, parallelism)
 	tb := core.NewTestbed(core.WithSeed(7))
-	cfg := core.CovertConfig{PayloadBits: 64, Parallelism: parallelism}
+	cfg := core.CovertConfig{PayloadBits: 64}
 	if withFaults {
 		cfg.Faults = covertFaults()
 		cfg.RXResync = true
@@ -145,10 +155,13 @@ func TestCovertStreamRequiresHint(t *testing.T) {
 	}
 }
 
+// prepKeylog prepares a keylog run and sets the DSP worker count for
+// the rest of the test.
 func prepKeylog(t *testing.T, withFaults bool, parallelism int) *core.PreparedKeylog {
 	t.Helper()
+	setParallelism(t, parallelism)
 	tb := core.NewTestbed(core.WithSeed(11))
-	cfg := core.KeylogConfig{Words: 4, Parallelism: parallelism}
+	cfg := core.KeylogConfig{Words: 4}
 	if withFaults {
 		cfg.Faults = faults.Config{DropRatePerS: 2, GainStepRatePerS: 0.5, GainStepMaxDB: 6}
 		cfg.GapAware = true

@@ -58,9 +58,9 @@ func chunkVal(v float64) []complex128 {
 func TestPanicQuarantinesStreamNotWorker(t *testing.T) {
 	panicsBefore := counter("stream.quarantine.panics")
 	d := stream.NewDaemon(1)
-	bad := d.Attach("quar_bad", &panicProc{after: 1}, 4)
+	bad := attach(t, d, "quar_bad", &panicProc{after: 1}, 4)
 	goodProc := &countProc{}
-	good := d.Attach("quar_good", goodProc, 4)
+	good := attach(t, d, "quar_good", goodProc, 4)
 
 	bad.Push(chunkVal(1))
 	select {
@@ -152,7 +152,7 @@ func TestQuarantineUnblocksBlockedProducer(t *testing.T) {
 	droppedBefore := counter("stream.quarantine.dropped_chunks")
 	d := stream.NewDaemon(1)
 	proc := &gatePanicProc{entered: make(chan struct{}), gate: make(chan struct{})}
-	s := d.Attach("quar_unblock", proc, 1)
+	s := attach(t, d, "quar_unblock", proc, 1)
 
 	s.Push(chunkVal(0))
 	<-proc.entered // worker is inside Push, holding chunk 0
@@ -192,7 +192,7 @@ func TestDrainRacesMidChunkPanic(t *testing.T) {
 	d := stream.NewDaemon(4)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		s := d.Attach(fmt.Sprintf("drace%d", i), &panicProc{after: 1 + i%3}, 2)
+		s := attach(t, d, fmt.Sprintf("drace%d", i), &panicProc{after: 1 + i%3}, 2)
 		wg.Add(1)
 		go func(s *stream.DaemonStream) {
 			defer wg.Done()
@@ -257,7 +257,7 @@ func TestShedOldest(t *testing.T) {
 	shedBefore := counter("stream.shed.chunks")
 	d := stream.NewDaemon(1, stream.WithShedPolicy(stream.ShedOldest))
 	proc := &recordProc{entered: make(chan struct{}), gate: make(chan struct{})}
-	s := d.Attach("shed_old", proc, 2)
+	s := attach(t, d, "shed_old", proc, 2)
 
 	s.Push(chunkVal(0))
 	<-proc.entered // worker holds chunk 0; ring is empty
@@ -303,7 +303,7 @@ func TestShedOldest(t *testing.T) {
 func TestShedNewest(t *testing.T) {
 	d := stream.NewDaemon(1, stream.WithShedPolicy(stream.ShedNewest))
 	proc := &recordProc{entered: make(chan struct{}), gate: make(chan struct{})}
-	s := d.Attach("shed_new", proc, 2)
+	s := attach(t, d, "shed_new", proc, 2)
 
 	s.Push(chunkVal(0))
 	<-proc.entered
