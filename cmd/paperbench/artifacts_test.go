@@ -1,9 +1,10 @@
-// The artifacts and validate tests cost four extra full renders on top
-// of the package's golden baseline; under the race detector's ~10x
-// slowdown that blows the CI race job's timeout, and the paths they
-// pin (stdout teeing, run-dir writing, manifest replay) are sequential
-// I/O with no concurrency of their own — the race build keeps the
-// orchestrator-equivalence coverage and skips these.
+// The artifacts and validate tests cost one extra full render and three
+// renders of one experiment on top of the package's golden baseline;
+// under the race detector's ~10x slowdown that strains the CI race
+// job's timeout, and the paths they pin (stdout teeing, run-dir
+// writing, manifest replay) are sequential I/O with no concurrency of
+// their own — the race build keeps the orchestrator-equivalence
+// coverage and skips these.
 //go:build !race
 
 package main
@@ -32,13 +33,14 @@ func resetOrchestrator(t *testing.T) {
 }
 
 // executeArtifacts runs the harness with -artifacts under the golden
-// settings (serial, seed 2020, an empty trace cache) and returns stdout
-// plus the run directory.
-func executeArtifacts(t *testing.T, root string) ([]byte, string) {
+// settings (serial, seed 2020, an empty trace cache), restricted to one
+// experiment unless only is empty, and returns stdout plus the run
+// directory.
+func executeArtifacts(t *testing.T, root, only string) ([]byte, string) {
 	t.Helper()
 	core.ResetTraceCache()
 	var out, errs bytes.Buffer
-	cfg := benchConfig{Scale: goldenScale, Seed: 2020, Jobs: 1, Artifacts: root}
+	cfg := benchConfig{Scale: goldenScale, Only: only, Seed: 2020, Jobs: 1, Artifacts: root}
 	if code := execute(cfg, &out, &errs); code != 0 {
 		t.Fatalf("execute with -artifacts exited %d\nstderr:\n%s", code, errs.String())
 	}
@@ -56,7 +58,7 @@ func TestArtifactsGoldenStdout(t *testing.T) {
 	resetOrchestrator(t)
 	baseline := goldenBaseline(t) // artifacts off
 
-	out, dir := executeArtifacts(t, t.TempDir())
+	out, dir := executeArtifacts(t, t.TempDir(), "")
 	if !bytes.Equal(out, baseline) {
 		t.Fatalf("stdout with -artifacts differs from baseline\nfirst divergence: %s",
 			firstDiff(baseline, out))
@@ -98,10 +100,13 @@ func TestArtifactsGoldenStdout(t *testing.T) {
 
 // TestValidateReplay drives -validate through its three outcomes:
 // a faithful manifest replays to exit 0, a tampered seed diverges to
-// exit 1, and a manifest without a digest is unusable (exit 2).
+// exit 1, and a manifest without a digest is unusable (exit 2). The run
+// is restricted to fig8, one short seed-dependent experiment, so the
+// replay honours the recorded -only; CI's report-gate job replays a
+// full quick run.
 func TestValidateReplay(t *testing.T) {
 	resetOrchestrator(t)
-	_, dir := executeArtifacts(t, t.TempDir())
+	_, dir := executeArtifacts(t, t.TempDir(), "fig8")
 	manifestPath := filepath.Join(dir, artifacts.ManifestFile)
 
 	var out, errs bytes.Buffer

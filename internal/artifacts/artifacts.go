@@ -5,8 +5,7 @@
 // reproducible paper-runner workflow (experiments grid, repeats,
 // timestamped run dirs, CSV outputs, validate-only replay) that turns
 // "the perf/BER trajectory lives in a hand-edited JSON" into recorded
-// measurements. cmd/emreport reads these directories back and gates
-// regressions (analyze.go).
+// measurements. cmd/emreport reads these directories back.
 //
 // Run-directory layout:
 //

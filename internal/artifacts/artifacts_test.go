@@ -10,8 +10,8 @@ import (
 	"pmuleak/internal/telemetry"
 )
 
-// fakeSnapshot builds a snapshot carrying the scoring counters the
-// analyzer reads.
+// fakeSnapshot builds a snapshot carrying the scoring counters
+// cmd/emreport reads.
 func fakeSnapshot(bits, errs, truth, matched uint64) telemetry.Snapshot {
 	r := telemetry.NewRegistry()
 	r.Counter("core.covert.tx_bits").Add(bits)
@@ -115,75 +115,5 @@ func TestDiscoverRuns(t *testing.T) {
 	}
 	if _, err := DiscoverRuns(t.TempDir()); err == nil {
 		t.Fatal("discovery in an empty dir did not fail")
-	}
-}
-
-// TestAnalyzeGates drives every gate through its pass and fail sides.
-func TestAnalyzeGates(t *testing.T) {
-	root := t.TempDir()
-	writeFakeRun(t, root, time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC), 1500, 300)
-	writeFakeRun(t, root, time.Date(2026, 8, 9, 12, 5, 0, 0, time.UTC), 1700, 340)
-	dirs, err := DiscoverRuns(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runs []*Run
-	for _, d := range dirs {
-		r, err := LoadRun(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, r)
-	}
-
-	pass := &Baseline{
-		Tolerance:    0.5,
-		TotalWallMS:  1900,
-		Experiments:  []ExperimentGate{{Name: "table2", WallMS: 1550}},
-		CovertBER:    0.003, // measured aggregate is 6/2000 = 0.003
-		BERSlack:     1e-4,
-		KeylogRecall: 0.9, // measured 360/400 = 0.9, gate 0.45
-	}
-	a := Analyze(runs, pass)
-	if len(a.Failures) != 0 {
-		t.Fatalf("passing baseline tripped gates: %v", a.Failures)
-	}
-	if a.Runs != 2 || len(a.PerExperiment) != 2 {
-		t.Fatalf("analysis shape: %+v", a)
-	}
-	// Rows group by experiment name, sorted.
-	if a.PerExperiment[0].Name != "fleet" || a.PerExperiment[1].Name != "table2" {
-		t.Fatalf("experiment order: %+v", a.PerExperiment)
-	}
-	if got := a.PerExperiment[1].Wall; got.N != 2 || got.Mean != 1600 {
-		t.Fatalf("table2 wall stats = %+v, want mean 1600 over 2", got)
-	}
-	if a.PerExperiment[1].Status != "ok" || a.PerExperiment[0].Status != "-" {
-		t.Fatalf("statuses: %+v", a.PerExperiment)
-	}
-	if a.CovertBER != 0.003 || a.KeylogRecall != 0.9 {
-		t.Fatalf("aggregates: BER %v recall %v", a.CovertBER, a.KeylogRecall)
-	}
-
-	fail := &Baseline{
-		Tolerance:    0.1,
-		TotalWallMS:  500,                                            // way under the ~1920 measured
-		Experiments:  []ExperimentGate{{Name: "fleet", WallMS: 100}}, // measured mean 320
-		CovertBER:    0.0001,                                         // gate ~1.1e-4 < measured 3e-3
-		KeylogRecall: 1.01,                                           // gate 0.909 > measured 0.9
-	}
-	a = Analyze(runs, fail)
-	if len(a.Failures) != 4 {
-		t.Fatalf("failing baseline tripped %d gates, want 4: %v", len(a.Failures), a.Failures)
-	}
-	for _, st := range a.PerExperiment {
-		if st.Name == "fleet" && st.Status != "FAIL" {
-			t.Fatalf("fleet gate not marked FAIL: %+v", st)
-		}
-	}
-
-	// No baseline = report only.
-	if a := Analyze(runs, nil); len(a.Failures) != 0 {
-		t.Fatalf("nil baseline produced failures: %v", a.Failures)
 	}
 }

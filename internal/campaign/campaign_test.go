@@ -215,7 +215,7 @@ func TestFlatReducerMemory(t *testing.T) {
 // per-cell surrogate work either folded into per-block reducers
 // (path=streamed, the campaign engine) or returned per cell through
 // sweep and reduced afterwards (path=slices, what internal/sweep alone
-// offers). cmd/benchguard gates the throughput ratio via
+// offers). cmd/emreport gates the throughput ratio via
 // internal/campaign/testdata/bench_baseline.json; BENCH_experiments.json
 // records the absolute cells/s.
 func BenchmarkCampaignCells(b *testing.B) {

@@ -24,7 +24,7 @@ var synthSink *sdr.Capture
 //
 // The session is simulated once; each iteration renders it again from
 // fresh random streams. No buffer goes back to the pool, so B/op counts
-// every full-capture buffer. cmd/benchguard gates the ratio against
+// every full-capture buffer. cmd/emreport gates the ratio against
 // testdata/bench_baseline.json.
 func BenchmarkSynthesis(b *testing.B) {
 	prof, _ := laptop.ByModel("Dell Precision 7290")

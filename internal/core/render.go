@@ -94,10 +94,3 @@ func RenderTrace(w io.Writer, y []float64, rows, cols int) {
 		fmt.Fprintln(w, sb.String())
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -6,7 +6,7 @@ import "testing"
 // inside one process on one machine: for each workload, path=reference
 // is the pre-fusion serial algorithm (copy, ApplyWindow, the plan's
 // one-stage-per-pass loop in applyOracle) and path=fused is the
-// production path. cmd/benchguard enforces the fused/reference ratio
+// production path. cmd/emreport gates the fused/reference ratio
 // from this output — ratios survive machine-speed differences, absolute
 // nanoseconds do not.
 

@@ -5,7 +5,7 @@ import "testing"
 // Receiver kernel benchmarks, paired like the fused-kernel ones: each
 // runs the §IV-B back half's kernel on a 500 k-sample trace (about a
 // 1.7 s covert capture after decimation) on the oracle it replaced and
-// on the production path. cmd/benchguard gates the ratios against
+// on the production path. cmd/emreport gates the ratios against
 // testdata/receiver_bench_baseline.json.
 
 const receiverBenchLen = 500_000

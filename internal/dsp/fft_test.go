@@ -220,21 +220,3 @@ func TestBinFrequencyNegativeHalf(t *testing.T) {
 		t.Errorf("bin 100 frequency = %v, want positive", f)
 	}
 }
-
-func TestGoertzelMatchesFFT(t *testing.T) {
-	rng := xrand.New(4)
-	const n = 256
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
-	}
-	ref := append([]complex128(nil), x...)
-	FFT(ref)
-	for _, k := range []int{0, 1, 17, 128, 255} {
-		got := Goertzel(x, k)
-		want := cmplx.Abs(ref[k])
-		if !approxEqual(got, want, 1e-6*(want+1)) {
-			t.Errorf("Goertzel bin %d = %v, FFT = %v", k, got, want)
-		}
-	}
-}

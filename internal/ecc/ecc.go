@@ -162,13 +162,6 @@ func BitsToBytes(bits []byte) []byte {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // CRC8 computes the CRC-8/ATM checksum (polynomial x^8+x^2+x+1, 0x07)
 // of p. Exfiltration protocols append it so the receiver can tell a
 // clean frame from one damaged by a bit insertion or deletion, which

@@ -569,13 +569,6 @@ func Banner(title string) string {
 	return fmt.Sprintf("\n==== %s %s\n", title, strings.Repeat("=", max(0, 66-len(title))))
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------
 // Multi-core isolation (extension): does pinning unrelated work to a
 // different core hide it from the VRM channel? It does not — the VRM

@@ -289,7 +289,7 @@ var emitSink []complex128
 
 // BenchmarkEmanations times one keystroke-capture emission (240 kS/s,
 // one harmonic, two seconds of on/off load) on the materialized oracle
-// and on the streamed production path. cmd/benchguard gates their
+// and on the streamed production path. cmd/emreport gates their
 // ratio against testdata/bench_baseline.json.
 func BenchmarkEmanations(b *testing.B) {
 	const horizon = 2 * sim.Second

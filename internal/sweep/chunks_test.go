@@ -102,7 +102,7 @@ func TestMapChunksChunkOrder(t *testing.T) {
 // BenchmarkMapTrivialCells is the satellite microbench: one million
 // trivial cells, per-cell claiming versus chunked claiming. The
 // per-cell path pays an atomic RMW plus two time.Now calls per cell;
-// the chunked path amortizes both over 4096 cells. cmd/benchguard
+// the chunked path amortizes both over 4096 cells. cmd/emreport
 // gates the ratio (internal/campaign/testdata/bench_baseline.json).
 func BenchmarkMapTrivialCells(b *testing.B) {
 	const n = 1 << 20
