@@ -373,7 +373,7 @@ func BenchmarkStageResonators(b *testing.B) {
 	}
 }
 
-// BenchmarkSTFTParallel measures the engine's spectrogram throughput at
+// BenchmarkSTFTParallel measures dsp.STFT's spectrogram throughput at
 // several worker counts over a half-megasample capture (the Fig. 2
 // shape: 1024-point FFT, 4x overlap). The parallel path also commits to
 // zero steady-state allocations beyond the output spectrogram itself —
@@ -387,12 +387,13 @@ func BenchmarkSTFTParallel(b *testing.B) {
 	window := dsp.Hann(1024)
 	for _, p := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			eng := dsp.Engine{Parallelism: p}
+			dsp.SetDefaultParallelism(p)
+			b.Cleanup(func() { dsp.SetDefaultParallelism(0) })
 			b.ReportAllocs()
 			b.SetBytes(int64(len(x) * 16))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.STFT(x, 1024, 256, window, 2.4e6)
+				dsp.STFT(x, 1024, 256, window, 2.4e6)
 			}
 		})
 	}
@@ -518,9 +519,11 @@ func BenchmarkTable3Orchestrated(b *testing.B) {
 func BenchmarkSweepOverhead(b *testing.B) {
 	for _, jobs := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			sweep.SetDefaultJobs(jobs)
+			b.Cleanup(func() { sweep.SetDefaultJobs(0) })
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sweep.MapJobs(jobs, 64, func(c int) int { return c * c })
+				sweep.Map(64, func(c int) int { return c * c })
 			}
 		})
 	}

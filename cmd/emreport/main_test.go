@@ -385,7 +385,6 @@ var checkedIn = []struct {
 	}}},
 	{"campaign", "../../internal/campaign/testdata/bench_baseline.json", Baseline{Pairs: []Pair{
 		{"BenchmarkCampaignCells", "path=slices", "path=streamed", 7.2},
-		{"BenchmarkMapTrivialCells", "path=percell", "path=chunked", 22.5},
 	}}},
 	{"laptop", "../../internal/laptop/testdata/bench_baseline.json", Baseline{Pairs: []Pair{
 		{"BenchmarkEmanations", "path=materialized", "path=streamed", 1.62},

@@ -57,9 +57,8 @@ func (a *artifactRun) write(cfg benchConfig, snap telemetry.Snapshot) (string, e
 // manifestFlags flattens the run configuration into the manifest's
 // stringly-typed flag map. Every knob that exists is recorded — the
 // report-identity ones (scale, only, seed, spectrograms, cells) because
-// -validate replays them, the execution-only ones (parallel, jobs,
-// shards) because a regression hunt needs to know how the timed run was
-// shaped.
+// -validate replays them, the execution-only ones (parallel, jobs)
+// because a regression hunt needs to know how the timed run was shaped.
 func manifestFlags(cfg benchConfig) map[string]string {
 	return map[string]string{
 		"scale.payload_bits": strconv.Itoa(cfg.Scale.PayloadBits),
@@ -72,7 +71,6 @@ func manifestFlags(cfg benchConfig) map[string]string {
 		"parallel":           strconv.Itoa(cfg.Parallel),
 		"jobs":               strconv.Itoa(cfg.Jobs),
 		"cells":              strconv.FormatInt(cfg.Cells, 10),
-		"shards":             strconv.Itoa(cfg.Shards),
 	}
 }
 
@@ -80,8 +78,8 @@ func manifestFlags(cfg benchConfig) map[string]string {
 // recorded flags. Observational outputs (stats, metrics, profiles,
 // artifacts) stay off: the replay's only product is the stdout digest.
 // Keys of retired execution-only flags in older manifests (nofused,
-// tracecache, tracecache_cap) are ignored: every value of them gave the
-// same report.
+// tracecache, tracecache_cap, shards) are ignored: every value of them
+// gave the same report.
 func configFromManifest(m artifacts.Manifest) (benchConfig, error) {
 	get := func(key string) (string, error) {
 		v, ok := m.Flags[key]
@@ -157,9 +155,6 @@ func configFromManifest(m artifacts.Manifest) (benchConfig, error) {
 	}
 	if cfg.Cells, err = strconv.ParseInt(runCellsStr, 10, 64); err != nil {
 		return cfg, fmt.Errorf("manifest flag cells=%q: %w", runCellsStr, err)
-	}
-	if cfg.Shards, err = atoi("shards"); err != nil {
-		return cfg, err
 	}
 	return cfg, nil
 }

@@ -158,11 +158,12 @@ func TestValidateReplay(t *testing.T) {
 // TestManifestFlagsRoundTrip pins that every recorded flag reconstructs
 // the configuration it came from, including a custom scale. Run
 // directories recorded while paperbench still had its -nofused kernel
-// switch carry "nofused": "false" or "true", and those recorded before
-// the trace cache lost its -tracecache and -tracecache-cap flags carry
-// "tracecache" and "tracecache_cap". Every value of those flags gave
-// the same report, so the recorded digests hold for the one path left,
-// and the keys must be ignored rather than rejected.
+// switch carry "nofused": "false" or "true", those recorded before the
+// trace cache lost its -tracecache and -tracecache-cap flags carry
+// "tracecache" and "tracecache_cap", and those recorded before the
+// fleet campaign lost its -shards flag carry "shards". Every value of
+// those flags gave the same report, so the recorded digests hold for
+// the one path left, and the keys must be ignored rather than rejected.
 func TestManifestFlagsRoundTrip(t *testing.T) {
 	cfg := benchConfig{
 		Scale:    goldenScale,
@@ -172,7 +173,6 @@ func TestManifestFlagsRoundTrip(t *testing.T) {
 		Parallel: 2,
 		Jobs:     3,
 		Cells:    1 << 10,
-		Shards:   4,
 	}
 	for _, legacy := range []map[string]string{
 		nil,
@@ -181,6 +181,8 @@ func TestManifestFlagsRoundTrip(t *testing.T) {
 		{"tracecache": "true", "tracecache_cap": "0"},
 		{"tracecache": "false", "tracecache_cap": "0"},
 		{"tracecache": "true", "tracecache_cap": "9"},
+		{"shards": "1"},
+		{"shards": "16"},
 	} {
 		m := artifacts.Manifest{Flags: manifestFlags(cfg)}
 		for k, v := range legacy {

@@ -54,11 +54,9 @@ type benchConfig struct {
 	Show     bool
 	Parallel int
 	Jobs     int
-	// Cells and Shards drive the fleet campaign's population and
-	// execution batching. Shards never changes a report byte; Cells
-	// changes which report is produced, not its stability.
+	// Cells overrides the fleet campaign's population: it changes
+	// which report is produced, not its stability.
 	Cells     int64
-	Shards    int
 	Stats     bool
 	Metrics   string // write a telemetry JSON snapshot here at exit
 	PprofCPU  string // write a runtime/pprof CPU profile here
@@ -88,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel  = fs.Int("parallel", 0, "DSP worker count: 0 = all CPUs, 1 = serial, n = n workers (results are bit-identical either way)")
 		jobs      = fs.Int("jobs", 0, "experiment-cell worker count: 0 = all CPUs, 1 = exact legacy serial (results are bit-identical either way)")
 		cells     = fs.Int64("cells", 0, "fleet campaign population size: 0 = the scale's default")
-		shards    = fs.Int("shards", 0, "fleet campaign execution shards: 0 = default (reports are byte-identical at every value)")
 		stats     = fs.Bool("stats", true, "report per-experiment wall time and the telemetry summary on stderr")
 		metrics   = fs.String("metrics", "", "write a telemetry JSON snapshot to this file at exit")
 		pprofCPU  = fs.String("pprof-cpu", "", "write a CPU profile (runtime/pprof) to this file")
@@ -107,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Parallel:  *parallel,
 		Jobs:      *jobs,
 		Cells:     *cells,
-		Shards:    *shards,
 		Stats:     *stats,
 		Metrics:   *metrics,
 		PprofCPU:  *pprofCPU,
@@ -176,8 +172,7 @@ func execute(cfg benchConfig, stdout, stderr io.Writer) int {
 		out = collect.tee(stdout)
 	}
 
-	rc := runContext{Seed: cfg.Seed, Scale: cfg.Scale, Show: cfg.Show,
-		Cells: cfg.Cells, Shards: cfg.Shards}
+	rc := runContext{Seed: cfg.Seed, Scale: cfg.Scale, Show: cfg.Show, Cells: cfg.Cells}
 	start := time.Now()
 	for _, s := range specs {
 		if cfg.Only != "" && !strings.EqualFold(cfg.Only, s.Name) {

@@ -106,3 +106,28 @@ func TestRegistryNamesUnique(t *testing.T) {
 		t.Errorf("registry has %d experiments, want 21", len(seen))
 	}
 }
+
+// TestRetiredFlagsRejected: flags whose every value gave the same
+// report are gone, and naming one is a usage error (exit 2, nothing on
+// stdout) rather than a silent no-op. Recorded manifests that carry
+// their keys still replay (TestManifestFlagsRoundTrip).
+func TestRetiredFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-shards", "4"},
+		{"-tracecache=false"},
+		{"-tracecache-cap", "4"},
+		{"-nofused"},
+	} {
+		var out, errs bytes.Buffer
+		if code := run(args, &out, &errs); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes to stdout", args, out.Len())
+		}
+		if !bytes.Contains(errs.Bytes(), []byte("flag provided but not defined")) ||
+			!bytes.Contains(errs.Bytes(), []byte("Usage of paperbench")) {
+			t.Errorf("%v: stderr lacks the usage error:\n%s", args, errs.String())
+		}
+	}
+}

@@ -13,13 +13,10 @@ type runContext struct {
 	Seed  int64
 	Scale experiments.Scale
 	Show  bool // render ASCII spectrograms for the figures
-	// Cells overrides the scale's fleet-campaign population when > 0;
-	// Shards is the campaign's execution batching (0 = default). Both
-	// knobs never change a report byte: Cells is part of the report's
-	// identity (a different population IS a different report), Shards is
-	// execution-only by the campaign contract.
-	Cells  int64
-	Shards int
+	// Cells overrides the scale's fleet-campaign population when > 0.
+	// It is part of the report's identity: a different population IS a
+	// different report.
+	Cells int64
 }
 
 // experimentSpec is one entry of the experiment registry: the -only
@@ -264,7 +261,7 @@ func registry() []experimentSpec {
 
 		{"fleet", func(w io.Writer, rc runContext) {
 			fmt.Fprint(w, experiments.Banner("Fleet campaign — population-scale attack surface (extension)"))
-			res := experiments.Fleet(rc.Seed, rc.Scale, rc.Cells, rc.Shards)
+			res := experiments.Fleet(rc.Seed, rc.Scale, rc.Cells)
 			fmt.Fprintf(w, "claim   : anchored surrogate scales the six-laptop bench to a heterogeneous fleet\n")
 			fmt.Fprintf(w, "population: %d cells over %d reduction blocks (Zipf model/load/typist/severity mixes)\n",
 				res.Plan.Cells, res.Plan.Blocks)

@@ -17,8 +17,8 @@ var goldenEquivalenceJobs = []int{1, 4}
 // across serial and fanned-out runs.
 var telemetryGoldenJobs = []int{1, 4}
 
-// fleetGoldenGrid is the shard×worker grid the fleet campaign's
-// byte-identity is proven over (the acceptance grid).
+// fleetGoldenGrid is the recorded-shards × -jobs grid the fleet
+// campaign's byte-identity is proven over (the acceptance grid).
 var fleetGoldenGrid = []struct{ shards, jobs int }{
 	{1, 4}, {4, 1}, {4, 4}, {16, 1}, {16, 4},
 }

@@ -24,10 +24,10 @@ var goldenEquivalenceJobs = []int{4}
 // runs in the !race tier (it needs two).
 var telemetryGoldenJobs = []int{4}
 
-// fleetGoldenGrid under race: one sharded/fanned-out render against the
-// serial baseline — enough to race the campaign's chunk claiming. The
-// full shards {1,4,16} × jobs {1,4} acceptance grid runs in the !race
-// tier.
+// fleetGoldenGrid under race: one fanned-out render against the serial
+// baseline — enough to race the campaign's block claiming. The full
+// recorded-shards {1,4,16} × jobs {1,4} acceptance grid runs in the
+// !race tier.
 var fleetGoldenGrid = []struct{ shards, jobs int }{
 	{16, 4},
 }

@@ -26,7 +26,6 @@ var deterministicCounters = []string{
 	"campaign.blocks",
 	"campaign.cells",
 	"campaign.runs",
-	"campaign.shards",
 	"core.covert.bit_errors",
 	"core.covert.runs",
 	"core.covert.tx_bits",

@@ -3,23 +3,23 @@
 // simulated cells (millions of transmitter/receiver pairs) with
 // streaming reducers instead of result slices, so peak memory is
 // O(blocks × reducer state) — independent of the cell count — and the
-// reduced report is byte-identical at every shard count × worker count.
+// reduced report is byte-identical at every worker count.
 //
 // # The determinism contract
 //
 // sweep's contract ("jobs=1 and jobs=N render byte-identical reports")
-// survives sharding through three rules:
+// carries over to populations through three rules:
 //
 //  1. Cell randomness is keyed by stable identity. Cell i draws from
 //     xrand.Sub(seed, i) — a pure function of the campaign seed and the
-//     cell's global index, never of the shard that happened to execute
-//     it. Re-sharding therefore cannot change any cell's sample.
+//     cell's global index, never of the worker that happened to execute
+//     it.
 //
-//  2. Reducer state is kept per BLOCK, not per shard. The block
-//     partition depends only on (cells, blocks); shards are groups of
-//     whole blocks and workers claim shards, so neither knob moves a
-//     block boundary. Blocks default to a fixed constant, which is what
-//     makes reducer memory cell-count-independent.
+//  2. Reducer state is kept per BLOCK. The block partition depends only
+//     on the cell count and the fixed DefaultBlocks; workers claim
+//     whole blocks, one at a time, so the worker count never moves a
+//     block boundary. The fixed block count is also what makes reducer
+//     memory cell-count-independent.
 //
 //  3. Merges happen on the caller's goroutine, in block-index order,
 //     after every block has finished. Exact-state reducers (integer
@@ -28,10 +28,10 @@
 //     partition plus the fixed fold order is precisely what pins the
 //     byte pattern.
 //
-// Shards remain meaningful as the unit of execution and telemetry: one
-// shard is one sweep chunk (sweep.MapChunks), so the sweep.cell span
-// under a campaign measures per-shard latency, and the campaign.*
-// series report population throughput.
+// Blocks are also the unit of execution and telemetry: one block is one
+// sweep cell (sweep.Map), so the sweep.cell span under a campaign
+// measures per-block latency, and the campaign.* series report
+// population throughput.
 package campaign
 
 import (
@@ -42,49 +42,30 @@ import (
 	"pmuleak/internal/xrand"
 )
 
-// Campaign telemetry. Cell/block/shard counts are deterministic for a
-// fixed configuration at every shard/worker setting; the block-duration
+// Campaign telemetry. Cell and block counts are deterministic for a
+// fixed configuration at every worker count; the block-duration
 // histogram and the cells-per-second gauge observe the runtime and
 // legitimately vary run to run.
 var (
 	campRuns        = telemetry.NewCounter("campaign.runs")
 	campCells       = telemetry.NewCounter("campaign.cells")
 	campBlocks      = telemetry.NewCounter("campaign.blocks")
-	campShards      = telemetry.NewCounter("campaign.shards")
 	campBlockDur    = telemetry.NewHistogram("campaign.block")
 	campCellsPerSec = telemetry.NewGauge("campaign.cells_per_sec")
 )
 
-// DefaultBlocks is the reduction partition used when Config.Blocks is
-// zero. It is a constant, not a function of the machine or the cell
-// count: the block partition is part of the report's identity (float
-// reducers fold in block order), so everything that varies per run or
-// per host must stay out of it. 256 blocks keep ~3 blocks per worker
-// even on large machines while holding reducer memory to a few hundred
-// states.
+// DefaultBlocks is the reduction partition. It is a constant, not a
+// function of the machine or the cell count: the block partition is
+// part of the report's identity (float reducers fold in block order),
+// so everything that varies per run or per host must stay out of it.
+// 256 blocks keep ~3 blocks per worker even on large machines while
+// holding reducer memory to a few hundred states.
 const DefaultBlocks = 256
-
-// DefaultShards is the execution batching used when Config.Shards is
-// zero. Shards never affect the report; 16 gives work-stealing slack
-// without making sweep chunks degenerate.
-const DefaultShards = 16
 
 // Config describes one campaign.
 type Config struct {
 	// Cells is the population size.
 	Cells int64
-	// Shards is the execution batch count: the block list is split into
-	// this many contiguous chunks, each claimed as one unit by a sweep
-	// worker. 0 means DefaultShards. Reports are byte-identical at
-	// every value.
-	Shards int
-	// Jobs is the sweep worker knob: 0 = process default, 1 = serial.
-	// Reports are byte-identical at every value.
-	Jobs int
-	// Blocks is the reduction partition. 0 means DefaultBlocks. Unlike
-	// Shards and Jobs it is part of the report's identity (see the
-	// package doc); it exists as a knob for tests, not for tuning.
-	Blocks int
 	// Seed is the campaign seed; every cell substream derives from it.
 	Seed int64
 }
@@ -92,39 +73,17 @@ type Config struct {
 // Plan is a resolved Config: the concrete partition a campaign will
 // execute. Deterministic given the Config.
 type Plan struct {
-	Cells          int64
-	Blocks         int
-	Shards         int
-	Jobs           int
-	Seed           int64
-	BlocksPerShard int
+	Cells  int64
+	Blocks int
+	Seed   int64
 }
 
-// plan resolves the defaults and clamps the partition to the
-// population: never more blocks than cells, never more shards than
-// blocks.
-func (c Config) plan() Plan {
-	p := Plan{Cells: c.Cells, Blocks: c.Blocks, Shards: c.Shards, Jobs: c.Jobs, Seed: c.Seed}
-	if p.Cells < 0 {
-		p.Cells = 0
-	}
-	if p.Blocks <= 0 {
-		p.Blocks = DefaultBlocks
-	}
+// plan resolves the partition into the given block count, clamped to
+// the population: never more blocks than cells.
+func (c Config) plan(blocks int) Plan {
+	p := Plan{Cells: max(c.Cells, 0), Blocks: blocks, Seed: c.Seed}
 	if int64(p.Blocks) > p.Cells {
 		p.Blocks = int(p.Cells)
-	}
-	if p.Shards <= 0 {
-		p.Shards = DefaultShards
-	}
-	if p.Shards > p.Blocks {
-		p.Shards = p.Blocks
-	}
-	if p.Blocks > 0 {
-		p.BlocksPerShard = (p.Blocks + p.Shards - 1) / p.Shards
-		// The ceiling division may leave trailing shards empty; report
-		// the count of shards that actually receive blocks.
-		p.Shards = (p.Blocks + p.BlocksPerShard - 1) / p.BlocksPerShard
 	}
 	return p
 }
@@ -150,26 +109,32 @@ func (b Block) Rng(cell int64) xrand.Lite {
 }
 
 // Run executes the campaign: block(b) is called once per block of the
-// fixed partition, fanned out over sweep workers in shard-sized chunks,
-// and the per-block states come back in block-index order for the
-// caller to fold. R is the caller's reducer bundle (typically a struct
-// of Hist/Sketch/MeanVar/TopK).
+// fixed DefaultBlocks partition, fanned out over sweep workers one block
+// per claim, and the per-block states come back in block-index order
+// for the caller to fold. R is the caller's reducer bundle (typically a
+// struct of Hist/Sketch/MeanVar/TopK).
 //
 // block must treat b as its complete input: derive all randomness via
 // b.Rng(cell), share nothing mutable across blocks. Under that contract
-// the returned slice is identical for every Shards/Jobs setting.
+// the returned slice is identical at every sweep.SetDefaultJobs
+// setting.
 func Run[R any](cfg Config, block func(b Block) R) []R {
-	p := cfg.plan()
-	if p.Cells == 0 || p.Blocks == 0 {
+	return run(cfg.plan(DefaultBlocks), block)
+}
+
+// run is Run over an explicit partition; tests use it to show that the
+// block count, unlike the worker count, is part of the report's
+// identity.
+func run[R any](p Plan, block func(b Block) R) []R {
+	if p.Blocks == 0 {
 		return nil
 	}
 	campRuns.Inc()
 	campCells.Add(uint64(p.Cells))
 	campBlocks.Add(uint64(p.Blocks))
-	campShards.Add(uint64(p.Shards))
 
 	start := time.Now()
-	out := sweep.MapChunks(p.Jobs, p.Blocks, p.BlocksPerShard, func(i int) R {
+	out := sweep.Map(p.Blocks, func(i int) R {
 		sp := campBlockDur.Start()
 		defer sp.End()
 		return block(blockAt(p, i))
@@ -181,7 +146,7 @@ func Run[R any](cfg Config, block func(b Block) R) []R {
 }
 
 // PlanOf exposes the resolved partition for reporting and tests.
-func PlanOf(cfg Config) Plan { return cfg.plan() }
+func PlanOf(cfg Config) Plan { return cfg.plan(DefaultBlocks) }
 
 // blockAt computes block i's range: cells are spread with the balanced
 // i*cells/blocks boundaries, a pure function of (cells, blocks).

@@ -37,11 +37,14 @@ func (b *testBundle) merge(o *testBundle) {
 	b.top.Merge(o.top)
 }
 
-// runTestCampaign runs a synthetic heterogeneous population and renders
-// its full-precision report.
-func runTestCampaign(cells int64, shards, jobs, blocks int) []byte {
-	cfg := Config{Cells: cells, Shards: shards, Jobs: jobs, Blocks: blocks, Seed: 42}
-	states := Run(cfg, func(b Block) *testBundle {
+// runTestCampaign runs a synthetic heterogeneous population over the
+// given block partition at the given sweep worker count and renders its
+// full-precision report.
+func runTestCampaign(t *testing.T, cells int64, jobs, blocks int) []byte {
+	sweep.SetDefaultJobs(jobs)
+	t.Cleanup(func() { sweep.SetDefaultJobs(0) })
+	cfg := Config{Cells: cells, Seed: 42}
+	states := run(cfg.plan(blocks), func(b Block) *testBundle {
 		tb := newTestBundle()
 		for i := b.Lo; i < b.Hi; i++ {
 			rng := b.Rng(i)
@@ -76,34 +79,32 @@ func runTestCampaign(cells int64, shards, jobs, blocks int) []byte {
 
 // TestCampaignShardWorkerInvariance is the load-bearing property test:
 // the fully reduced report — rendered at full float precision — must be
-// byte-identical for every shard count × worker count combination,
-// including shard counts that do not divide the block count. This is
-// the in-package version of the acceptance criterion the paperbench
-// fleet golden test enforces end to end.
+// byte-identical at every worker count, including counts that do not
+// divide the block count and pools larger than it. This is the
+// in-package version of the acceptance criterion the paperbench fleet
+// golden test enforces end to end.
 func TestCampaignShardWorkerInvariance(t *testing.T) {
 	const cells = 40000
-	baseline := runTestCampaign(cells, 1, 1, 0)
+	baseline := runTestCampaign(t, cells, 1, DefaultBlocks)
 	if len(baseline) == 0 {
 		t.Fatal("empty baseline report")
 	}
-	for _, shards := range []int{1, 2, 3, 4, 7, 16, 64, 256, 1000} {
-		for _, jobs := range []int{1, 2, 4, 8} {
-			got := runTestCampaign(cells, shards, jobs, 0)
-			if !bytes.Equal(got, baseline) {
-				t.Fatalf("shards=%d jobs=%d: report differs from serial baseline\n--- want\n%s--- got\n%s",
-					shards, jobs, baseline, got)
-			}
+	for _, jobs := range []int{2, 3, 4, 7, 8, 300} {
+		got := runTestCampaign(t, cells, jobs, DefaultBlocks)
+		if !bytes.Equal(got, baseline) {
+			t.Fatalf("jobs=%d: report differs from serial baseline\n--- want\n%s--- got\n%s",
+				jobs, baseline, got)
 		}
 	}
 }
 
 // TestCampaignBlocksArePartOfReportIdentity documents the flip side of
-// the contract: the block partition (unlike shards/jobs) MAY move float
-// reducer bytes, which is exactly why it is pinned to a constant
-// default. The integer-state quantile lines must agree regardless.
+// the contract: the block partition (unlike the worker count) MAY move
+// float reducer bytes, which is exactly why it is pinned to a constant.
+// The integer-state quantile lines must agree regardless.
 func TestCampaignBlocksArePartOfReportIdentity(t *testing.T) {
-	a := runTestCampaign(40000, 4, 4, 0)
-	b := runTestCampaign(40000, 4, 4, 17)
+	a := runTestCampaign(t, 40000, 4, DefaultBlocks)
+	b := runTestCampaign(t, 40000, 4, 17)
 	// Same samples either way, so the exact-state reducer lines agree.
 	aLines, bLines := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
 	if len(aLines) != len(bLines) {
@@ -118,25 +119,25 @@ func TestCampaignBlocksArePartOfReportIdentity(t *testing.T) {
 	}
 }
 
-// TestPlanResolution: defaults, clamps, and tiny populations.
+// TestPlanResolution: the fixed partition, its clamp to tiny
+// populations, and empty or negative ones.
 func TestPlanResolution(t *testing.T) {
 	cases := []struct {
-		cfg                    Config
-		blocks, shards, chunks int
+		cells  int64
+		blocks int
 	}{
-		{Config{Cells: 1 << 20}, DefaultBlocks, DefaultShards, 16},
-		{Config{Cells: 1 << 20, Shards: 100}, DefaultBlocks, 86, 3},
-		{Config{Cells: 10}, 10, 10, 1},
-		{Config{Cells: 10, Shards: 3}, 10, 3, 4},
-		{Config{Cells: 1}, 1, 1, 1},
-		{Config{Cells: 0}, 0, 0, 0},
-		{Config{Cells: 1 << 20, Shards: 1}, DefaultBlocks, 1, 256},
+		{1 << 20, DefaultBlocks},
+		{DefaultBlocks + 1, DefaultBlocks},
+		{DefaultBlocks, DefaultBlocks},
+		{10, 10},
+		{1, 1},
+		{0, 0},
+		{-5, 0},
 	}
 	for _, tc := range cases {
-		p := PlanOf(tc.cfg)
-		if p.Blocks != tc.blocks || p.Shards != tc.shards || p.BlocksPerShard != tc.chunks {
-			t.Errorf("%+v: plan blocks=%d shards=%d chunk=%d, want %d/%d/%d",
-				tc.cfg, p.Blocks, p.Shards, p.BlocksPerShard, tc.blocks, tc.shards, tc.chunks)
+		p := PlanOf(Config{Cells: tc.cells, Seed: 3})
+		if p.Blocks != tc.blocks || p.Cells != max(tc.cells, 0) || p.Seed != 3 {
+			t.Errorf("cells=%d: plan %+v, want %d blocks", tc.cells, p, tc.blocks)
 		}
 	}
 }
@@ -228,7 +229,7 @@ func BenchmarkCampaignCells(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p := PlanOf(Config{Cells: cells, Seed: 9})
-			out := sweep.MapChunks(0, cells, 1, func(i int) float64 {
+			out := sweep.Map(cells, func(i int) float64 {
 				rng := blockAt(p, 0).Rng(int64(i))
 				return work(&rng)
 			})

@@ -25,8 +25,8 @@ import (
 //     merge), which is NOT associative. Its determinism comes from the
 //     campaign's fixed block partition and fixed merge order: the
 //     partition depends only on (cells, blocks) and the fold happens in
-//     block-index order on one goroutine, so every shard × worker
-//     combination performs the exact same sequence of float operations.
+//     block-index order on one goroutine, so every worker count
+//     performs the exact same sequence of float operations.
 
 // ---------------------------------------------------------------------
 // Hist: fixed-geometry linear histogram.
@@ -129,7 +129,7 @@ const sketchMinValue = 1e-12
 // factor (1±alpha) of the true value (the DDSketch bucket layout).
 // State is integer bucket counts in a sparse map, so Merge is exact and
 // associative — the property that makes campaign reports byte-identical
-// at any shard count. Memory is O(log(max/min)/alpha), bounded by the
+// however cells are grouped. Memory is O(log(max/min)/alpha), bounded by the
 // value range, not the sample count.
 type Sketch struct {
 	alpha       float64

@@ -46,7 +46,7 @@ var (
 // Aggregate scoring counters, recorded once per scored run in finish().
 // These are pure functions of simulation outputs, so — like the other
 // simulation-derived series — their totals are identical at every -jobs
-// / cache / shard setting. bit_errors/tx_bits is the harness-wide
+// and -parallel setting. bit_errors/tx_bits is the harness-wide
 // covert BER and matched_keys/truth_keys the keystroke recall; the
 // emreport regression gate reads both from persisted -metrics/artifact
 // snapshots.

@@ -127,7 +127,7 @@ func FuzzDemodulateParallelism(f *testing.F) {
 	f.Add(int64(7), uint8(0), uint8(2))
 	f.Add(int64(42), uint8(8), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, p1, p2 uint8) {
-		cap, txCfg, _, prof := buildCapture(24, seed)
+		cap, txCfg, sent, prof := buildCapture(24, seed)
 		cfg := DefaultRXConfig()
 		cfg.ExpectedF0 = prof.VRM.SwitchingFreqHz
 		cfg.MinBitPeriod = txCfg.BitPeriod() / 2
@@ -135,7 +135,7 @@ func FuzzDemodulateParallelism(f *testing.F) {
 		run := func(p uint8) (*Demod, []byte, bool) {
 			dsp.SetDefaultParallelism(int(p % 9)) // 0 (auto) through 8 workers
 			d := Demodulate(cap, cfg)
-			payload, _, ok := d.RecoverPayload(txCfg)
+			payload, _, ok := d.RecoverPayloadN(txCfg, len(sent))
 			return d, payload, ok
 		}
 		d1, pay1, ok1 := run(p1)

@@ -150,7 +150,7 @@ func (r *Reassembler) Bytes() []byte {
 }
 
 // TransmitPacket encodes one packet as a TX bit stream; use with
-// SpawnTransmitter. The receiver side is Demodulate + RecoverPayload +
+// SpawnTransmitter. The receiver side is Demodulate + RecoverPayloadN +
 // ParsePacket.
 func TransmitPacket(p Packet, cfg TXConfig) []byte {
 	return packetBits(p, cfg)

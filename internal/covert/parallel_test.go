@@ -93,13 +93,13 @@ func TestDemodulateParallelismIndependence(t *testing.T) {
 	if !serial.CarrierFound || len(serial.Bits) == 0 {
 		t.Fatal("baseline serial demodulation found nothing; test capture is broken")
 	}
-	serialPayload, _, serialOK := serial.RecoverPayload(txCfg)
+	serialPayload, _, serialOK := serial.RecoverPayloadN(txCfg, len(payload))
 
 	for _, p := range []int{0, 2, 4, 8} {
 		dsp.SetDefaultParallelism(p)
 		d := Demodulate(cap, cfg)
 		demodEqual(t, labelP(p), serial, d)
-		gotPayload, _, ok := d.RecoverPayload(txCfg)
+		gotPayload, _, ok := d.RecoverPayloadN(txCfg, len(payload))
 		if ok != serialOK || len(gotPayload) != len(serialPayload) {
 			t.Fatalf("P=%d: payload recovery diverged", p)
 		}
@@ -113,7 +113,6 @@ func TestDemodulateParallelismIndependence(t *testing.T) {
 	if !serialOK {
 		t.Fatal("payload did not synchronize")
 	}
-	_ = payload
 }
 
 func labelP(p int) string {

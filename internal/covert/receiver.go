@@ -370,7 +370,7 @@ func (r *Receiver) accumulateWelch(chunk []complex128) {
 	for ; start < 0 && start+m <= len(chunk); start += hop {
 		copy(r.join, r.tail[n+start:])
 		copy(r.join[-start:], chunk[:m+start])
-		r.segments += dsp.Engine{}.AccumulatePSD(r.psdSum, r.join, hop, r.window)
+		r.segments += dsp.AccumulatePSD(r.psdSum, r.join, hop, r.window)
 	}
 	if start < 0 {
 		// The chunk ends before the next segment does.
@@ -378,7 +378,7 @@ func (r *Receiver) accumulateWelch(chunk []complex128) {
 		r.tail = append(r.tail, chunk...)
 		return
 	}
-	k := dsp.Engine{}.AccumulatePSD(r.psdSum, chunk[start:], hop, r.window)
+	k := dsp.AccumulatePSD(r.psdSum, chunk[start:], hop, r.window)
 	r.segments += k
 	r.tail = append(r.tail[:0], chunk[start+k*hop:]...)
 }
@@ -589,15 +589,13 @@ func Demodulate(cap *sdr.Capture, cfg RXConfig) *Demod {
 // already in place: CarrierFound, Offsets, Quality.{CarrierZ,Retries},
 // Y, and DT must be set. The Demod is finished in place and returned.
 func demodulateTrace(d *Demod, cfg RXConfig) *Demod {
-	var eng dsp.Engine
-
 	// 3. First-pass edge detection sized by the minimum plausible bit
 	// period (Fig. 5).
 	minPeriod := int(cfg.MinBitPeriod.Seconds() / d.DT)
 	if minPeriod < 2 {
 		minPeriod = 2
 	}
-	conv := eng.Convolve(d.Y, dsp.EdgeKernel(evenAtLeast(minPeriod/2)))
+	conv := dsp.Convolve(d.Y, dsp.EdgeKernel(evenAtLeast(minPeriod/2)))
 	starts := detectEdges(conv, minPeriod, cfg)
 	if len(starts) < 3 {
 		d.Conv = conv
@@ -613,7 +611,7 @@ func demodulateTrace(d *Demod, cfg RXConfig) *Demod {
 
 	// 5. Second pass with the kernel matched to the measured period,
 	// then gap filling at multiples of the signaling time.
-	d.Conv = eng.Convolve(d.Y, dsp.EdgeKernel(evenAtLeast(period/2)))
+	d.Conv = dsp.Convolve(d.Y, dsp.EdgeKernel(evenAtLeast(period/2)))
 	starts = detectEdges(d.Conv, period*6/10, cfg)
 	if len(starts) < 2 {
 		return d
@@ -971,25 +969,11 @@ func FindPreamble(bits, preamble []byte, maxErrors int) (payloadStart int, ok bo
 	return bestIdx + len(preamble), true
 }
 
-// RecoverPayload synchronizes on the preamble and decodes the payload
-// with the frame's error-control code. ok is false when the preamble
-// cannot be located. For interleaved frames, prefer RecoverPayloadN.
-func (d *Demod) RecoverPayload(cfg TXConfig) (payload []byte, corrections int, ok bool) {
-	start := 0
-	if len(cfg.Preamble) > 0 {
-		var found bool
-		start, found = FindPreamble(d.Bits, cfg.Preamble, len(cfg.Preamble)/4)
-		if !found {
-			return nil, 0, false
-		}
-	}
-	payload, corrections = DecodePayload(d.Bits[start:], cfg)
-	return payload, corrections, true
-}
-
-// RecoverPayloadN is RecoverPayload for a payload of known size (bits):
-// required when interleaving is enabled, and more precise in general
-// because trailing postamble/stray bits are excluded before decoding.
+// RecoverPayloadN synchronizes on the preamble and decodes a payload of
+// payloadBits bits with the frame's error-control code. ok is false when
+// the preamble cannot be located. The size is required when
+// interleaving is enabled, and it excludes trailing postamble and stray
+// bits before decoding.
 func (d *Demod) RecoverPayloadN(cfg TXConfig, payloadBits int) (payload []byte, corrections int, ok bool) {
 	start := 0
 	if len(cfg.Preamble) > 0 {

@@ -29,11 +29,11 @@ func BenchmarkSTFTComplex(b *testing.B) {
 			stftOracle(x, benchFFTSize, benchHop, window, func(buf []complex128) { applyOracle(plan, buf) })
 		}
 	})
-	e := Engine{Parallelism: 1}
+	setParallelism(b, 1) // one worker, as the reference side runs
 	b.Run("path=fused", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.STFT(x, benchFFTSize, benchHop, window, 2.4e6)
+			STFT(x, benchFFTSize, benchHop, window, 2.4e6)
 		}
 	})
 }

@@ -48,6 +48,9 @@ func BenchmarkFindPeaks(b *testing.B) {
 }
 
 func BenchmarkConvolve(b *testing.B) {
+	// One worker: the pair times the blocked kernel against its oracle,
+	// not the worker pool Convolve fans out over.
+	setParallelism(b, 1)
 	x := realSignal(receiverBenchLen, 9)
 	k := EdgeKernel(300)
 	for _, path := range []struct {

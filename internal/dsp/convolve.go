@@ -1,28 +1,13 @@
 package dsp
 
-// Convolve computes the "same"-size linear convolution of x with kernel
-// k: the output has len(x) entries and output[i] is the kernel centered
-// at x[i]. Samples beyond the signal edges are treated as zero; an
-// empty kernel or signal yields all zeros. This is the single-threaded
-// path; Engine.Convolve computes the bit-identical result on a worker
-// pool.
-func Convolve(x, k []float64) []float64 {
-	out := make([]float64, len(x))
-	if len(k) == 0 {
-		return out
-	}
-	convolveRange(out, x, k, 0, len(x))
-	return out
-}
-
 // convolveRange fills out[lo:hi] with the "same"-size convolution of x
-// and k. It is the shared inner loop of the serial and parallel paths.
-// Each output sample is an independent dot product summed from +0 in
-// tap order. Outputs whose taps all land inside x run four at a time,
-// one accumulator each, so four add chains overlap instead of running
-// back to back; every output still sees the same operations in the
-// same order, so any partition of [0, len(x)), and any blocking within
-// it, reproduces the serial result bit for bit.
+// and k: one Convolve worker's share of the output. Each output sample
+// is an independent dot product summed from +0 in tap order. Outputs
+// whose taps all land inside x run four at a time, one accumulator
+// each, so four add chains overlap instead of running back to back;
+// every output still sees the same operations in the same order, so any
+// partition of [0, len(x)), and any blocking within it, reproduces a
+// single whole-range call bit for bit.
 func convolveRange(out, x, k []float64, lo, hi int) {
 	half := len(k) / 2
 	// Outputs in [inLo, inHi) read exactly x[i-half : i-half+len(k)].
@@ -129,18 +114,6 @@ func MovingAverage(x []float64, w int) []float64 {
 			lo++
 		}
 		out[i] = sum / float64(w)
-	}
-	return out
-}
-
-// Decimate keeps every factor-th sample of x, starting with x[0].
-func Decimate(x []float64, factor int) []float64 {
-	if factor <= 0 {
-		panic("dsp: Decimate factor must be positive")
-	}
-	out := make([]float64, 0, (len(x)+factor-1)/factor)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
 	}
 	return out
 }

@@ -109,17 +109,3 @@ func TestMovingAverageConstant(t *testing.T) {
 		}
 	}
 }
-
-func TestDecimate(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	got := Decimate(x, 3)
-	want := []float64{0, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("Decimate = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Decimate = %v, want %v", got, want)
-		}
-	}
-}

@@ -8,23 +8,23 @@
 // equivalent. Functions operate on plain slices and never retain their
 // arguments, so callers are free to reuse buffers.
 //
-// # The parallel engine
+// # The worker pool
 //
-// The hot transforms are available in two forms. The package-level
-// functions (FFT, STFT, WelchPSD, Convolve) are single-threaded.
-// Engine wraps the same transforms with a worker pool sized by its
-// Parallelism field (0 = the process-wide SetDefaultParallelism, itself
-// all CPUs unless set; 1 = serial; n = n goroutines) and a
-// per-size FFT plan cache (PlanFFT) that precomputes twiddle factors
-// and bit-reversal tables once per transform size. Its frame fan-out
-// (Engine.STFTInto) writes magnitude rows into caller-owned rows and its
-// segment fan-out (Engine.AccumulatePSD) adds power spectra into a
+// Each transform has one form, a package function. The frame-oriented
+// ones (Chunks, STFT, STFTInto, AccumulatePSD, WelchPSD, Convolve) fan
+// out over a pool of goroutines sized by the one process-wide setting,
+// SetDefaultParallelism (0 = all CPUs, 1 = serial, n = n workers); no
+// caller passes a worker count. PlanFFT caches one plan per transform
+// size, with its twiddle factors and bit-reversal table. The frame
+// fan-out (STFTInto) writes magnitude rows into caller-owned rows and
+// the segment fan-out (AccumulatePSD) adds power spectra into a
 // caller-owned sum, so the receivers can transform each chunk's frames
 // or segments in parallel as the chunk arrives. Every windowed frame —
 // an STFT frame or a Welch segment — goes through one kernel,
-// FFTPlan.WindowedTransform.
+// FFTPlan.WindowedTransform. The pool reports under the dsp.engine.*
+// telemetry series.
 //
-// The engine's defining property is that parallelism never changes
+// The pool's defining property is that the worker count never changes
 // results: frames, Welch segments, and convolution outputs are
 // independent units of identical arithmetic, and the one
 // order-sensitive reduction (the Welch segment average) is accumulated

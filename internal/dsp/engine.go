@@ -10,11 +10,12 @@ import (
 	"pmuleak/internal/telemetry"
 )
 
-// Engine telemetry: one histogram observation per transform call (never
-// per frame — a frame is microseconds, a time.Now pair is not free at
-// that granularity) plus counters for the work fanned out. Frame and
-// segment totals are derived from the input geometry, so they are
-// deterministic for a fixed workload at every Parallelism.
+// Worker-pool telemetry (the dsp.engine.* series): one histogram
+// observation per transform call (never per frame — a frame is
+// microseconds, a time.Now pair is not free at that granularity) plus
+// counters for the work fanned out. Frame and segment totals are
+// derived from the input geometry, so they are deterministic for a
+// fixed workload at every worker count.
 var (
 	engSTFTDur    = telemetry.NewHistogram("dsp.engine.stft")
 	engWelchDur   = telemetry.NewHistogram("dsp.engine.welch")
@@ -23,16 +24,17 @@ var (
 	engConvolves  = telemetry.NewCounter("dsp.engine.convolve.calls")
 )
 
-// defaultParallelism is the process-wide worker count used by engines
-// whose Parallelism field is zero. Zero here in turn means
-// runtime.NumCPU(). Stored atomically so tools can set it while
-// pipelines run on other goroutines.
+// defaultParallelism is the process-wide worker count of every
+// transform in this package. Zero means runtime.NumCPU(). Stored
+// atomically so tools can set it while pipelines run on other
+// goroutines.
 var defaultParallelism atomic.Int32
 
-// SetDefaultParallelism sets the worker count engines with Parallelism
-// == 0 resolve to: p == 0 restores the default (all CPUs), p == 1
-// forces the serial path everywhere the knob was left on auto, and
-// p > 1 pins a specific worker count. Negative values are treated as 0.
+// SetDefaultParallelism sets the worker count every transform in this
+// package fans out over: p == 0 restores the default (all CPUs), p == 1
+// runs each transform serially on the calling goroutine, and p > 1 pins
+// a specific worker count. Negative values are treated as 0. Results
+// never depend on it (see the package doc).
 func SetDefaultParallelism(p int) {
 	if p < 0 {
 		p = 0
@@ -40,53 +42,28 @@ func SetDefaultParallelism(p int) {
 	defaultParallelism.Store(int32(p))
 }
 
-// DefaultParallelism reports the current process-wide default (0 =
+// DefaultParallelism reports the current process-wide setting (0 =
 // runtime.NumCPU()).
 func DefaultParallelism() int { return int(defaultParallelism.Load()) }
 
-// Engine runs the package's frame-oriented transforms — STFT frames,
-// Welch segments, and matched-filter convolution — across a pool of
-// goroutines. The zero value is an auto-sized engine.
-//
-// Every parallel path is bit-identical to the serial one: frames and
-// segments are transformed independently (each frame's FFT is the same
-// arithmetic regardless of which worker runs it), and the one
-// order-sensitive reduction (Welch's segment average) is accumulated in
-// segment order after the transforms complete. Consequently results
-// never depend on Parallelism, and an Engine is safe for concurrent use
-// from multiple goroutines.
-type Engine struct {
-	// Parallelism is the worker count: 0 resolves to the process
-	// default (normally all CPUs), 1 is the exact legacy serial path,
-	// and n > 1 fans work out across n goroutines.
-	Parallelism int
-}
-
-// workers resolves the Parallelism knob to a concrete worker count.
-func (e Engine) workers() int {
-	p := e.Parallelism
-	if p == 0 {
-		p = DefaultParallelism()
+// workers resolves the process setting to a concrete worker count.
+func workers() int {
+	if p := DefaultParallelism(); p > 0 {
+		return p
 	}
-	if p == 0 {
-		p = runtime.NumCPU()
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return runtime.NumCPU()
 }
 
 // Chunks partitions [0, n) into at most workers() contiguous ranges and
-// runs fn on each, concurrently when the engine is parallel. fn must
-// not touch indices outside its range; under that contract the result
-// is identical to a single fn(0, n) call. It is the building block
-// consumers (e.g. the SDR front end) use for element-wise stages.
-func (e Engine) Chunks(n int, fn func(lo, hi int)) {
+// runs fn on each, concurrently when there is more than one worker. fn
+// must not touch indices outside its range; under that contract the
+// result is identical to a single fn(0, n) call. It is the building
+// block consumers (e.g. the SDR front end) use for element-wise stages.
+func Chunks(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	w := e.workers()
+	w := workers()
 	if w > n {
 		w = n
 	}
@@ -110,10 +87,13 @@ func (e Engine) Chunks(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// STFT computes the same magnitude spectrogram as the package-level
-// STFT: it allocates one backing array for every frame's row and fills
-// it through STFTInto.
-func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleRate float64) *Spectrogram {
+// STFT computes a magnitude spectrogram of the complex signal x with the
+// given FFT size, hop, and window (len(window) must equal fftSize).
+// Frames that would run past the end of x are dropped; a signal shorter
+// than fftSize (including an empty one) yields a spectrogram with zero
+// frames. It allocates one backing array for every frame's row and
+// fills it through STFTInto.
+func STFT(x []complex128, fftSize, hop int, window []float64, sampleRate float64) *Spectrogram {
 	stftValidate(fftSize, hop, window)
 	s := &Spectrogram{FFTSize: fftSize, Hop: hop, SampleRate: sampleRate}
 	frames := 0
@@ -128,7 +108,7 @@ func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleR
 	for f := range s.Mag {
 		s.Mag[f] = flat[f*fftSize : (f+1)*fftSize : (f+1)*fftSize]
 	}
-	e.STFTInto(s.Mag, x, hop, window)
+	STFTInto(s.Mag, x, hop, window)
 	return s
 }
 
@@ -140,8 +120,8 @@ func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleR
 // stages), and each worker reuses one scratch buffer for all of its
 // frames, so the steady state allocates nothing per frame. A frame's
 // row is the same arithmetic whichever worker computes it, so the rows
-// never depend on Parallelism.
-func (e Engine) STFTInto(rows [][]float64, x []complex128, hop int, window []float64) {
+// never depend on the worker count.
+func STFTInto(rows [][]float64, x []complex128, hop int, window []float64) {
 	fftSize, frames := len(window), len(rows)
 	stftValidate(fftSize, hop, window)
 	if frames == 0 {
@@ -153,7 +133,7 @@ func (e Engine) STFTInto(rows [][]float64, x []complex128, hop int, window []flo
 	defer engSTFTDur.Start().End()
 	engSTFTFrames.Add(uint64(frames))
 	plan := PlanFFT(fftSize)
-	w := e.workers()
+	w := workers()
 	if w > frames {
 		w = frames
 	}
@@ -204,11 +184,11 @@ const welchBatchFactor = 16
 // to sum and returns the segment count: segment k is x[k*hop :
 // k*hop+len(window)], windowed and transformed by one
 // FFTPlan.WindowedTransform. The transforms run on the worker pool and
-// the spectra are added in segment order, so sum is bit-identical for
-// every Parallelism — and a capture fed in pieces, each piece starting
+// the spectra are added in segment order, so sum is bit-identical at
+// every worker count — and a capture fed in pieces, each piece starting
 // where the next segment does, accumulates the same sum as the whole
 // capture at once. len(sum) must equal len(window).
-func (e Engine) AccumulatePSD(sum []float64, x []complex128, hop int, window []float64) int {
+func AccumulatePSD(sum []float64, x []complex128, hop int, window []float64) int {
 	fftSize := len(window)
 	if !IsPowerOfTwo(fftSize) {
 		panic(fmt.Sprintf("dsp: AccumulatePSD window length %d not a power of two", fftSize))
@@ -229,7 +209,7 @@ func (e Engine) AccumulatePSD(sum []float64, x []complex128, hop int, window []f
 	defer engWelchDur.Start().End()
 	engWelchSegs.Add(uint64(segments))
 	plan := PlanFFT(fftSize)
-	w := e.workers()
+	w := workers()
 	if w > segments {
 		w = segments
 	}
@@ -285,16 +265,19 @@ func (e Engine) AccumulatePSD(sum []float64, x []complex128, hop int, window []f
 	return segments
 }
 
-// Convolve computes the same "same"-size convolution as the
-// package-level Convolve, partitioning the output range across the
-// worker pool. Each output sample is an independent dot product, so the
-// result is bit-identical for every Parallelism.
-func (e Engine) Convolve(x, k []float64) []float64 {
+// Convolve computes the "same"-size linear convolution of x with kernel
+// k: the output has len(x) entries and output[i] is the kernel centered
+// at x[i]. Samples beyond the signal edges are treated as zero; an
+// empty kernel or signal yields all zeros. The output range is
+// partitioned across the worker pool; each output sample is an
+// independent dot product, so the result is bit-identical at every
+// worker count.
+func Convolve(x, k []float64) []float64 {
 	out := make([]float64, len(x))
 	if len(k) == 0 || len(x) == 0 {
 		return out
 	}
 	engConvolves.Inc()
-	e.Chunks(len(x), func(lo, hi int) { convolveRange(out, x, k, lo, hi) })
+	Chunks(len(x), func(lo, hi int) { convolveRange(out, x, k, lo, hi) })
 	return out
 }

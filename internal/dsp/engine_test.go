@@ -2,21 +2,29 @@ package dsp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"pmuleak/internal/xrand"
 )
 
-// The differential harness: for every engine entry point, the parallel
-// output at P in {2, 4, 8} must be BIT-IDENTICAL to the serial (P=1)
-// output, which in turn must be bit-identical to the package-level
-// legacy function. The engine promises equality, not closeness — the
+// The differential harness: for every worker-pool entry point, the
+// output at P in {2, 4, 8} workers must be BIT-IDENTICAL to the serial
+// (P=1) output. The pool promises equality, not closeness — the
 // receiver's downstream decisions (peak picking, bimodal thresholds)
 // can flip on 1-ulp differences, so anything weaker would make decoded
 // payloads depend on the worker count.
 
 var diffParallelisms = []int{2, 4, 8}
+
+// setParallelism sets the process worker count for the rest of t and
+// restores the default (0, all CPUs) when t ends.
+func setParallelism(t testing.TB, p int) {
+	t.Helper()
+	SetDefaultParallelism(p)
+	t.Cleanup(func() { SetDefaultParallelism(0) })
+}
 
 func realSignal(n int, seed int64) []float64 {
 	rng := xrand.New(seed)
@@ -44,17 +52,11 @@ func TestEngineSTFTDifferential(t *testing.T) {
 	for _, c := range cases {
 		x := randComplex(c.sigLen, int64(31+c.sigLen))
 		window := Hann(c.fftSize)
-		serial := Engine{Parallelism: 1}.STFT(x, c.fftSize, c.hop, window, 2.4e6)
-		legacy := STFT(x, c.fftSize, c.hop, window, 2.4e6)
-		if len(serial.Mag) != len(legacy.Mag) {
-			t.Fatalf("case %+v: serial engine %d frames, legacy %d", c, len(serial.Mag), len(legacy.Mag))
-		}
-		for f := range legacy.Mag {
-			floatBitEqual(t, fmt.Sprintf("case %+v serial-vs-legacy frame %d", c, f),
-				serial.Mag[f], legacy.Mag[f])
-		}
+		setParallelism(t, 1)
+		serial := STFT(x, c.fftSize, c.hop, window, 2.4e6)
 		for _, p := range diffParallelisms {
-			par := Engine{Parallelism: p}.STFT(x, c.fftSize, c.hop, window, 2.4e6)
+			setParallelism(t, p)
+			par := STFT(x, c.fftSize, c.hop, window, 2.4e6)
 			if len(par.Mag) != len(serial.Mag) {
 				t.Fatalf("case %+v P=%d: %d frames, want %d", c, p, len(par.Mag), len(serial.Mag))
 			}
@@ -84,11 +86,11 @@ func TestEngineWelchPSDDifferential(t *testing.T) {
 	}
 	for _, c := range cases {
 		x := randComplex(c.sigLen, int64(57+c.sigLen))
-		serial := welchAt(Engine{Parallelism: 1}, x, c.fftSize)
-		floatBitEqual(t, fmt.Sprintf("case %+v serial-vs-legacy", c),
-			serial, WelchPSD(x, c.fftSize))
+		setParallelism(t, 1)
+		serial := WelchPSD(x, c.fftSize)
 		for _, p := range diffParallelisms {
-			par := welchAt(Engine{Parallelism: p}, x, c.fftSize)
+			setParallelism(t, p)
+			par := WelchPSD(x, c.fftSize)
 			floatBitEqual(t, fmt.Sprintf("case %+v P=%d", c, p), par, serial)
 		}
 	}
@@ -101,62 +103,64 @@ func TestEngineConvolveDifferential(t *testing.T) {
 		for _, kl := range kLens {
 			x := realSignal(xl, int64(xl+kl))
 			k := realSignal(kl, int64(xl-kl+1000))
-			serial := Engine{Parallelism: 1}.Convolve(x, k)
-			floatBitEqual(t, fmt.Sprintf("x=%d k=%d serial-vs-legacy", xl, kl),
-				serial, Convolve(x, k))
+			setParallelism(t, 1)
+			serial := Convolve(x, k)
 			for _, p := range diffParallelisms {
-				par := Engine{Parallelism: p}.Convolve(x, k)
+				setParallelism(t, p)
+				par := Convolve(x, k)
 				floatBitEqual(t, fmt.Sprintf("x=%d k=%d P=%d", xl, kl, p), par, serial)
 			}
 		}
 	}
 }
 
-// TestEngineAutoMatchesSerial pins the knob semantics: Parallelism 0
-// (auto) must also reproduce the serial result bit for bit, whatever
-// worker count it resolves to.
+// TestEngineAutoMatchesSerial pins the setting's semantics: 0 (auto)
+// must also reproduce the serial result bit for bit, whatever worker
+// count it resolves to.
 func TestEngineAutoMatchesSerial(t *testing.T) {
 	x := randComplex(5000, 3)
 	window := Hann(128)
-	auto := Engine{}.STFT(x, 128, 32, window, 1e6)
-	serial := Engine{Parallelism: 1}.STFT(x, 128, 32, window, 1e6)
+	setParallelism(t, 0)
+	auto := STFT(x, 128, 32, window, 1e6)
+	autoPSD := WelchPSD(x, 256)
+	setParallelism(t, 1)
+	serial := STFT(x, 128, 32, window, 1e6)
 	for f := range serial.Mag {
 		floatBitEqual(t, fmt.Sprintf("auto frame %d", f), auto.Mag[f], serial.Mag[f])
 	}
-	floatBitEqual(t, "auto WelchPSD", welchAt(Engine{}, x, 256), welchAt(Engine{Parallelism: 1}, x, 256))
+	floatBitEqual(t, "auto WelchPSD", autoPSD, WelchPSD(x, 256))
 }
 
 func TestSetDefaultParallelism(t *testing.T) {
-	defer SetDefaultParallelism(0)
-	SetDefaultParallelism(3)
+	setParallelism(t, 3)
 	if DefaultParallelism() != 3 {
 		t.Fatalf("DefaultParallelism = %d", DefaultParallelism())
 	}
-	if w := (Engine{}).workers(); w != 3 {
-		t.Fatalf("auto engine resolved to %d workers, want 3", w)
-	}
-	if w := (Engine{Parallelism: 1}).workers(); w != 1 {
-		t.Fatalf("explicit serial engine resolved to %d workers", w)
+	if w := workers(); w != 3 {
+		t.Fatalf("setting 3 resolved to %d workers", w)
 	}
 	SetDefaultParallelism(-5)
 	if DefaultParallelism() != 0 {
-		t.Fatal("negative default not clamped to 0")
+		t.Fatal("negative setting not clamped to 0")
+	}
+	if w := workers(); w != runtime.NumCPU() {
+		t.Fatalf("auto resolved to %d workers, want %d", w, runtime.NumCPU())
 	}
 }
 
-// TestEngineConcurrentUse shares one engine between goroutines running
-// mixed workloads; every result must match the baseline computed up
-// front. Run under -race this proves the engine itself carries no
-// mutable state and the per-call worker pools do not interfere.
+// TestEngineConcurrentUse runs mixed transforms from several goroutines
+// at once on a 4-worker pool; every result must match the baseline
+// computed up front. Run under -race this proves the transforms share
+// no mutable state and the per-call worker pools do not interfere.
 func TestEngineConcurrentUse(t *testing.T) {
-	eng := Engine{Parallelism: 4}
+	setParallelism(t, 4)
 	x := randComplex(6000, 11)
 	window := Hann(256)
-	baseSTFT := eng.STFT(x, 256, 64, window, 1e6)
-	basePSD := welchAt(eng, x, 512)
+	baseSTFT := STFT(x, 256, 64, window, 1e6)
+	basePSD := WelchPSD(x, 512)
 	kernel := EdgeKernel(32)
 	re := realSignal(6000, 12)
-	baseConv := eng.Convolve(re, kernel)
+	baseConv := Convolve(re, kernel)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -166,7 +170,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for rep := 0; rep < 4; rep++ {
-				s := eng.STFT(x, 256, 64, window, 1e6)
+				s := STFT(x, 256, 64, window, 1e6)
 				for f := range baseSTFT.Mag {
 					for i := range baseSTFT.Mag[f] {
 						if s.Mag[f][i] != baseSTFT.Mag[f][i] {
@@ -175,13 +179,13 @@ func TestEngineConcurrentUse(t *testing.T) {
 						}
 					}
 				}
-				for i, v := range welchAt(eng, x, 512) {
+				for i, v := range WelchPSD(x, 512) {
 					if v != basePSD[i] {
 						errs <- fmt.Errorf("goroutine %d: PSD bin %d differs", g, i)
 						return
 					}
 				}
-				for i, v := range eng.Convolve(re, kernel) {
+				for i, v := range Convolve(re, kernel) {
 					if v != baseConv[i] {
 						errs <- fmt.Errorf("goroutine %d: conv sample %d differs", g, i)
 						return
@@ -199,10 +203,11 @@ func TestEngineConcurrentUse(t *testing.T) {
 
 func TestEngineChunksCoversRangeOnce(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
+		setParallelism(t, p)
 		for _, n := range []int{0, 1, 7, 100} {
 			covered := make([]int32, n)
 			var mu sync.Mutex
-			Engine{Parallelism: p}.Chunks(n, func(lo, hi int) {
+			Chunks(n, func(lo, hi int) {
 				mu.Lock()
 				defer mu.Unlock()
 				for i := lo; i < hi; i++ {
@@ -219,6 +224,7 @@ func TestEngineChunksCoversRangeOnce(t *testing.T) {
 }
 
 func TestEngineSTFTPanicsMatchLegacy(t *testing.T) {
+	setParallelism(t, 4)
 	x := randComplex(64, 1)
 	mustPanic := func(name string, fn func()) {
 		defer func() {
@@ -229,29 +235,29 @@ func TestEngineSTFTPanicsMatchLegacy(t *testing.T) {
 		fn()
 	}
 	mustPanic("non-power-of-two fftSize", func() {
-		Engine{Parallelism: 4}.STFT(x, 12, 4, make([]float64, 12), 1e6)
+		STFT(x, 12, 4, make([]float64, 12), 1e6)
 	})
 	mustPanic("non-positive hop", func() {
-		Engine{Parallelism: 4}.STFT(x, 16, 0, Hann(16), 1e6)
+		STFT(x, 16, 0, Hann(16), 1e6)
 	})
 	mustPanic("window length mismatch", func() {
-		Engine{Parallelism: 4}.STFT(x, 16, 8, Hann(8), 1e6)
+		STFT(x, 16, 8, Hann(8), 1e6)
 	})
 	mustPanic("WelchPSD non-power-of-two", func() {
 		WelchPSD(x, 12)
 	})
 	mustPanic("AccumulatePSD non-power-of-two window", func() {
-		Engine{Parallelism: 4}.AccumulatePSD(make([]float64, 12), x, 6, make([]float64, 12))
+		AccumulatePSD(make([]float64, 12), x, 6, make([]float64, 12))
 	})
 	mustPanic("AccumulatePSD non-positive hop", func() {
-		Engine{Parallelism: 4}.AccumulatePSD(make([]float64, 16), x, 0, Hann(16))
+		AccumulatePSD(make([]float64, 16), x, 0, Hann(16))
 	})
 	mustPanic("AccumulatePSD sum length mismatch", func() {
-		Engine{Parallelism: 4}.AccumulatePSD(make([]float64, 8), x, 8, Hann(16))
+		AccumulatePSD(make([]float64, 8), x, 8, Hann(16))
 	})
 	mustPanic("STFTInto input shorter than its frames", func() {
 		rows := [][]float64{make([]float64, 16), make([]float64, 16)}
-		Engine{Parallelism: 4}.STFTInto(rows, x[:20], 8, Hann(16))
+		STFTInto(rows, x[:20], 8, Hann(16))
 	})
 	// fftSize 1 used to hang the legacy implementation (hop 0); the
 	// contract is now an explicit panic.

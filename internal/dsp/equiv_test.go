@@ -60,19 +60,6 @@ func welchOracle(x []complex128, fftSize int) []float64 {
 	return psd
 }
 
-// welchAt is the Welch PSD through e's segment fan-out: the
-// AccumulatePSD sum over half-overlapped Hann segments divided by the
-// segment count, as WelchPSD computes it serially.
-func welchAt(e Engine, x []complex128, fftSize int) []float64 {
-	psd := make([]float64, fftSize)
-	if n := e.AccumulatePSD(psd, x, fftSize/2, Hann(fftSize)); n > 0 {
-		for i := range psd {
-			psd[i] /= float64(n)
-		}
-	}
-	return psd
-}
-
 // forwardReference is referenceFFT's forward direction in the shape
 // stftOracle takes.
 func forwardReference(x []complex128) { referenceFFT(x, false) }
@@ -146,7 +133,8 @@ func TestFusedSTFTEquivalence(t *testing.T) {
 		} {
 			want := stftOracle(in.x, g.fftSize, g.hop, window, forwardReference)
 			for _, par := range equivParallelisms() {
-				got := Engine{Parallelism: par}.STFT(in.x, g.fftSize, g.hop, window, 2.4e6)
+				setParallelism(t, par)
+				got := STFT(in.x, g.fftSize, g.hop, window, 2.4e6)
 				label := fmt.Sprintf("STFT(%s) fft=%d hop=%d len=%d par=%d",
 					in.shape, g.fftSize, g.hop, g.length, par)
 				if got.Frames() != len(want) {
@@ -181,8 +169,9 @@ func TestFusedWelchEquivalence(t *testing.T) {
 		} {
 			want := welchOracle(in.x, g.fftSize)
 			for _, par := range equivParallelisms() {
+				setParallelism(t, par)
 				label := fmt.Sprintf("WelchPSD(%s) fft=%d len=%d par=%d", in.shape, g.fftSize, g.length, par)
-				floatBitEqual(t, label, welchAt(Engine{Parallelism: par}, in.x, g.fftSize), want)
+				floatBitEqual(t, label, WelchPSD(in.x, g.fftSize), want)
 			}
 		}
 	}
@@ -209,13 +198,13 @@ func TestSTFTIntoPiecewiseMatchesOracle(t *testing.T) {
 			for f := range rows {
 				rows[f] = flat[f*g.fftSize : (f+1)*g.fftSize]
 			}
-			e := Engine{Parallelism: par}
+			setParallelism(t, par)
 			for lo := 0; lo < len(rows); lo += g.piece {
 				hi := lo + g.piece
 				if hi > len(rows) {
 					hi = len(rows)
 				}
-				e.STFTInto(rows[lo:hi], x[lo*g.hop:], g.hop, window)
+				STFTInto(rows[lo:hi], x[lo*g.hop:], g.hop, window)
 			}
 			for f := range want {
 				floatBitEqual(t, fmt.Sprintf("fft=%d hop=%d piece=%d par=%d frame %d",
@@ -241,14 +230,14 @@ func TestAccumulatePSDPiecewiseMatchesOracle(t *testing.T) {
 		want := welchOracle(x, g.fftSize)
 		window, hop := Hann(g.fftSize), g.fftSize/2
 		for _, par := range equivParallelisms() {
-			e := Engine{Parallelism: par}
+			setParallelism(t, par)
 			sum := make([]float64, g.fftSize)
 			start, segments := 0, 0
 			for end := g.piece; start < len(x); end += g.piece {
 				if end > len(x) {
 					end = len(x)
 				}
-				n := e.AccumulatePSD(sum, x[start:end], hop, window)
+				n := AccumulatePSD(sum, x[start:end], hop, window)
 				segments += n
 				start += n * hop
 				if end == len(x) {
@@ -274,7 +263,8 @@ func TestAccumulatePSDPiecewiseMatchesOracle(t *testing.T) {
 func TestWelchPSDShorterThanSegment(t *testing.T) {
 	for _, length := range []int{0, 1, 511, 1023} {
 		for _, par := range []int{1, 4} {
-			psd := welchAt(Engine{Parallelism: par}, randComplex(length, 9), 1024)
+			setParallelism(t, par)
+			psd := WelchPSD(randComplex(length, 9), 1024)
 			if len(psd) != 1024 {
 				t.Fatalf("len=%d par=%d: PSD has %d bins, want 1024", length, par, len(psd))
 			}
@@ -297,8 +287,8 @@ func TestWelchPSDFFTSizeTwo(t *testing.T) {
 	x := randComplex(64, 17)
 	r := realInComplex(realSignal(64, 18))
 	for _, par := range []int{1, 4} {
-		e := Engine{Parallelism: par}
-		for _, psd := range [][]float64{welchAt(e, x, 2), welchAt(e, r, 2)} {
+		setParallelism(t, par)
+		for _, psd := range [][]float64{WelchPSD(x, 2), WelchPSD(r, 2)} {
 			if len(psd) != 2 || psd[0] != 0 || psd[1] != 0 {
 				t.Fatalf("par=%d: WelchPSD fftSize 2 = %v, want [0 0]", par, psd)
 			}

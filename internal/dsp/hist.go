@@ -54,23 +54,6 @@ func (h *Histogram) Smoothed(w int) *Histogram {
 	return &Histogram{Counts: MovingAverage(h.Counts, w), Lo: h.Lo, Hi: h.Hi}
 }
 
-// PDF returns the histogram normalized to integrate to 1.
-func (h *Histogram) PDF() []float64 {
-	var total float64
-	for _, c := range h.Counts {
-		total += c
-	}
-	binWidth := (h.Hi - h.Lo) / float64(len(h.Counts))
-	out := make([]float64, len(h.Counts))
-	if total == 0 || binWidth == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = c / (total * binWidth)
-	}
-	return out
-}
-
 // Modes returns the values of the two most prominent local maxima of the
 // smoothed histogram, in ascending value order. This is the Fig. 7
 // procedure: the lower mode is the bit-0 power, the upper mode the
@@ -138,20 +121,6 @@ func BimodalThreshold(samples []float64, bins int) float64 {
 		return (lo + hi) / 2
 	}
 	return h.BinCenter(bestBin)
-}
-
-// CDFPoint returns the fraction of samples <= v.
-func CDFPoint(samples []float64, v float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range samples {
-		if s <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(samples))
 }
 
 // Skewness returns the sample skewness of x, used by tests to verify the

@@ -46,24 +46,6 @@ func TestHistogramBinCenter(t *testing.T) {
 	}
 }
 
-func TestHistogramPDFIntegratesToOne(t *testing.T) {
-	rng := xrand.New(30)
-	x := make([]float64, 10000)
-	for i := range x {
-		x[i] = rng.Normal(0, 1)
-	}
-	h := NewHistogram(x, 50)
-	pdf := h.PDF()
-	binWidth := (h.Hi - h.Lo) / float64(len(h.Counts))
-	var integral float64
-	for _, p := range pdf {
-		integral += p * binWidth
-	}
-	if !approxEqual(integral, 1, 1e-9) {
-		t.Fatalf("PDF integral = %v", integral)
-	}
-}
-
 func TestModesBimodal(t *testing.T) {
 	rng := xrand.New(31)
 	x := make([]float64, 0, 20000)
@@ -109,19 +91,6 @@ func TestBimodalThresholdUnimodalFallback(t *testing.T) {
 func TestBimodalThresholdEmpty(t *testing.T) {
 	if thr := BimodalThreshold(nil, 10); thr != 0 {
 		t.Fatalf("empty threshold = %v", thr)
-	}
-}
-
-func TestCDFPoint(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	if got := CDFPoint(x, 2.5); !approxEqual(got, 0.5, 1e-12) {
-		t.Errorf("CDFPoint(2.5) = %v", got)
-	}
-	if got := CDFPoint(x, 0); got != 0 {
-		t.Errorf("CDFPoint(0) = %v", got)
-	}
-	if got := CDFPoint(x, 10); got != 1 {
-		t.Errorf("CDFPoint(10) = %v", got)
 	}
 }
 

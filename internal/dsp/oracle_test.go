@@ -269,10 +269,11 @@ func TestSelectNthPartitions(t *testing.T) {
 // length from 1 to 65 (random taps, EdgeKernel at even lengths, and all
 // -1 taps over zero-heavy signals, whose products are -0: a sum that
 // did not start from +0 would show), signals shorter and longer than
-// the kernel, engine parallelism 1/2/3/8, and explicit partitions whose
+// the kernel, worker counts 1/2/3/8, and explicit partitions whose
 // boundaries fall inside the edge regions and inside four-output
 // blocks.
 func TestConvolveMatchesOracle(t *testing.T) {
+	t.Cleanup(func() { SetDefaultParallelism(0) })
 	rng := xrand.New(11)
 	for kl := 1; kl <= 65; kl++ {
 		kernels := [][]float64{realSignal(kl, int64(kl))}
@@ -296,9 +297,9 @@ func TestConvolveMatchesOracle(t *testing.T) {
 				}
 				label := fmt.Sprintf("k=%d#%d x=%d", kl, ki, xl)
 				want := convolveReference(x, k)
-				floatBitEqual(t, label+" Convolve", Convolve(x, k), want)
 				for _, p := range []int{1, 2, 3, 8} {
-					floatBitEqual(t, fmt.Sprintf("%s P=%d", label, p), Engine{Parallelism: p}.Convolve(x, k), want)
+					SetDefaultParallelism(p)
+					floatBitEqual(t, fmt.Sprintf("%s P=%d", label, p), Convolve(x, k), want)
 				}
 				// Random partitions: boundaries anywhere, including
 				// inside the edges and mid-block.

@@ -125,9 +125,6 @@ func stageTwiddles(size int) []complex128 {
 	return fw
 }
 
-// Size reports the transform length the plan was built for.
-func (p *FFTPlan) Size() int { return p.n }
-
 // Transform computes the forward DFT of x in place. len(x) must equal
 // the plan size.
 func (p *FFTPlan) Transform(x []complex128) {

@@ -20,28 +20,3 @@ func RayleighFit(x []float64) float64 {
 	}
 	return math.Sqrt(sum / (2 * float64(len(x))))
 }
-
-// RayleighPDF evaluates the Rayleigh density with scale sigma at v.
-func RayleighPDF(v, sigma float64) float64 {
-	if v < 0 || sigma <= 0 {
-		return 0
-	}
-	s2 := sigma * sigma
-	return v / s2 * math.Exp(-v*v/(2*s2))
-}
-
-// RayleighCDF evaluates the Rayleigh distribution function at v.
-func RayleighCDF(v, sigma float64) float64 {
-	if v <= 0 || sigma <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-v*v/(2*sigma*sigma))
-}
-
-// RayleighMedian returns the median of a Rayleigh distribution with
-// scale sigma: sigma*sqrt(2 ln 2). The receiver picks the median of the
-// observed start-point distances as the signaling time (§IV-B2), and
-// tests compare that empirical median against this closed form.
-func RayleighMedian(sigma float64) float64 {
-	return sigma * math.Sqrt(2*math.Ln2)
-}

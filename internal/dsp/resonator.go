@@ -43,12 +43,6 @@ func (r *Resonator) Step(x complex128) complex128 {
 	return r.Z
 }
 
-// ResonatorBandwidth returns the approximate -3 dB bandwidth (Hz) of a
-// resonator with the given decay at the given sample rate.
-func ResonatorBandwidth(decay, sampleRate float64) float64 {
-	return (1 - decay) * sampleRate / math.Pi
-}
-
 // DecayForTimeConstant returns the decay factor whose step-response time
 // constant is tc seconds at the given sample rate.
 func DecayForTimeConstant(tc, sampleRate float64) float64 {

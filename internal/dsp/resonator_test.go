@@ -145,11 +145,6 @@ func TestResonatorBandwidthAndDecayHelpers(t *testing.T) {
 	if math.Abs(d-(1-1.0/240)) > 1e-12 {
 		t.Fatalf("decay = %v", d)
 	}
-	bw := ResonatorBandwidth(d, 2.4e6)
-	want := (1.0 / 240) * 2.4e6 / math.Pi
-	if math.Abs(bw-want) > 1e-6 {
-		t.Fatalf("bandwidth = %v, want %v", bw, want)
-	}
 	// Degenerate time constant clamps to one sample.
 	if d := DecayForTimeConstant(0, 2.4e6); d != 0 {
 		t.Fatalf("zero tc decay = %v, want 0", d)

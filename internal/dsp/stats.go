@@ -201,18 +201,3 @@ func Normalize(x []float64) {
 		x[i] /= peak
 	}
 }
-
-// DB converts a linear power ratio to decibels, clamping at a floor to
-// avoid -Inf for zero power.
-func DB(ratio float64) float64 {
-	const floor = 1e-30
-	if ratio < floor {
-		ratio = floor
-	}
-	return 10 * math.Log10(ratio)
-}
-
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 {
-	return math.Pow(10, db/10)
-}

@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -122,20 +121,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestDBRoundTrip(t *testing.T) {
-	for _, db := range []float64{-20, 0, 3, 40} {
-		if got := DB(FromDB(db)); !approxEqual(got, db, 1e-9) {
-			t.Errorf("DB(FromDB(%v)) = %v", db, got)
-		}
-	}
-	if DB(0) > -200 {
-		t.Errorf("DB(0) = %v, want very negative but finite", DB(0))
-	}
-	if math.IsInf(DB(0), -1) {
-		t.Error("DB(0) is -Inf")
-	}
-}
-
 func TestSkewnessSigns(t *testing.T) {
 	rng := xrand.New(20)
 	sym := make([]float64, 50000)
@@ -162,51 +147,5 @@ func TestRayleighFitRecoversSigma(t *testing.T) {
 	got := RayleighFit(x)
 	if math.Abs(got-sigma) > 0.05 {
 		t.Fatalf("RayleighFit = %v, want ~%v", got, sigma)
-	}
-}
-
-func TestRayleighPDFIntegratesToOne(t *testing.T) {
-	const sigma = 2.0
-	var integral float64
-	const dx = 0.001
-	for v := 0.0; v < 30; v += dx {
-		integral += RayleighPDF(v, sigma) * dx
-	}
-	if !approxEqual(integral, 1, 1e-3) {
-		t.Fatalf("PDF integral = %v", integral)
-	}
-}
-
-func TestRayleighCDFMatchesPDF(t *testing.T) {
-	const sigma = 1.5
-	var integral float64
-	const dx = 0.0005
-	for v := 0.0; v < 4; v += dx {
-		integral += RayleighPDF(v, sigma) * dx
-	}
-	if got := RayleighCDF(4, sigma); !approxEqual(got, integral, 1e-3) {
-		t.Fatalf("CDF(4) = %v, integral = %v", got, integral)
-	}
-}
-
-func TestRayleighMedianClosedForm(t *testing.T) {
-	const sigma = 2.2
-	med := RayleighMedian(sigma)
-	if got := RayleighCDF(med, sigma); !approxEqual(got, 0.5, 1e-9) {
-		t.Fatalf("CDF(median) = %v, want 0.5", got)
-	}
-}
-
-func TestRayleighMedianMatchesEmpirical(t *testing.T) {
-	rng := xrand.New(22)
-	const sigma = 5.0
-	x := make([]float64, 200000)
-	for i := range x {
-		x[i] = rng.Rayleigh(sigma)
-	}
-	sort.Float64s(x)
-	empirical := x[len(x)/2]
-	if math.Abs(empirical-RayleighMedian(sigma)) > 0.05 {
-		t.Fatalf("empirical median %v vs closed form %v", empirical, RayleighMedian(sigma))
 	}
 }

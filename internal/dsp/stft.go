@@ -43,36 +43,11 @@ func (s *Spectrogram) Column(bin int) []float64 {
 	return out
 }
 
-// BandEnergy sums the magnitudes of the given bins for every frame,
-// which is exactly the paper's Eq. (1) acquisition evaluated frame-wise.
-func (s *Spectrogram) BandEnergy(bins []int) []float64 {
-	out := make([]float64, len(s.Mag))
-	for i, row := range s.Mag {
-		var sum float64
-		for _, b := range bins {
-			sum += row[b]
-		}
-		out[i] = sum
-	}
-	return out
-}
-
-// STFT computes a magnitude spectrogram of the complex signal x with the
-// given FFT size, hop, and window (len(window) must equal fftSize).
-// Frames that would run past the end of x are dropped; a signal shorter
-// than fftSize (including an empty one) yields a spectrogram with zero
-// frames. This is the single-threaded path; Engine.STFT computes the
-// bit-identical result on a worker pool.
-func STFT(x []complex128, fftSize, hop int, window []float64, sampleRate float64) *Spectrogram {
-	return Engine{Parallelism: 1}.STFT(x, fftSize, hop, window, sampleRate)
-}
-
 // WelchPSD estimates the power spectral density of x by averaging the
 // power spectra of Hann-windowed segments with 50% overlap. It returns
 // one value per FFT bin; a signal shorter than fftSize yields all
-// zeros. This is the single-threaded path over Engine.AccumulatePSD,
-// the segment fan-out the covert receiver's carrier search runs chunk
-// by chunk.
+// zeros. It is one AccumulatePSD over the whole of x, the segment
+// fan-out the covert receiver's carrier search runs chunk by chunk.
 func WelchPSD(x []complex128, fftSize int) []float64 {
 	if !IsPowerOfTwo(fftSize) {
 		panic(fmt.Sprintf("dsp: WelchPSD fftSize %d not a power of two", fftSize))
@@ -83,7 +58,7 @@ func WelchPSD(x []complex128, fftSize int) []float64 {
 		panic("dsp: WelchPSD fftSize must be >= 2")
 	}
 	psd := make([]float64, fftSize)
-	if segments := (Engine{Parallelism: 1}).AccumulatePSD(psd, x, fftSize/2, Hann(fftSize)); segments > 0 {
+	if segments := AccumulatePSD(psd, x, fftSize/2, Hann(fftSize)); segments > 0 {
 		for i := range psd {
 			psd[i] /= float64(segments)
 		}

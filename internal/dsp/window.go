@@ -29,15 +29,6 @@ func Hamming(n int) []float64 {
 	return w
 }
 
-// Rect returns an n-point rectangular (all ones) window.
-func Rect(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // Blackman returns an n-point Blackman window, used where stronger
 // sidelobe suppression is needed than Hann provides.
 func Blackman(n int) []float64 {

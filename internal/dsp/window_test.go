@@ -29,7 +29,6 @@ var windowCases = []struct {
 	{"hann", Hann, 2, 1.0, 4, 0},
 	{"hamming", Hamming, 2, 1.08, 4, 0.08},
 	{"blackman", Blackman, 4, 1.68, 1, 0},
-	{"rect", Rect, 1, 1.0, 0, 1},
 }
 
 // TestWindowInvariants checks, for every window and a spread of sizes:

@@ -98,7 +98,7 @@ type FleetGroup struct {
 
 // FleetResult carries the campaign's reduced state. Everything here is
 // a pure function of (seed, scale, cells): byte-identical rendering at
-// every shard count × worker count is the campaign contract.
+// every worker count is the campaign contract.
 type FleetResult struct {
 	Plan       campaign.Plan
 	Anchors    []FleetAnchor
@@ -175,10 +175,10 @@ func fleetSeverities() []FleetSeverityAnchor {
 }
 
 // Fleet runs the population campaign. cells ≤ 0 falls back to the
-// scale's population; shards ≤ 0 uses the campaign default. Jobs are
-// inherited from the sweep pool's process default, so paperbench -jobs
-// governs the anchors and the campaign alike.
-func Fleet(seed int64, scale Scale, cells int64, shards int) FleetResult {
+// scale's population. Jobs are inherited from the sweep pool's process
+// default, so paperbench -jobs governs the anchors and the campaign
+// alike.
+func Fleet(seed int64, scale Scale, cells int64) FleetResult {
 	defer expSpan("fleet").End()
 	if cells <= 0 {
 		cells = scale.Cells
@@ -286,7 +286,7 @@ func Fleet(seed int64, scale Scale, cells int64, shards int) FleetResult {
 	}
 
 	// ---- The campaign: stream the population through the surrogate. ----
-	ccfg := campaign.Config{Cells: cells, Shards: shards, Seed: seed}
+	ccfg := campaign.Config{Cells: cells, Seed: seed}
 	states := campaign.Run(ccfg, func(blk campaign.Block) *fleetBlock {
 		fb := newFleetBlock(len(anchorSNR), len(sevDiv))
 		for i := blk.Lo; i < blk.Hi; i++ {

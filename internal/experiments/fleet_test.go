@@ -13,7 +13,7 @@ var fleetTestScale = Scale{PayloadBits: 32, Runs: 1, Words: 6, Cells: 1 << 14}
 // are physical, and the degradation grid orders the way its calibrated
 // divisors demand.
 func TestFleetShape(t *testing.T) {
-	res := Fleet(2020, fleetTestScale, 0, 0)
+	res := Fleet(2020, fleetTestScale, 0)
 
 	if res.Plan.Cells != fleetTestScale.Cells {
 		t.Fatalf("plan cells = %d, want %d", res.Plan.Cells, fleetTestScale.Cells)
@@ -96,7 +96,7 @@ func TestFleetShape(t *testing.T) {
 // calibrated SNR divisors, the harshest severity's sub-population must
 // show a higher mean BER and a lower mean F1 than the clean one.
 func TestFleetDegradationGridOrders(t *testing.T) {
-	res := Fleet(2020, fleetTestScale, 0, 0)
+	res := Fleet(2020, fleetTestScale, 0)
 	clean, heavy := res.PerSev[0], res.PerSev[len(res.PerSev)-1]
 	if heavy.BER.Mean <= clean.BER.Mean {
 		t.Fatalf("heavy severity mean BER %v not above clean %v", heavy.BER.Mean, clean.BER.Mean)

@@ -228,7 +228,7 @@ func finishDetection(band []float64, frameDT float64, blockFrames int, cfg Detec
 // The STFT streams naturally: frames do not overlap, so at most one
 // partial frame carries across a chunk boundary, and the frames each
 // chunk completes up to the next block boundary are transformed across
-// the DSP engine's workers into the block's magnitude rows. The band
+// the DSP workers (dsp.STFTInto) into the block's magnitude rows. The band
 // tracker is block-local: as soon as one TrackBlock of frames has
 // accumulated, the block re-acquires the spike and reduces its rows to
 // one band sample per frame, and the rows are reused for the next
@@ -324,7 +324,7 @@ func (d *Detector) Push(chunk []complex128) {
 func (d *Detector) transform(x []complex128, n int) {
 	lo := len(d.rows)
 	d.growRows(lo + n)
-	dsp.Engine{}.STFTInto(d.rows[lo:], x, d.g.fftSize, d.window)
+	dsp.STFTInto(d.rows[lo:], x, d.g.fftSize, d.window)
 	if len(d.rows) == d.g.blockFrames {
 		d.flushBlock()
 	}

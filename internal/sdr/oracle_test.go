@@ -3,7 +3,6 @@ package sdr
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"pmuleak/internal/dsp"
@@ -30,7 +29,6 @@ func acquireOracle(iq []complex128, centerFreqHz float64, cfg Config, rng *xrand
 				rng.Normal(0, cfg.ThermalNoiseSigma))
 		}
 	}
-	eng := dsp.Engine{Parallelism: 1}
 	if cfg.AGCTargetRMS > 0 {
 		var sum float64
 		for _, v := range out {
@@ -39,32 +37,24 @@ func acquireOracle(iq []complex128, centerFreqHz float64, cfg Config, rng *xrand
 		rms := math.Sqrt(sum / math.Max(1, float64(len(out))))
 		if rms > 0 {
 			agc := cfg.AGCTargetRMS / rms
-			eng.Chunks(len(out), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out[i] *= complex(agc, 0)
-				}
-			})
+			for i := range out {
+				out[i] *= complex(agc, 0)
+			}
 		}
 	}
 	cap := &Capture{SampleRate: cfg.SampleRate, CenterFreqHz: centerFreqHz}
 	levels := float64(int(1) << (cfg.Bits - 1))
-	var clipped atomic.Int64
-	eng.Chunks(len(out), func(lo, hi int) {
-		var clips int64
-		for i := lo; i < hi; i++ {
-			if cfg.DCOffset != 0 {
-				out[i] += complex(cfg.DCOffset, 0)
-			}
-			re, cr := quantize(real(out[i]), levels)
-			im, ci := quantize(imag(out[i]), levels)
-			if cr || ci {
-				clips++
-			}
-			out[i] = complex(re, im)
+	for i := range out {
+		if cfg.DCOffset != 0 {
+			out[i] += complex(cfg.DCOffset, 0)
 		}
-		clipped.Add(clips)
-	})
-	cap.Clipped = int(clipped.Load())
+		re, cr := quantize(real(out[i]), levels)
+		im, ci := quantize(imag(out[i]), levels)
+		if cr || ci {
+			cap.Clipped++
+		}
+		out[i] = complex(re, im)
+	}
 	cap.IQ = out
 	return cap, nil
 }

@@ -264,7 +264,7 @@ func (f *Frontend) Capture(iq []complex128, centerFreqHz float64) *Capture {
 	cap := &Capture{SampleRate: cfg.SampleRate, CenterFreqHz: centerFreqHz}
 	levels := float64(int(1) << (cfg.Bits - 1)) // e.g. 128 for 8-bit
 	var clipped atomic.Int64
-	dsp.Engine{}.Chunks(len(iq), func(lo, hi int) {
+	dsp.Chunks(len(iq), func(lo, hi int) {
 		var clips int64
 		for i := lo; i < hi; i++ {
 			v := iq[i]

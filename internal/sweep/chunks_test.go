@@ -1,16 +1,44 @@
 package sweep
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 )
 
+// The TestMapChunks* tests hold Map's contract for a chunked grid: the
+// cells grouped into chunks and claimed one chunk per Map cell, each
+// chunk running its cells in index order. This is the shape
+// campaign.Run drives Map with (one block of cells per claim), so the
+// chunk size is a test parameter here rather than an argument of Map.
+
+// mapChunks runs cell(0) … cell(n-1) through Map in chunks of chunk
+// cells (chunk < 1 means one cell per chunk) and returns the results in
+// cell order.
+func mapChunks[T any](n, chunk int, cell func(i int) T) []T {
+	chunk = max(chunk, 1)
+	parts := Map((n+chunk-1)/chunk, func(c int) []T {
+		lo, hi := c*chunk, min((c+1)*chunk, n)
+		out := make([]T, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			out = append(out, cell(i))
+		}
+		return out
+	})
+	if parts == nil {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
 // TestMapChunksEquivalence: for every (jobs, chunk) combination —
 // including chunks that do not divide n, chunks larger than n, and the
-// degenerate chunk<1 — MapChunks must reproduce MapJobs's results
-// exactly. This is the satellite's equivalence proof: chunking is an
-// execution detail, never a semantic one.
+// degenerate chunk<1 — the chunked grid must reproduce the serial
+// per-cell grid exactly: chunking is an execution detail, never a
+// semantic one.
 func TestMapChunksEquivalence(t *testing.T) {
 	const n = 257 // prime: no chunk size divides it evenly
 	cell := func(i int) float64 {
@@ -20,10 +48,12 @@ func TestMapChunksEquivalence(t *testing.T) {
 		}
 		return v
 	}
-	want := MapJobs(1, n, cell)
+	setJobs(t, 1)
+	want := Map(n, cell)
 	for _, jobs := range []int{1, 2, 4, 8} {
+		setJobs(t, jobs)
 		for _, chunk := range []int{-1, 0, 1, 2, 7, 64, 256, 257, 1000} {
-			got := MapChunks(jobs, n, chunk, cell)
+			got := mapChunks(n, chunk, cell)
 			if len(got) != n {
 				t.Fatalf("jobs=%d chunk=%d: %d results, want %d", jobs, chunk, len(got), n)
 			}
@@ -42,7 +72,8 @@ func TestMapChunksEquivalence(t *testing.T) {
 func TestMapChunksEveryCellOnce(t *testing.T) {
 	const n = 1003
 	var counts [n]atomic.Int32
-	MapChunks(8, n, 17, func(i int) struct{} {
+	setJobs(t, 8)
+	mapChunks(n, 17, func(i int) struct{} {
 		counts[i].Add(1)
 		return struct{}{}
 	})
@@ -53,91 +84,31 @@ func TestMapChunksEveryCellOnce(t *testing.T) {
 	}
 }
 
-// TestMapChunksEmpty mirrors the MapJobs contract for empty grids.
+// TestMapChunksEmpty mirrors the per-cell contract for empty grids.
 func TestMapChunksEmpty(t *testing.T) {
-	if got := MapChunks(4, 0, 8, func(i int) int { return i }); got != nil {
+	setJobs(t, 4)
+	if got := mapChunks(0, 8, func(i int) int { return i }); got != nil {
 		t.Fatalf("n=0: got %v, want nil", got)
 	}
 }
 
 // TestMapChunksPanicPropagation: a panic anywhere inside a chunk is
-// re-raised on the caller after the pool drains, like MapJobs.
+// re-raised on the caller after the pool drains, as for a single cell.
 func TestMapChunksPanicPropagation(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
+		setJobs(t, jobs)
 		func() {
 			defer func() {
 				if r := recover(); r != "broken model" {
 					t.Fatalf("jobs=%d: panic value = %v, want %q", jobs, r, "broken model")
 				}
 			}()
-			MapChunks(jobs, 64, 8, func(i int) int {
+			mapChunks(64, 8, func(i int) int {
 				if i == 37 {
 					panic("broken model")
 				}
 				return i
 			})
 		}()
-	}
-}
-
-// TestMapChunksChunkOrder: within one chunk, cells run in ascending
-// index order on a single goroutine — the property that lets the
-// campaign layer keep sequential per-chunk state.
-func TestMapChunksChunkOrder(t *testing.T) {
-	const n, chunk = 96, 16
-	var last [n / chunk]atomic.Int32
-	for i := range last {
-		last[i].Store(-1)
-	}
-	MapChunks(4, n, chunk, func(i int) int {
-		c := i / chunk
-		if prev := last[c].Load(); int(prev) != i%chunk-1 {
-			t.Errorf("chunk %d: cell %d ran after in-chunk position %d", c, i, prev)
-		}
-		last[c].Store(int32(i % chunk))
-		return i
-	})
-}
-
-// BenchmarkMapTrivialCells is the satellite microbench: one million
-// trivial cells, per-cell claiming versus chunked claiming. The
-// per-cell path pays an atomic RMW plus two time.Now calls per cell;
-// the chunked path amortizes both over 4096 cells. cmd/emreport
-// gates the ratio (internal/campaign/testdata/bench_baseline.json).
-func BenchmarkMapTrivialCells(b *testing.B) {
-	const n = 1 << 20
-	cell := func(i int) int64 { return int64(i) * 2654435761 }
-	for _, bc := range []struct {
-		name  string
-		chunk int
-	}{
-		{"path=percell", 1},
-		{"path=chunked", 4096},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out := MapChunks(4, n, bc.chunk, cell)
-				if out[n-1] == 0 {
-					b.Fatal("unexpected zero")
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-		})
-	}
-}
-
-// BenchmarkMapTrivialCellsSerial pins the serial (jobs=1) overhead the
-// same way, isolating span bookkeeping from work-stealing contention.
-func BenchmarkMapTrivialCellsSerial(b *testing.B) {
-	const n = 1 << 20
-	cell := func(i int) int64 { return int64(i) * 2654435761 }
-	for _, chunk := range []int{1, 4096} {
-		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MapChunks(1, n, chunk, cell)
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-		})
 	}
 }

@@ -30,21 +30,20 @@ import (
 var (
 	sweepGrids   = telemetry.NewCounter("sweep.grids")
 	sweepCells   = telemetry.NewCounter("sweep.cells")
-	sweepChunks  = telemetry.NewCounter("sweep.chunks")
 	sweepActive  = telemetry.NewGauge("sweep.workers.active")
 	sweepCellDur = telemetry.NewHistogram("sweep.cell")
 )
 
-// defaultJobs is the process-wide worker count used by Map when the
-// caller passes the zero knob. Zero here in turn means runtime.NumCPU().
-// Stored atomically so the harness can set it while experiments run on
-// other goroutines (mirrors dsp.SetDefaultParallelism).
+// defaultJobs is the process-wide worker count of Map. Zero means
+// runtime.NumCPU(). Stored atomically so the harness can set it while
+// experiments run on other goroutines (mirrors
+// dsp.SetDefaultParallelism).
 var defaultJobs atomic.Int32
 
-// SetDefaultJobs sets the worker count Map resolves to: j == 0 restores
-// the default (all CPUs), j == 1 forces the exact legacy serial loop,
-// and j > 1 pins a specific worker count. Negative values are treated
-// as 0.
+// SetDefaultJobs sets the worker count Map fans out over: j == 0
+// restores the default (all CPUs), j == 1 runs the cells in a serial
+// loop on the caller, and j > 1 pins a specific worker count. Negative
+// values are treated as 0.
 func SetDefaultJobs(j int) {
 	if j < 0 {
 		j = 0
@@ -55,82 +54,37 @@ func SetDefaultJobs(j int) {
 // DefaultJobs reports the current process-wide default (0 = all CPUs).
 func DefaultJobs() int { return int(defaultJobs.Load()) }
 
-// resolve turns a jobs knob into a concrete worker count.
-func resolve(jobs int) int {
-	if jobs == 0 {
-		jobs = DefaultJobs()
+// workers resolves the process setting to a concrete worker count.
+func workers() int {
+	if j := DefaultJobs(); j > 0 {
+		return j
 	}
-	if jobs == 0 {
-		jobs = runtime.NumCPU()
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
-	return jobs
+	return runtime.NumCPU()
 }
 
-// Map runs cell(0) … cell(n-1) across the process-default worker pool
-// and returns the results in cell order. See MapJobs.
-func Map[T any](n int, cell func(i int) T) []T {
-	return MapJobs(0, n, cell)
-}
-
-// MapJobs is Map with an explicit worker count: jobs == 0 uses the
-// process default, jobs == 1 runs the cells sequentially on the calling
-// goroutine in index order (the exact legacy serial path), jobs > 1
-// fans the cells out over that many goroutines. Results always come
-// back in cell order regardless of completion order.
+// Map runs cell(0) … cell(n-1) across the process worker pool
+// (SetDefaultJobs) and returns the results in cell order regardless of
+// completion order. With one worker the cells run sequentially on the
+// calling goroutine in index order; otherwise workers claim one cell at
+// a time, so the sweep.cell span covers one cell.
 //
 // A panic inside a cell is re-raised on the calling goroutine once the
 // pool has drained, so a broken model fails the same way it would have
 // failed in a serial loop.
-func MapJobs[T any](jobs, n int, cell func(i int) T) []T {
-	return MapChunks(jobs, n, 1, cell)
-}
-
-// MapChunks is MapJobs with a work-stealing granularity knob: workers
-// claim contiguous chunks of `chunk` cell indices at a time instead of
-// single cells, and the sweep.cell span covers one chunk instead of one
-// cell. For experiment-sized cells (milliseconds each) chunk == 1 is
-// right — it gives the finest load balancing and per-cell latency
-// telemetry. For campaign-sized grids (millions of microsecond cells)
-// the per-cell atomic claim and span bookkeeping dominate the cells
-// themselves; batching amortizes both to noise (see
-// BenchmarkMapTrivialCells). chunk < 1 is treated as 1.
-//
-// Within a chunk the cells run in ascending index order on one
-// goroutine, so a chunk is also the natural unit of shard-local
-// sequential state for the campaign layer. Results are byte-identical
-// to MapJobs for every (jobs, chunk): cell i's value still depends only
-// on i.
-func MapChunks[T any](jobs, n, chunk int, cell func(i int) T) []T {
+func Map[T any](n int, cell func(i int) T) []T {
 	if n <= 0 {
 		return nil
-	}
-	if chunk < 1 {
-		chunk = 1
 	}
 	sweepGrids.Inc()
 	sweepCells.Add(uint64(n))
 	out := make([]T, n)
-	w := resolve(jobs)
-	chunks := (n + chunk - 1) / chunk
-	sweepChunks.Add(uint64(chunks))
-	if w > chunks {
-		w = chunks
-	}
+	w := min(workers(), n)
 	if w == 1 {
 		sweepActive.Add(1)
 		defer sweepActive.Add(-1)
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
+		for i := range out {
 			sp := sweepCellDur.Start()
-			for i := lo; i < hi; i++ {
-				out[i] = cell(i)
-			}
+			out[i] = cell(i)
 			sp.End()
 		}
 		return out
@@ -152,19 +106,12 @@ func MapChunks[T any](jobs, n, chunk int, cell func(i int) T) []T {
 				}
 			}()
 			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
 				sp := sweepCellDur.Start()
-				for i := lo; i < hi; i++ {
-					out[i] = cell(i)
-				}
+				out[i] = cell(i)
 				sp.End()
 			}
 		}()

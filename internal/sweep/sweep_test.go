@@ -1,15 +1,28 @@
 package sweep
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
+
+// The TestMapJobs* tests hold Map's contract at each SetDefaultJobs
+// setting they name.
+
+// setJobs sets the process worker count for the rest of t and restores
+// the default (0, all CPUs) when t ends.
+func setJobs(t *testing.T, jobs int) {
+	t.Helper()
+	SetDefaultJobs(jobs)
+	t.Cleanup(func() { SetDefaultJobs(0) })
+}
 
 // TestMapJobsOrder checks results land at their own index for every
 // worker count, including pools larger than the grid.
 func TestMapJobsOrder(t *testing.T) {
 	for _, jobs := range []int{1, 2, 3, 4, 17} {
-		got := MapJobs(jobs, 10, func(i int) int { return i * i })
+		setJobs(t, jobs)
+		got := Map(10, func(i int) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("jobs=%d: cell %d = %d, want %d", jobs, i, v, i*i)
@@ -29,9 +42,11 @@ func TestMapJobsSerialEquivalence(t *testing.T) {
 		}
 		return v
 	}
-	serial := MapJobs(1, 64, cell)
+	setJobs(t, 1)
+	serial := Map(64, cell)
 	for _, jobs := range []int{2, 4, 8} {
-		par := MapJobs(jobs, 64, cell)
+		setJobs(t, jobs)
+		par := Map(64, cell)
 		for i := range serial {
 			if par[i] != serial[i] {
 				t.Fatalf("jobs=%d: cell %d differs: %v != %v", jobs, i, par[i], serial[i])
@@ -45,7 +60,8 @@ func TestMapJobsSerialEquivalence(t *testing.T) {
 func TestMapJobsEveryCellOnce(t *testing.T) {
 	const n = 200
 	var counts [n]atomic.Int32
-	MapJobs(8, n, func(i int) struct{} {
+	setJobs(t, 8)
+	Map(n, func(i int) struct{} {
 		counts[i].Add(1)
 		return struct{}{}
 	})
@@ -58,10 +74,11 @@ func TestMapJobsEveryCellOnce(t *testing.T) {
 
 // TestMapJobsEmpty: n <= 0 yields nil without spawning workers.
 func TestMapJobsEmpty(t *testing.T) {
-	if got := MapJobs(4, 0, func(i int) int { return i }); got != nil {
+	setJobs(t, 4)
+	if got := Map(0, func(i int) int { return i }); got != nil {
 		t.Fatalf("n=0: got %v, want nil", got)
 	}
-	if got := MapJobs(4, -3, func(i int) int { return i }); got != nil {
+	if got := Map(-3, func(i int) int { return i }); got != nil {
 		t.Fatalf("n<0: got %v, want nil", got)
 	}
 }
@@ -70,6 +87,7 @@ func TestMapJobsEmpty(t *testing.T) {
 // it would in a serial loop.
 func TestMapJobsPanicPropagation(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
+		setJobs(t, jobs)
 		func() {
 			defer func() {
 				r := recover()
@@ -80,7 +98,7 @@ func TestMapJobsPanicPropagation(t *testing.T) {
 					t.Fatalf("jobs=%d: panic value = %v, want %q", jobs, r, "broken model")
 				}
 			}()
-			MapJobs(jobs, 8, func(i int) int {
+			Map(8, func(i int) int {
 				if i == 5 {
 					panic("broken model")
 				}
@@ -93,22 +111,18 @@ func TestMapJobsPanicPropagation(t *testing.T) {
 // TestDefaultJobs: the process knob round-trips and negative clamps to
 // zero (mirrors dsp.SetDefaultParallelism).
 func TestDefaultJobs(t *testing.T) {
-	t.Cleanup(func() { SetDefaultJobs(0) })
-	SetDefaultJobs(3)
+	setJobs(t, 3)
 	if got := DefaultJobs(); got != 3 {
 		t.Fatalf("DefaultJobs = %d, want 3", got)
+	}
+	if w := workers(); w != 3 {
+		t.Fatalf("setting 3 resolved to %d workers", w)
 	}
 	SetDefaultJobs(-5)
 	if got := DefaultJobs(); got != 0 {
 		t.Fatalf("negative set: DefaultJobs = %d, want 0", got)
 	}
-	// Map must honor the process default (=serial here would also pass;
-	// just check values are right with the knob at 2).
-	SetDefaultJobs(2)
-	got := Map(6, func(i int) int { return i + 1 })
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("Map cell %d = %d, want %d", i, v, i+1)
-		}
+	if w := workers(); w != runtime.NumCPU() {
+		t.Fatalf("auto resolved to %d workers, want %d", w, runtime.NumCPU())
 	}
 }

@@ -14,9 +14,9 @@ import (
 //
 // The derivation contract: Sub(seed, key) depends only on (seed, key),
 // never on how many other substreams exist or in which order they are
-// created. That is what makes a sharded campaign's report independent
-// of the shard and worker count — cell i's stream is a pure function of
-// the campaign seed and i's stable identity.
+// created. That is what makes a campaign's report independent of the
+// block and worker that ran each cell — cell i's stream is a pure
+// function of the campaign seed and i's stable identity.
 
 // splitmix64 is the SplitMix64 finalizer (Steele, Lea & Flood 2014;
 // the same mixer java.util.SplittableRandom and xoshiro seeding use).
@@ -59,7 +59,7 @@ func Sub(seed int64, key uint64) Lite {
 
 // SubSource derives an independent full-state Source for (seed, key).
 // It is the heavyweight sibling of Sub for consumers that want
-// math/rand's generator quality (per-shard model state, not per-cell
+// math/rand's generator quality (per-block model state, not per-cell
 // draws); construction costs a math/rand seeding pass.
 func SubSource(seed int64, key uint64) *Source {
 	return New(int64(splitmix64(splitmix64(uint64(seed))^key) >> 1))
