@@ -244,7 +244,7 @@ func registry() []experimentSpec {
 					for _, r := range res.DropRates {
 						fmt.Fprintf(w, " %.0f", r)
 					}
-					fmt.Fprintf(w, "; monotone in drops=%v)\n", monotoneRow(res.Row(i, j)))
+					fmt.Fprintf(w, "; monotone in drops=%v)\n", res.Monotone(i, j))
 				}
 			}
 			if res.KneeDropRate >= 0 {
@@ -294,17 +294,6 @@ func registry() []experimentSpec {
 				res.StateBytes, res.Plan.Blocks)
 		}},
 	}
-}
-
-// monotoneRow reports whether BER is non-decreasing along a drop-rate
-// row of the robustness grid.
-func monotoneRow(row []experiments.RobustnessPoint) bool {
-	for i := 1; i < len(row); i++ {
-		if row[i].ResyncBER < row[i-1].ResyncBER {
-			return false
-		}
-	}
-	return true
 }
 
 // registryNames returns the -only names in presentation order.

@@ -283,22 +283,9 @@ func (d DFS) SimulateBER(rate float64, n int, seed int64) float64 {
 	// The receiver's own-timing estimate sharpens with window length;
 	// scheduler noise corrupts it.
 	snr := 4.0 * math.Sqrt(measureT/measureRef)
-	errors := 0
-	for _, b := range bits {
-		level := 0.0
-		if b == 1 {
-			level = snr
-		}
-		rx := level + rng.Normal(0, 1)
-		got := byte(0)
-		if rx > snr/2 {
-			got = 1
-		}
-		if got != b {
-			errors++
-		}
-	}
-	return float64(errors) / float64(len(bits))
+	// snr already carries the window gain, so refT = symbolT keeps the
+	// integrator at unit gain.
+	return ookBER(bits, snr, 1, symbolT, symbolT, rng)
 }
 
 // ---------------------------------------------------------------------
@@ -331,22 +318,9 @@ func (p POWERT) SimulateBER(rate float64, n int, seed int64) float64 {
 	}
 	// Averaging over the intervals in one symbol.
 	snr := contrast * math.Sqrt(intervals) / perfNoise
-	errors := 0
-	for _, b := range bits {
-		level := 0.0
-		if b == 1 {
-			level = snr
-		}
-		rx := level + rng.Normal(0, 1)
-		got := byte(0)
-		if rx > snr/2 {
-			got = 1
-		}
-		if got != b {
-			errors++
-		}
-	}
-	return float64(errors) / float64(len(bits))
+	// snr already carries the window gain, so refT = symbolT keeps the
+	// integrator at unit gain.
+	return ookBER(bits, snr, 1, symbolT, symbolT, rng)
 }
 
 // All returns the seven Fig. 9 comparison channels in rate order.

@@ -238,7 +238,7 @@ func (tb *Testbed) RunCovert(cfg CovertConfig) *CovertResult {
 	demodSpan := stageDemod.Start()
 	demod := covert.Demodulate(p.Cap, p.RXCfg)
 	demodSpan.End()
-	res := p.finish(demod)
+	res := p.Finish(demod)
 	// Demodulate keeps no reference to the raw samples; recycle them.
 	p.Cap.Recycle()
 	return res
@@ -311,13 +311,10 @@ func (tb *Testbed) CovertRXConfig(cfg CovertConfig) covert.RXConfig {
 	return rxCfg
 }
 
-// Finish scores a demod produced outside RunCovert — typically a
-// stream.CovertReceiver's Finalize output, as in `emscope serve` —
-// against this prepared run's ground truth.
-func (p *PreparedCovert) Finish(demod *covert.Demod) *CovertResult { return p.finish(demod) }
-
-// finish scores a demod against the prepared run's ground truth.
-func (p *PreparedCovert) finish(demod *covert.Demod) *CovertResult {
+// Finish scores a demod against this prepared run's ground truth:
+// RunCovert's own, or one produced outside it — typically a
+// stream.CovertReceiver's Finalize output, as in `emscope serve`.
+func (p *PreparedCovert) Finish(demod *covert.Demod) *CovertResult {
 	m := covert.Measure(p.Run, demod, p.TXCfg, p.Payload)
 	covertRuns.Inc()
 	covertTxBits.Add(uint64(m.TxLen))
@@ -379,9 +376,6 @@ type KeylogConfig struct {
 	// are generated.
 	Text  string
 	Words int
-	// Typist and Handling override the human and host models.
-	Typist   *keylog.TypistConfig
-	Handling *keylog.HandlingConfig
 	// Detector overrides the receiver's detector settings (for
 	// example a finer STFT window when keystroke timing precision
 	// matters more than runtime).
@@ -426,7 +420,7 @@ func (tb *Testbed) RunKeylog(cfg KeylogConfig) *KeylogResult {
 	det := keylog.Detect(p.Cap, p.DetCfg)
 	detSpan.End()
 	p.Cap.Recycle()
-	return p.finish(det)
+	return p.Finish(det)
 }
 
 // PreparedKeylog is the receiver-side input of one keystroke-logging
@@ -455,22 +449,13 @@ func (tb *Testbed) PrepareKeylog(cfg KeylogConfig) *PreparedKeylog {
 		}
 		text = keylog.RandomWords(n, xrand.New(tb.Seed+13))
 	}
-	typist := keylog.DefaultTypistConfig()
-	if cfg.Typist != nil {
-		typist = *cfg.Typist
-	}
-	handling := keylog.DefaultHandlingConfig()
-	if cfg.Handling != nil {
-		handling = *cfg.Handling
-	}
-
 	simSpan := stageSimulate.Start()
 	sys := laptop.NewSystem(tb.Profile, tb.Seed)
 	defer sys.Close()
 	rng := xrand.New(tb.Seed + 500)
-	events := keylog.Type(text, 200*sim.Millisecond, typist, rng)
+	events := keylog.Type(text, 200*sim.Millisecond, keylog.DefaultTypistConfig(), rng)
 	horizon := keylog.SessionHorizon(events)
-	keylog.Inject(sys.Kernel(), events, horizon, handling, rng.Fork())
+	keylog.Inject(sys.Kernel(), events, horizon, keylog.DefaultHandlingConfig(), rng.Fork())
 	sys.Run(horizon)
 	simSpan.End()
 
@@ -503,13 +488,10 @@ func (tb *Testbed) PrepareKeylog(cfg KeylogConfig) *PreparedKeylog {
 	}
 }
 
-// Finish scores a detection produced outside RunKeylog — typically a
-// stream.KeylogDetector's Finalize output — against this prepared
-// run's ground truth.
-func (p *PreparedKeylog) Finish(det *keylog.Detection) *KeylogResult { return p.finish(det) }
-
-// finish scores a detection against the prepared run's ground truth.
-func (p *PreparedKeylog) finish(det *keylog.Detection) *KeylogResult {
+// Finish scores a detection against this prepared run's ground truth:
+// RunKeylog's own, or one produced outside it — typically a
+// stream.KeylogDetector's Finalize output.
+func (p *PreparedKeylog) Finish(det *keylog.Detection) *KeylogResult {
 	groups := keylog.GroupWords(det.Keystrokes, 0)
 	char := keylog.ScoreKeystrokes(p.Events, det.Keystrokes, 30*sim.Millisecond)
 	keylogRuns.Inc()
@@ -541,20 +523,15 @@ func (tb *Testbed) MicrobenchSpectrogram(active, idle sim.Time, cycles int) *dsp
 }
 
 // KeylogSpectrogram renders the Fig. 11 view: the spectrogram of the
-// emanations while text is typed, plus the ground-truth key events.
+// capture PrepareKeylog makes while text is typed, plus the
+// ground-truth key events. An empty text types PrepareKeylog's random
+// words.
 func (tb *Testbed) KeylogSpectrogram(text string) (*dsp.Spectrogram, []keylog.KeyEvent) {
-	sys := laptop.NewSystem(tb.Profile, tb.Seed)
-	defer sys.Close()
-	rng := xrand.New(tb.Seed + 500)
-	events := keylog.Type(text, 200*sim.Millisecond, keylog.DefaultTypistConfig(), rng)
-	horizon := keylog.SessionHorizon(events)
-	keylog.Inject(sys.Kernel(), events, horizon, keylog.DefaultHandlingConfig(), rng.Fork())
-	sys.Run(horizon)
-	cap, _ := tb.synthesize(emission{plan: tb.keylogPlan(), sys: sys, horizon: horizon}, rng, true)
+	p := tb.PrepareKeylog(KeylogConfig{Text: text})
 	fft := 2048
-	s := dsp.STFT(cap.IQ, fft, fft, dsp.Hann(fft), cap.SampleRate)
-	cap.Recycle()
-	return s, events
+	s := dsp.STFT(p.Cap.IQ, fft, fft, dsp.Hann(fft), p.Cap.SampleRate)
+	p.Cap.Recycle()
+	return s, p.Events
 }
 
 // AblationRow is one configuration of the §III P/C-state experiment.

@@ -226,19 +226,6 @@ func TestRenderSpectrogram(t *testing.T) {
 	}
 }
 
-func TestRenderTrace(t *testing.T) {
-	var sb strings.Builder
-	RenderTrace(&sb, []float64{0, 1, 2, 3, 2, 1, 0}, 4, 20)
-	if strings.Count(sb.String(), "\n") != 4 {
-		t.Fatalf("trace render:\n%s", sb.String())
-	}
-	sb.Reset()
-	RenderTrace(&sb, nil, 4, 20)
-	if !strings.Contains(sb.String(), "empty") {
-		t.Fatal("empty trace not flagged")
-	}
-}
-
 // TestCovertRXConfigMatchesPrepareCovert pins the single source of the
 // covert receiver config: the pure CovertRXConfig (which the perfbench
 // traced chain calls to reproduce RunCovert) must equal the RXCfg that

@@ -60,37 +60,3 @@ func RenderSpectrogram(w io.Writer, s *dsp.Spectrogram, rows, cols int) {
 	dur := float64(s.Frames()) * float64(s.Hop) / s.SampleRate
 	fmt.Fprintf(w, "%12s 0%s%.3fs\n", "", strings.Repeat(" ", max(0, cols-6)), dur)
 }
-
-// RenderTrace writes a compact ASCII plot of a scalar trace (e.g. the
-// Eq. 1 acquisition signal Y[n]) to w.
-func RenderTrace(w io.Writer, y []float64, rows, cols int) {
-	if len(y) == 0 || rows < 1 || cols < 1 {
-		fmt.Fprintln(w, "(empty trace)")
-		return
-	}
-	// Max-pool columns.
-	pooled := make([]float64, cols)
-	for i, v := range y {
-		c := i * cols / len(y)
-		if v > pooled[c] {
-			pooled[c] = v
-		}
-	}
-	peak, _ := dsp.Max(pooled)
-	if peak == 0 {
-		peak = 1
-	}
-	for r := rows - 1; r >= 0; r-- {
-		lo := peak * float64(r) / float64(rows)
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "%8.3g |", peak*float64(r+1)/float64(rows))
-		for _, v := range pooled {
-			if v > lo {
-				sb.WriteByte('#')
-			} else {
-				sb.WriteByte(' ')
-			}
-		}
-		fmt.Fprintln(w, sb.String())
-	}
-}

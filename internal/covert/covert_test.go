@@ -82,12 +82,12 @@ func TestEncodeDecodeRoundTripAllCodes(t *testing.T) {
 		cfg := DefaultTXConfig(100 * sim.Microsecond)
 		cfg.Code = code
 		frame := EncodeFrame(payload, cfg)
-		got, corrections := DecodePayload(frame[len(cfg.Preamble):], cfg)
+		got, corrections := DecodePayloadN(frame[len(cfg.Preamble):], cfg, len(payload))
 		if corrections != 0 {
 			t.Errorf("%v: spurious corrections", code)
 		}
-		if len(got) < len(payload) {
-			t.Fatalf("%v: decoded too short", code)
+		if len(got) != len(payload) {
+			t.Fatalf("%v: decoded %d bits, want %d", code, len(got), len(payload))
 		}
 		for i := range payload {
 			if got[i] != payload[i] {
@@ -129,12 +129,8 @@ func TestRXConfigValidate(t *testing.T) {
 		t.Fatalf("default invalid: %v", err)
 	}
 	mutations := []func(*RXConfig){
-		func(c *RXConfig) { c.FFTSize = 1000 },
 		func(c *RXConfig) { c.NumHarmonics = 0 },
-		func(c *RXConfig) { c.DecimateFactor = 0 },
 		func(c *RXConfig) { c.MinBitPeriod = 0 },
-		func(c *RXConfig) { c.HistBins = 1 },
-		func(c *RXConfig) { c.BatchBits = 1 },
 		func(c *RXConfig) { c.CarrierMinZ = 0 },
 	}
 	for i, mutate := range mutations {
@@ -160,7 +156,7 @@ func activeTrace(n, period int) []float64 {
 
 func TestFillGaps(t *testing.T) {
 	starts := []int{0, 100, 310, 400} // one missing start near 200
-	filled, inserted := fillGaps(starts, 100, 100)
+	filled, inserted := fillGaps(starts, 100, 100, 2, 1, false, nil)
 	if inserted != 1 {
 		t.Fatalf("inserted = %d", inserted)
 	}
@@ -174,11 +170,11 @@ func TestFillGaps(t *testing.T) {
 
 func TestFillGapsNoGaps(t *testing.T) {
 	starts := []int{0, 100, 200}
-	filled, inserted := fillGaps(starts, 100, 100)
+	filled, inserted := fillGaps(starts, 100, 100, 2, 1, false, nil)
 	if inserted != 0 || len(filled) != 3 {
 		t.Fatalf("filled=%v inserted=%d", filled, inserted)
 	}
-	if f, n := fillGaps(nil, 100, 100); f != nil || n != 0 {
+	if f, n := fillGaps(nil, 100, 100, 2, 1, false, nil); f != nil || n != 0 {
 		t.Fatal("empty input mishandled")
 	}
 }
@@ -213,7 +209,7 @@ func TestClipToActiveKeepsAllWhenActive(t *testing.T) {
 func TestFillGapsHonorsMaxGap(t *testing.T) {
 	// The gap spans more than maxFillGap periods: the stream truncates.
 	starts := []int{0, 100, 100 * (maxFillGap + 2)}
-	filled, inserted := fillGaps(starts, 100, 100)
+	filled, inserted := fillGaps(starts, 100, 100, 2, 1, false, nil)
 	if inserted != 0 || len(filled) != 2 {
 		t.Fatalf("filled=%v inserted=%d", filled, inserted)
 	}
@@ -407,7 +403,7 @@ func TestInterleavedFrameRoundTrip(t *testing.T) {
 	payload := xrand.New(70).Bits(96)
 	frame := EncodeFrame(payload, cfg)
 	inner := frame[len(cfg.Preamble) : len(frame)-len(cfg.Postamble)]
-	got, corrections := DecodePayload(inner, cfg)
+	got, corrections := DecodePayloadN(inner, cfg, len(payload))
 	if corrections != 0 {
 		t.Fatalf("spurious corrections %d", corrections)
 	}
@@ -427,7 +423,7 @@ func TestInterleavedFrameSurvivesBurst(t *testing.T) {
 	for i := 40; i < 47; i++ { // 7-bit burst on the air
 		inner[i] ^= 1
 	}
-	got, corrections := DecodePayload(inner, cfg)
+	got, corrections := DecodePayloadN(inner, cfg, len(payload))
 	if corrections != 7 {
 		t.Fatalf("corrections = %d, want 7 (one per codeword)", corrections)
 	}
@@ -445,7 +441,7 @@ func TestInterleavedFrameSurvivesBurst(t *testing.T) {
 	for i := 40; i < 47; i++ {
 		plainInner[i] ^= 1
 	}
-	plainGot, _ := DecodePayload(plainInner, plainCfg)
+	plainGot, _ := DecodePayloadN(plainInner, plainCfg, len(payload))
 	diff := 0
 	for i := range payload {
 		if plainGot[i] != payload[i] {

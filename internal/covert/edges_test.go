@@ -10,13 +10,13 @@ import (
 
 // detectEdgesPerPeak is detectEdges recomputing the batch maximum for
 // every peak, the oracle for the once-per-batch maximum.
-func detectEdgesPerPeak(conv []float64, minDist int, cfg RXConfig) []int {
+func detectEdgesPerPeak(conv []float64, minDist int) []int {
 	peaks := dsp.FindPeaks(conv, minDist, 0)
 	if len(peaks) == 0 {
 		return nil
 	}
 	gate := 0.2 * dsp.Quantile(conv, 0.99)
-	batch := max(cfg.BatchBits*minDist, minDist)
+	batch := batchBits * minDist
 	var out []int
 	for _, p := range peaks {
 		batchStart := (p / batch) * batch
@@ -33,7 +33,6 @@ func detectEdgesPerPeak(conv []float64, minDist int, cfg RXConfig) []int {
 // batches have different maxima and a stale or misplaced batch maximum
 // moves the per-batch threshold.
 func TestDetectEdgesMatchesPerPeakMax(t *testing.T) {
-	cfg := DefaultRXConfig()
 	rng := xrand.New(17)
 	for trial := 0; trial < 20; trial++ {
 		y := make([]float64, 5000+rng.Intn(20000))
@@ -49,8 +48,8 @@ func TestDetectEdgesMatchesPerPeakMax(t *testing.T) {
 		}
 		conv := dsp.Convolve(y, dsp.EdgeKernel(20))
 		for _, minDist := range []int{5, 20, 60} {
-			got := detectEdges(conv, minDist, cfg)
-			want := detectEdgesPerPeak(conv, minDist, cfg)
+			got := detectEdges(conv, minDist)
+			want := detectEdgesPerPeak(conv, minDist)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d minDist %d: %d edges, want %d", trial, minDist, len(got), len(want))
 			}

@@ -15,7 +15,7 @@ import (
 
 func FuzzParsePacket(f *testing.F) {
 	cfg := DefaultTXConfig(100 * sim.Microsecond)
-	good := TransmitPacket(Packet{Seq: 3, Payload: []byte("hello")}, cfg)
+	good := EncodeFrame(ecc.BytesToBits(PacketBody(Packet{Seq: 3, Payload: []byte("hello")})), cfg)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 1})
@@ -38,8 +38,9 @@ func FuzzParsePacket(f *testing.F) {
 		}
 		// Anything that parses must re-serialize to a frame that
 		// parses back identically (CRC consistency).
-		onAir := TransmitPacket(p, cfg)
-		decoded, _ := DecodePayload(onAir[len(cfg.Preamble):], cfg)
+		body := ecc.BytesToBits(PacketBody(p))
+		onAir := EncodeFrame(body, cfg)
+		decoded, _ := DecodePayloadN(onAir[len(cfg.Preamble):], cfg, len(body))
 		p2, ok2 := ParsePacket(decoded)
 		if !ok2 || p2.Seq != p.Seq || !bytes.Equal(p2.Payload, p.Payload) {
 			t.Fatalf("re-serialization broke the packet: %+v vs %+v", p, p2)
@@ -162,10 +163,10 @@ func FuzzDemodulateParallelism(f *testing.F) {
 }
 
 func FuzzDecodePayload(f *testing.F) {
-	f.Add([]byte{1, 0, 1, 1, 0, 0, 1}, 0)
-	f.Add([]byte{}, 1)
-	f.Add(bytes.Repeat([]byte{1, 0}, 50), 2)
-	f.Fuzz(func(t *testing.T, raw []byte, codeSel int) {
+	f.Add([]byte{1, 0, 1, 1, 0, 0, 1}, 0, uint16(4))
+	f.Add([]byte{}, 1, uint16(9))
+	f.Add(bytes.Repeat([]byte{1, 0}, 50), 2, uint16(56))
+	f.Fuzz(func(t *testing.T, raw []byte, codeSel int, size uint16) {
 		bits := make([]byte, len(raw))
 		for i, b := range raw {
 			bits[i] = b & 1
@@ -179,9 +180,13 @@ func FuzzDecodePayload(f *testing.F) {
 		default:
 			cfg.Code = CodeHamming74
 		}
-		payload, corrections := DecodePayload(bits, cfg)
+		payloadBits := int(size)
+		payload, corrections := DecodePayloadN(bits, cfg, payloadBits)
 		if corrections < 0 {
 			t.Fatal("negative corrections")
+		}
+		if len(payload) != payloadBits {
+			t.Fatalf("decoded %d payload bits, want %d", len(payload), payloadBits)
 		}
 		for _, b := range payload {
 			if b > 1 {

@@ -20,10 +20,10 @@ import (
 // that trace's mean decimation in one pass — then the shared back half.
 func demodulateOracle(cap *sdr.Capture, cfg RXConfig) *Demod {
 	d := &Demod{}
-	if len(cap.IQ) < 4*cfg.FFTSize {
+	if len(cap.IQ) < 4*fftSize {
 		return d
 	}
-	psd := dsp.WelchPSD(cap.IQ, cfg.FFTSize)
+	psd := dsp.WelchPSD(cap.IQ, fftSize)
 	car := searchCarrier(psd, cap.SampleRate, cap.CenterFreqHz, cfg)
 	d.Offsets = car.Offsets
 	d.Quality.CarrierZ = car.Z
@@ -37,8 +37,8 @@ func demodulateOracle(cap *sdr.Capture, cfg RXConfig) *Demod {
 		norm[i] = f / cap.SampleRate
 	}
 	y := resonatorBank(cap.IQ, norm, acquisitionDecay(cfg, cap.SampleRate))
-	d.Y = decimateMean(y, cfg.DecimateFactor)
-	d.DT = float64(cfg.DecimateFactor) / cap.SampleRate
+	d.Y = decimateMean(y, decimateFactor)
+	d.DT = decimateFactor / cap.SampleRate
 	return demodulateTrace(d, cfg)
 }
 
@@ -162,7 +162,7 @@ func TestReceiverChunkingInvariance(t *testing.T) {
 				for _, par := range []int{1, 4} {
 					dsp.SetDefaultParallelism(par)
 					for _, size := range []int{1, 7, 9973, 65536, len(cap.IQ), len(cap.IQ) + 1} {
-						if par > 1 && size < rx.cfg.FFTSize {
+						if par > 1 && size < fftSize {
 							// A chunk shorter than a Welch segment
 							// completes each segment in its own
 							// one-segment transform, which runs serially

@@ -36,7 +36,9 @@ type Packet struct {
 }
 
 // PacketBody serializes one packet into its wire bytes (header,
-// payload, CRC) — the unit that gets bit-expanded, coded, and framed.
+// payload, CRC) — the unit that gets bit-expanded, coded, and framed:
+// EncodeFrame(ecc.BytesToBits(PacketBody(p)), cfg) is the packet's TX
+// bit stream, and Demodulate + RecoverPayloadN + ParsePacket receive it.
 func PacketBody(p Packet) []byte {
 	if len(p.Payload) == 0 || len(p.Payload) > MaxPacketPayload {
 		panic(fmt.Sprintf("covert: packet payload %d out of 1..%d",
@@ -45,11 +47,6 @@ func PacketBody(p Packet) []byte {
 	header := []byte{byte(p.Seq&0x0F)<<4 | byte(len(p.Payload)&0x0F)}
 	body := append(header, p.Payload...)
 	return append(body, ecc.CRC8(body))
-}
-
-// packetBits serializes and codes one packet for the air.
-func packetBits(p Packet, cfg TXConfig) []byte {
-	return EncodeFrame(ecc.BytesToBits(PacketBody(p)), cfg)
 }
 
 // Packetize splits data into packets of at most MaxPacketPayload bytes.
@@ -83,18 +80,6 @@ func ParsePacket(bits []byte) (Packet, bool) {
 		return Packet{}, false
 	}
 	return Packet{Seq: seq, Payload: append([]byte(nil), raw[1:1+n]...)}, true
-}
-
-// PacketAirtime estimates the on-air bit count of one packet.
-func PacketAirtime(payloadBytes int, cfg TXConfig) int {
-	bits := (1 + payloadBytes + 1) * 8
-	switch cfg.Code {
-	case CodeHamming74:
-		bits = (bits + 3) / 4 * 7
-	case CodeParity:
-		bits += (bits + cfg.ParityBlock - 1) / cfg.ParityBlock
-	}
-	return bits + len(cfg.Preamble) + len(cfg.Postamble)
 }
 
 // Reassembler collects received packets into the original byte stream.
@@ -147,11 +132,4 @@ func (r *Reassembler) Bytes() []byte {
 		out = append(out, r.packets[s]...)
 	}
 	return out
-}
-
-// TransmitPacket encodes one packet as a TX bit stream; use with
-// SpawnTransmitter. The receiver side is Demodulate + RecoverPayloadN +
-// ParsePacket.
-func TransmitPacket(p Packet, cfg TXConfig) []byte {
-	return packetBits(p, cfg)
 }

@@ -39,9 +39,10 @@ func TestPacketizeEmpty(t *testing.T) {
 func TestPacketRoundTrip(t *testing.T) {
 	cfg := DefaultTXConfig(100 * sim.Microsecond)
 	p := Packet{Seq: 5, Payload: []byte("hello!")}
-	onAir := TransmitPacket(p, cfg)
+	body := ecc.BytesToBits(PacketBody(p))
+	onAir := EncodeFrame(body, cfg)
 	// Strip preamble, decode Hamming, parse.
-	payloadBits, _ := DecodePayload(onAir[len(cfg.Preamble):], cfg)
+	payloadBits, _ := DecodePayloadN(onAir[len(cfg.Preamble):], cfg, len(body))
 	got, ok := ParsePacket(payloadBits)
 	if !ok {
 		t.Fatal("packet did not parse")
@@ -55,7 +56,7 @@ func TestPacketRejectsDamage(t *testing.T) {
 	cfg := DefaultTXConfig(100 * sim.Microsecond)
 	cfg.Code = CodeNone // direct access to raw bits
 	p := Packet{Seq: 1, Payload: []byte("secret")}
-	onAir := TransmitPacket(p, cfg)
+	onAir := EncodeFrame(ecc.BytesToBits(PacketBody(p)), cfg)
 	bits := append([]byte(nil), onAir[len(cfg.Preamble):]...)
 	bits[10] ^= 1 // flip a payload bit
 	if _, ok := ParsePacket(bits); ok {
@@ -73,7 +74,6 @@ func TestPacketRejectsTruncation(t *testing.T) {
 }
 
 func TestPacketBadSizePanics(t *testing.T) {
-	cfg := DefaultTXConfig(100 * sim.Microsecond)
 	for _, payload := range [][]byte{nil, make([]byte, 16)} {
 		func() {
 			defer func() {
@@ -81,24 +81,8 @@ func TestPacketBadSizePanics(t *testing.T) {
 					t.Errorf("payload size %d accepted", len(payload))
 				}
 			}()
-			TransmitPacket(Packet{Payload: payload}, cfg)
+			PacketBody(Packet{Payload: payload})
 		}()
-	}
-}
-
-func TestPacketAirtime(t *testing.T) {
-	cfg := DefaultTXConfig(100 * sim.Microsecond)
-	p := Packet{Seq: 0, Payload: []byte("12345")}
-	if got, want := PacketAirtime(5, cfg), len(TransmitPacket(p, cfg)); got != want {
-		t.Fatalf("PacketAirtime = %d, actual %d", got, want)
-	}
-	cfg.Code = CodeNone
-	if got, want := PacketAirtime(5, cfg), len(TransmitPacket(p, cfg)); got != want {
-		t.Fatalf("uncoded PacketAirtime = %d, actual %d", got, want)
-	}
-	cfg.Code = CodeParity
-	if got, want := PacketAirtime(5, cfg), len(TransmitPacket(p, cfg)); got != want {
-		t.Fatalf("parity PacketAirtime = %d, actual %d", got, want)
 	}
 }
 
@@ -142,8 +126,9 @@ func TestPacketPropertyRoundTrip(t *testing.T) {
 		payload := make([]byte, n)
 		rng.Bytes(payload)
 		p := Packet{Seq: rng.Intn(16), Payload: payload}
-		onAir := TransmitPacket(p, cfg)
-		bits, _ := DecodePayload(onAir[len(cfg.Preamble):], cfg)
+		body := ecc.BytesToBits(PacketBody(p))
+		onAir := EncodeFrame(body, cfg)
+		bits, _ := DecodePayloadN(onAir[len(cfg.Preamble):], cfg, len(body))
 		got, ok := ParsePacket(bits)
 		return ok && got.Seq == p.Seq && bytes.Equal(got.Payload, payload)
 	}

@@ -10,29 +10,33 @@ import (
 	"pmuleak/internal/sim"
 )
 
+// fftSize is the PSD resolution used for carrier search and carrier
+// detection (M in Eq. (1) terms).
+const fftSize = 1024
+
+// decimateFactor reduces the per-sample acquisition trace before edge
+// detection.
+const decimateFactor = 8
+
+// histBins is the resolution of the power histogram used for threshold
+// selection (Fig. 7).
+const histBins = 48
+
+// batchBits is the approximate number of bit periods per
+// batch-processing window (§IV-B2).
+const batchBits = 50
+
 // RXConfig parameterizes the receiver's detection pipeline.
 type RXConfig struct {
-	// FFTSize is the PSD resolution used for carrier search and
-	// carrier detection (M in Eq. (1) terms).
-	FFTSize int
 	// NumHarmonics is |S|: how many VRM spectral spikes to sum.
 	NumHarmonics int
 	// ExpectedF0 is the VRM switching frequency hint (Hz). Its
 	// harmonics in the capture band are the spikes the receiver sums;
 	// NewReceiver rejects a config without one.
 	ExpectedF0 float64
-	// DecimateFactor reduces the per-sample acquisition trace before
-	// edge detection.
-	DecimateFactor int
 	// MinBitPeriod bounds the shortest plausible signaling period and
 	// sizes the first-pass edge kernel.
 	MinBitPeriod sim.Time
-	// HistBins is the resolution of the power histogram used for
-	// threshold selection (Fig. 7).
-	HistBins int
-	// BatchBits is the approximate number of bit periods per
-	// batch-processing window (§IV-B2).
-	BatchBits int
 	// CarrierMinZ is the minimum robust z-score of the spike bin above
 	// the PSD floor for the capture to be considered to contain a VRM
 	// carrier at all. Below it the demodulator reports no bits.
@@ -45,7 +49,7 @@ type RXConfig struct {
 	CarrierRetries int
 	// Resync enables per-batch period re-estimation (§IV-B2 batch
 	// processing taken to its conclusion): estimatePeriod is re-run on
-	// each BatchBits window and, when the local period diverges from
+	// each batchBits window and, when the local period diverges from
 	// the global one by more than resyncDivergence, gap filling inside
 	// that window re-locks onto the local period. On a clean capture no
 	// window diverges and the decoded bits are identical to Resync off.
@@ -56,35 +60,19 @@ type RXConfig struct {
 // analysis, fundamental plus first harmonic.
 func DefaultRXConfig() RXConfig {
 	return RXConfig{
-		FFTSize:        1024,
-		NumHarmonics:   2,
-		DecimateFactor: 8,
-		MinBitPeriod:   100 * sim.Microsecond,
-		HistBins:       48,
-		BatchBits:      50,
-		CarrierMinZ:    12,
+		NumHarmonics: 2,
+		MinBitPeriod: 100 * sim.Microsecond,
+		CarrierMinZ:  12,
 	}
 }
 
 // Validate reports configuration errors.
 func (c RXConfig) Validate() error {
-	if !dsp.IsPowerOfTwo(c.FFTSize) || c.FFTSize < 2 {
-		return fmt.Errorf("covert: FFTSize %d not a power of two >= 2", c.FFTSize)
-	}
 	if c.NumHarmonics < 1 {
 		return fmt.Errorf("covert: NumHarmonics must be >= 1")
 	}
-	if c.DecimateFactor < 1 {
-		return fmt.Errorf("covert: DecimateFactor must be >= 1")
-	}
 	if c.MinBitPeriod <= 0 {
 		return fmt.Errorf("covert: MinBitPeriod must be positive")
-	}
-	if c.HistBins < 4 {
-		return fmt.Errorf("covert: HistBins must be >= 4")
-	}
-	if c.BatchBits < 4 {
-		return fmt.Errorf("covert: BatchBits must be >= 4")
 	}
 	if c.CarrierMinZ <= 0 {
 		return fmt.Errorf("covert: CarrierMinZ must be positive")
@@ -168,7 +156,7 @@ type carrier struct {
 }
 
 // searchCarrier runs the receiver's step-1 carrier search over the
-// finished Welch PSD (one value per FFT bin, fftSize == cfg.FFTSize).
+// finished Welch PSD (one value per FFT bin, fftSize of them).
 // The Welch average shrinks the per-bin noise spread by the square root
 // of the segment count, so even a spike well under twice the floor can
 // be decisive; a robust z-score captures that.
@@ -252,17 +240,17 @@ func acquisitionDecay(cfg RXConfig, sampleRate float64) float64 {
 // on where the chunk boundaries fell.
 //
 // The front half runs as the samples arrive. Welch PSD segments
-// accumulate as each FFTSize window completes (the samples from the
+// accumulate as each fftSize window completes (the samples from the
 // next segment start on carried across chunk boundaries), transformed
 // across the DSP engine's workers and added in segment order. The
 // Eq. (1) resonator bank carries its state sample to sample and feeds
 // each distinct carrier-retry offset set's running decimation block. The
 // back half — carrier gate, edge detection, period estimation, gap
 // filling, thresholding — needs global views, but only of compact
-// intermediates: the FFTSize-bin PSD and the decimated traces
-// (Samples/DecimateFactor floats each). Raw IQ is never retained, so a
-// receiver holds O(FFTSize + Samples/DecimateFactor) floats, not the
-// 16 bytes per sample of the capture.
+// intermediates: the 1024-bin PSD and the decimated traces (Samples/8
+// floats each). Raw IQ is never retained, so a receiver holds the
+// 1024-point PSD plus Samples/8 floats per trace, not the 16 bytes per
+// sample of the capture.
 //
 // The offsets must be known before the capture ends, so the config
 // needs an ExpectedF0 hint with a harmonic in the capture band; every
@@ -273,7 +261,7 @@ type Receiver struct {
 	centerFreqHz float64
 
 	// Welch accumulation: tail holds the samples from the next
-	// segment's start on (fewer than FFTSize), join the scratch for a
+	// segment's start on (fewer than fftSize), join the scratch for a
 	// segment that straddles a chunk boundary.
 	window   []float64
 	tail     []complex128
@@ -325,10 +313,10 @@ func NewReceiver(cfg RXConfig, sampleRate, centerFreqHz float64) (*Receiver, err
 		cfg:          cfg,
 		sampleRate:   sampleRate,
 		centerFreqHz: centerFreqHz,
-		window:       dsp.Hann(cfg.FFTSize),
-		tail:         make([]complex128, 0, cfg.FFTSize),
-		join:         make([]complex128, cfg.FFTSize),
-		psdSum:       make([]float64, cfg.FFTSize),
+		window:       dsp.Hann(fftSize),
+		tail:         make([]complex128, 0, fftSize),
+		join:         make([]complex128, fftSize),
+		psdSum:       make([]float64, fftSize),
 		gain:         1 - decay,
 		acc:          make([]float64, acquirePiece),
 	}
@@ -360,11 +348,11 @@ func (r *Receiver) Push(chunk []complex128) {
 }
 
 // accumulateWelch adds the power spectrum of every Welch segment that
-// chunk completes — segments start every FFTSize/2 samples from the
+// chunk completes — segments start every fftSize/2 samples from the
 // first sample of the capture — and carries the samples from the next
 // segment's start on into tail.
 func (r *Receiver) accumulateWelch(chunk []complex128) {
-	m, hop := r.cfg.FFTSize, r.cfg.FFTSize/2
+	m, hop := fftSize, fftSize/2
 	n := len(r.tail)
 	start := -n // chunk offset of the next segment's first sample
 	for ; start < 0 && start+m <= len(chunk); start += hop {
@@ -394,7 +382,7 @@ const acquirePiece = 4096
 // magnitudes added in offset order, starting from zero), scaled by
 // (1-decay), and feeds that trace's running decimation block.
 func (r *Receiver) acquire(chunk []complex128) {
-	gain, factor := r.gain, r.cfg.DecimateFactor
+	gain, factor := r.gain, decimateFactor
 	for len(chunk) > 0 {
 		piece := chunk[:min(len(chunk), len(r.acc))]
 		chunk = chunk[len(piece):]
@@ -425,8 +413,7 @@ func (r *Receiver) acquire(chunk []complex128) {
 }
 
 // StateBytes estimates the receiver's retained memory. It grows with
-// Samples/DecimateFactor (the decimated traces), never with the raw
-// sample count.
+// Samples/8 (the decimated traces), never with the raw sample count.
 func (r *Receiver) StateBytes() int {
 	n := cap(r.tail)*16 + cap(r.join)*16 + cap(r.psdSum)*8 + cap(r.window)*8 + len(r.res)*32 + cap(r.acc)*8
 	for _, tr := range r.traces {
@@ -442,7 +429,7 @@ func (r *Receiver) StateBytes() int {
 func (r *Receiver) Finalize() *Demod {
 	r.finalized = true
 	d := &Demod{}
-	if r.total < 4*r.cfg.FFTSize {
+	if r.total < 4*fftSize {
 		return d
 	}
 
@@ -471,7 +458,7 @@ func (r *Receiver) Finalize() *Demod {
 			}
 		}
 	}
-	d.DT = float64(r.cfg.DecimateFactor) / r.sampleRate
+	d.DT = decimateFactor / r.sampleRate
 	return demodulateTrace(d, r.cfg)
 }
 
@@ -491,9 +478,8 @@ type ReceiverState struct {
 	// retry level.
 	Z []complex128
 	// Traces are the decimated acquisition traces, one per distinct
-	// offset count in ascending order; each has Samples/DecimateFactor
-	// samples and the sum of its Samples%DecimateFactor-sample partial
-	// block.
+	// offset count in ascending order; each has Samples/8 samples and
+	// the sum of its Samples%8-sample partial block.
 	Traces []TraceState
 }
 
@@ -529,7 +515,7 @@ func (r *Receiver) State() ReceiverState {
 // Samples — so a state from another config, or a corrupted one, is an
 // error and leaves the receiver untouched.
 func (r *Receiver) Restore(s ReceiverState) error {
-	m, hop := r.cfg.FFTSize, r.cfg.FFTSize/2
+	m, hop := fftSize, fftSize/2
 	segments := 0
 	if s.Samples >= m {
 		segments = (s.Samples-m)/hop + 1
@@ -551,9 +537,9 @@ func (r *Receiver) Restore(s ReceiverState) error {
 		return fmt.Errorf("covert: state has %d decimated traces, receiver has %d", len(s.Traces), len(r.traces))
 	}
 	for i, tr := range s.Traces {
-		if len(tr.Y) != s.Samples/r.cfg.DecimateFactor {
+		if len(tr.Y) != s.Samples/decimateFactor {
 			return fmt.Errorf("covert: state trace %d holds %d samples, %d samples at decimation %d make %d",
-				i, len(tr.Y), s.Samples, r.cfg.DecimateFactor, s.Samples/r.cfg.DecimateFactor)
+				i, len(tr.Y), s.Samples, decimateFactor, s.Samples/decimateFactor)
 		}
 	}
 	r.total = s.Samples
@@ -567,7 +553,7 @@ func (r *Receiver) Restore(s ReceiverState) error {
 		r.traces[i].y = append([]float64(nil), tr.Y...)
 		r.traces[i].sum = tr.Sum
 	}
-	r.block = s.Samples % r.cfg.DecimateFactor
+	r.block = s.Samples % decimateFactor
 	return nil
 }
 
@@ -596,7 +582,7 @@ func demodulateTrace(d *Demod, cfg RXConfig) *Demod {
 		minPeriod = 2
 	}
 	conv := dsp.Convolve(d.Y, dsp.EdgeKernel(evenAtLeast(minPeriod/2)))
-	starts := detectEdges(conv, minPeriod, cfg)
+	starts := detectEdges(conv, minPeriod)
 	if len(starts) < 3 {
 		d.Conv = conv
 		return d
@@ -612,7 +598,7 @@ func demodulateTrace(d *Demod, cfg RXConfig) *Demod {
 	// 5. Second pass with the kernel matched to the measured period,
 	// then gap filling at multiples of the signaling time.
 	d.Conv = dsp.Convolve(d.Y, dsp.EdgeKernel(evenAtLeast(period/2)))
-	starts = detectEdges(d.Conv, period*6/10, cfg)
+	starts = detectEdges(d.Conv, period*6/10)
 	if len(starts) < 2 {
 		return d
 	}
@@ -627,12 +613,8 @@ func demodulateTrace(d *Demod, cfg RXConfig) *Demod {
 	if len(starts) == 0 {
 		return d
 	}
-	if cfg.Resync {
-		d.Starts, d.Inserted = fillGapsResync(starts, period,
-			zeroPeriod(starts, period), minPeriod, cfg.BatchBits, d.DT, &d.Quality)
-	} else {
-		d.Starts, d.Inserted = fillGaps(starts, period, zeroPeriod(starts, period))
-	}
+	d.Starts, d.Inserted = fillGaps(starts, period, zeroPeriod(starts, period),
+		minPeriod, d.DT, cfg.Resync, &d.Quality)
 
 	// 6. Per-bit average power (Eq. 2) and bimodal threshold (Fig. 7).
 	// With return-to-zero coding a '1' is active only during the first
@@ -656,7 +638,7 @@ func demodulateTrace(d *Demod, cfg RXConfig) *Demod {
 		}
 		d.Powers = append(d.Powers, dsp.MeanPower(d.Y[a:b]))
 	}
-	d.Threshold = dsp.BimodalThreshold(d.Powers, cfg.HistBins)
+	d.Threshold = dsp.BimodalThreshold(d.Powers, histBins)
 	d.Bits = make([]byte, len(d.Powers))
 	for i, p := range d.Powers {
 		if p > d.Threshold {
@@ -720,17 +702,14 @@ func estimatePeriod(distances []float64, dt float64, minPeriod int) int {
 // conv, the acquisition trace convolved with a rising-edge kernel.
 // Thresholding is done per batch (§IV-B2) with a global gate so silent
 // stretches do not produce phantom edges.
-func detectEdges(conv []float64, minDist int, cfg RXConfig) []int {
+func detectEdges(conv []float64, minDist int) []int {
 	peaks := dsp.FindPeaks(conv, minDist, 0)
 	if len(peaks) == 0 {
 		return nil
 	}
 	// Global gate: a fraction of the near-maximum response.
 	gate := 0.2 * dsp.Quantile(conv, 0.99)
-	batch := cfg.BatchBits * minDist
-	if batch < minDist {
-		batch = minDist
-	}
+	batch := batchBits * minDist
 	var out []int
 	// Peaks arrive in index order, so each batch's maximum is computed
 	// once, when its first peak arrives.
@@ -820,41 +799,6 @@ func clipToActive(starts []int, y []float64, period int) []int {
 	return out
 }
 
-// fillGaps inserts synthetic starts wherever consecutive detected starts
-// are separated by a near-multiple of the signaling period — the
-// paper's recovery for bit starts whose edges were too weak or were
-// suppressed by other system activity. Single-period decisions use the
-// global period; multi-period subdivision uses the zero-bit period (see
-// zeroPeriod). A gap beyond maxFillGap periods truncates the stream.
-func fillGaps(starts []int, period, zPeriod int) (filled []int, inserted int) {
-	if len(starts) == 0 {
-		return nil, 0
-	}
-	if zPeriod <= 0 {
-		zPeriod = period
-	}
-	filled = append(filled, starts[0])
-	for i := 1; i < len(starts); i++ {
-		gap := starts[i] - starts[i-1]
-		k := int(math.Round(float64(gap) / float64(period)))
-		if k >= 2 {
-			k = int(math.Round(float64(gap) / float64(zPeriod)))
-			if k < 2 {
-				k = 2
-			}
-		}
-		if k > maxFillGap {
-			return filled, inserted
-		}
-		for j := 1; j < k; j++ {
-			filled = append(filled, starts[i-1]+j*gap/k)
-			inserted++
-		}
-		filled = append(filled, starts[i])
-	}
-	return filled, inserted
-}
-
 // resyncDivergence is the relative gate for per-batch period re-lock:
 // a window's local estimate must differ from the global period by more
 // than this fraction before it replaces it. The gate is what keeps the
@@ -863,13 +807,21 @@ func fillGaps(starts []int, period, zPeriod int) (filled []int, inserted int) {
 // tens of ppm over a long capture does.
 const resyncDivergence = 0.02
 
-// fillGapsResync is fillGaps with §IV-B2 batch processing applied to
-// the period itself: estimatePeriod is re-run on every batchBits-wide
-// window of inter-start distances, and a window whose local period
-// diverges from the global one re-locks gap filling onto its own
-// estimate. Per-window periods and grid-fit confidences are recorded
-// in q.
-func fillGapsResync(starts []int, period, zPeriod, minPeriod, batchBits int, dt float64, q *Quality) (filled []int, inserted int) {
+// fillGaps inserts synthetic starts wherever consecutive detected starts
+// are separated by a near-multiple of the signaling period — the
+// paper's recovery for bit starts whose edges were too weak or were
+// suppressed by other system activity. Single-period decisions use the
+// period; multi-period subdivision uses the zero-bit period (see
+// zeroPeriod). A gap beyond maxFillGap periods truncates the stream.
+//
+// With resync, §IV-B2 batch processing is applied to the period itself:
+// estimatePeriod is re-run on every batchBits-wide window of
+// inter-start distances, and a window whose local period diverges from
+// the global one re-locks gap filling onto its own estimate, with the
+// zero-bit period scaled to match. Per-window periods and grid-fit
+// confidences are recorded in q. Without resync every window uses the
+// global period and q is not touched (it may be nil).
+func fillGaps(starts []int, period, zPeriod, minPeriod int, dt float64, resync bool, q *Quality) (filled []int, inserted int) {
 	if len(starts) == 0 {
 		return nil, 0
 	}
@@ -883,30 +835,32 @@ func fillGapsResync(starts []int, period, zPeriod, minPeriod, batchBits int, dt 
 		if hi > nDist {
 			hi = nDist
 		}
-		local := make([]float64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			local = append(local, float64(starts[i+1]-starts[i])*dt)
-		}
-		used := period
-		if p := estimatePeriod(local, dt, minPeriod); math.Abs(float64(p-period))/float64(period) > resyncDivergence {
-			used = p
-			q.Resyncs++
-		}
-		// The zero-bit period scales with the window's period: both
-		// walk together under clock drift.
-		zUsed := int(math.Round(float64(zPeriod) * float64(used) / float64(period)))
-		if zUsed <= 0 {
-			zUsed = used
-		}
-		fit := 0
-		for _, g := range local {
-			gs := g / dt
-			if k := math.Round(gs / float64(used)); k >= 1 && math.Abs(gs-k*float64(used))/float64(used) < 0.1 {
-				fit++
+		used, zUsed := period, zPeriod
+		if resync {
+			local := make([]float64, 0, hi-lo)
+			for i := lo; i < hi; i++ {
+				local = append(local, float64(starts[i+1]-starts[i])*dt)
 			}
+			if p := estimatePeriod(local, dt, minPeriod); math.Abs(float64(p-period))/float64(period) > resyncDivergence {
+				used = p
+				q.Resyncs++
+			}
+			// The zero-bit period scales with the window's period: both
+			// walk together under clock drift.
+			zUsed = int(math.Round(float64(zPeriod) * float64(used) / float64(period)))
+			if zUsed <= 0 {
+				zUsed = used
+			}
+			fit := 0
+			for _, g := range local {
+				gs := g / dt
+				if k := math.Round(gs / float64(used)); k >= 1 && math.Abs(gs-k*float64(used))/float64(used) < 0.1 {
+					fit++
+				}
+			}
+			q.BatchPeriods = append(q.BatchPeriods, float64(used)*dt)
+			q.BatchConfidence = append(q.BatchConfidence, float64(fit)/float64(len(local)))
 		}
-		q.BatchPeriods = append(q.BatchPeriods, float64(used)*dt)
-		q.BatchConfidence = append(q.BatchConfidence, float64(fit)/float64(len(local)))
 
 		for i := lo; i < hi; i++ {
 			gap := starts[i+1] - starts[i]

@@ -179,24 +179,13 @@ func (c TXConfig) InterleavedLen(payloadBits int) int {
 	return n
 }
 
-// DecodePayload reverses EncodeFrame's coding stage (the preamble must
-// already be stripped). corrections reports corrected (Hamming) or
-// detected-bad (parity) blocks. With interleaving enabled the coded
-// length must be known to recover the column geometry — use
-// DecodePayloadN and state the payload size; this variant assumes the
-// input is exactly the on-air payload with no trailing bits.
-func DecodePayload(coded []byte, cfg TXConfig) (payload []byte, corrections int) {
-	if cfg.InterleaveDepth > 1 {
-		n := len(coded) / cfg.InterleaveDepth * cfg.InterleaveDepth
-		coded = ecc.Deinterleave(coded[:n], cfg.InterleaveDepth, n)
-	}
-	return decodeCoded(coded, cfg)
-}
-
-// DecodePayloadN decodes a received bit stream that may carry trailing
-// bits (postamble, stray edges) after the payload, given the expected
-// payload size in bits. It trims or zero-pads the stream to the exact
-// on-air length before deinterleaving, which interleaved frames require.
+// DecodePayloadN reverses EncodeFrame's coding stage (the preamble must
+// already be stripped) for a received bit stream that may carry
+// trailing bits (postamble, stray edges) after the payload, given the
+// expected payload size in bits. It trims or zero-pads the stream to
+// the exact on-air length before deinterleaving, which interleaved
+// frames require. corrections reports corrected (Hamming) or
+// detected-bad (parity) blocks.
 func DecodePayloadN(coded []byte, cfg TXConfig, payloadBits int) (payload []byte, corrections int) {
 	want := cfg.InterleavedLen(payloadBits)
 	trimmed := make([]byte, want)

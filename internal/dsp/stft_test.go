@@ -29,13 +29,6 @@ func TestHannEndpointsAndPeak(t *testing.T) {
 	}
 }
 
-func TestHammingEndpoints(t *testing.T) {
-	w := Hamming(11)
-	if !approxEqual(w[0], 0.08, 1e-9) {
-		t.Errorf("Hamming[0] = %v, want 0.08", w[0])
-	}
-}
-
 func TestBlackmanSymmetry(t *testing.T) {
 	w := Blackman(64)
 	for i := range w {
@@ -46,7 +39,7 @@ func TestBlackmanSymmetry(t *testing.T) {
 }
 
 func TestWindowLengthOne(t *testing.T) {
-	for _, f := range []func(int) []float64{Hann, Hamming, Blackman} {
+	for _, f := range []func(int) []float64{Hann, Blackman} {
 		w := f(1)
 		if len(w) != 1 || w[0] != 1 {
 			t.Errorf("window of length 1 = %v", w)

@@ -16,19 +16,6 @@ func Hann(n int) []float64 {
 	return w
 }
 
-// Hamming returns an n-point Hamming window.
-func Hamming(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}
-
 // Blackman returns an n-point Blackman window, used where stronger
 // sidelobe suppression is needed than Hann provides.
 func Blackman(n int) []float64 {

@@ -10,10 +10,10 @@ import (
 // windows: overlap-added at the listed hop they sum to a constant only
 // up to a ripple that shrinks like 1/n (a periodic window would cancel
 // exactly; the symmetric variant repeats its first sample one hop
-// early). The measured constants are ~1.6/n for Hann and Hamming at
-// 50% overlap and ~0.1/n for Blackman at 75% overlap, so the bounds
-// below hold with >2x margin at every size while still catching a
-// wrong coefficient, which shifts the sum by O(1).
+// early). The measured constants are ~1.6/n for Hann at 50% overlap
+// and ~0.1/n for Blackman at 75% overlap, so the bounds below hold
+// with >2x margin at every size while still catching a wrong
+// coefficient, which shifts the sum by O(1).
 var windowCases = []struct {
 	name string
 	fn   func(int) []float64
@@ -27,7 +27,6 @@ var windowCases = []struct {
 	endpoint float64
 }{
 	{"hann", Hann, 2, 1.0, 4, 0},
-	{"hamming", Hamming, 2, 1.08, 4, 0.08},
 	{"blackman", Blackman, 4, 1.68, 1, 0},
 }
 

@@ -81,9 +81,6 @@ func (h Hamming74) Decode(bits []byte) (data []byte, corrections int) {
 	return data, corrections
 }
 
-// Overhead returns the code's expansion factor (7/4).
-func (Hamming74) Overhead() float64 { return 7.0 / 4.0 }
-
 // EvenParity appends an even-parity bit to every block of blockSize data
 // bits (padding the last block with zeros before the parity bit).
 func EvenParity(bits []byte, blockSize int) []byte {

@@ -112,12 +112,6 @@ func TestHammingStreamCorrectsScatteredErrors(t *testing.T) {
 	}
 }
 
-func TestHammingOverhead(t *testing.T) {
-	if (Hamming74{}).Overhead() != 1.75 {
-		t.Fatal("overhead wrong")
-	}
-}
-
 func TestEvenParityRoundTrip(t *testing.T) {
 	rng := xrand.New(3)
 	bits := rng.Bits(64)

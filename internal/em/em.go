@@ -22,6 +22,10 @@ import (
 	"pmuleak/internal/xrand"
 )
 
+// ditherRateHz is how fast the FreqDitherHz wander moves: the corner
+// frequency of its random walk.
+const ditherRateHz = 1000
+
 // Config describes the synthesis: emitter physics plus the (virtual)
 // receiver tuning that defines the baseband.
 type Config struct {
@@ -52,12 +56,8 @@ type Config struct {
 	// within +/- FreqDitherHz of nominal. This models the
 	// spread-spectrum VRM dithering the paper's §VI proposes as a
 	// countermeasure (and that secure-VRM designs like random fast
-	// voltage dithering implement).
+	// voltage dithering implement). The wander moves at ditherRateHz.
 	FreqDitherHz float64
-	// FreqDitherRateHz controls how fast the wander moves (the corner
-	// frequency of the random walk); zero with FreqDitherHz > 0
-	// selects a 1 kHz default.
-	FreqDitherRateHz float64
 
 	// CarrierDriftHzPerS is a slow linear drift of the switching
 	// frequency (thermal drift of the converter's RC oscillator). It
@@ -103,7 +103,7 @@ func (c Config) Validate() error {
 	if c.PhaseNoiseSigma < 0 {
 		return fmt.Errorf("em: negative PhaseNoiseSigma")
 	}
-	if c.FreqDitherHz < 0 || c.FreqDitherRateHz < 0 {
+	if c.FreqDitherHz < 0 {
 		return fmt.Errorf("em: negative frequency dither")
 	}
 	if c.EnvelopeSmoothPeriods <= 0 {
@@ -334,13 +334,9 @@ func newSynth(cfg Config, rng *xrand.Source) *synth {
 	s.driftPerSample = cfg.CarrierDriftHzPerS / cfg.SampleRate
 
 	if cfg.FreqDitherHz > 0 {
-		rate := cfg.FreqDitherRateHz
-		if rate <= 0 {
-			rate = 1000
-		}
 		// Per-sample step sized so the walk crosses the full range at
-		// roughly the requested rate.
-		s.wanderStep = cfg.FreqDitherHz * math.Sqrt(rate/cfg.SampleRate)
+		// roughly ditherRateHz.
+		s.wanderStep = cfg.FreqDitherHz * math.Sqrt(ditherRateHz/cfg.SampleRate)
 		s.wander = rng.Uniform(-cfg.FreqDitherHz, cfg.FreqDitherHz)
 	}
 	return s

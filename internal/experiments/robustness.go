@@ -72,11 +72,11 @@ func (r RobustnessResult) Row(drift, gain int) []RobustnessPoint {
 	return r.Covert[base : base+len(r.DropRates)]
 }
 
-// BERMonotoneInDropRate reports whether the resync receiver's BER is
-// non-decreasing along the drop-rate axis with the other fault axes at
-// zero — the shape a degradation curve must have at a fixed seed.
-func (r RobustnessResult) BERMonotoneInDropRate() bool {
-	row := r.Row(0, 0)
+// Monotone reports whether the resync receiver's BER is non-decreasing
+// along the drop-rate curve at the given drift/gain indices — the shape
+// a degradation curve must have at a fixed seed.
+func (r RobustnessResult) Monotone(drift, gain int) bool {
+	row := r.Row(drift, gain)
 	for i := 1; i < len(row); i++ {
 		if row[i].ResyncBER < row[i-1].ResyncBER {
 			return false

@@ -11,7 +11,7 @@ import "testing"
 func TestRobustnessDegradationCurve(t *testing.T) {
 	res := Robustness(2020, Quick)
 
-	if !res.BERMonotoneInDropRate() {
+	if !res.Monotone(0, 0) {
 		row := res.Row(0, 0)
 		t.Errorf("BER not monotone in drop rate: %+v", row)
 	}

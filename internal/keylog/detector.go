@@ -9,6 +9,13 @@ import (
 	"pmuleak/internal/sim"
 )
 
+// bandBins is how many bins around the spike are summed.
+const bandBins = 3
+
+// mergeGap joins activity separated by less than this, bridging brief
+// dips inside one keystroke's handling.
+const mergeGap = 15 * sim.Millisecond
+
 // DetectorConfig parameterizes the keystroke detector of §V-C.
 type DetectorConfig struct {
 	// Window is the STFT segment length (the paper: 5 ms,
@@ -18,14 +25,9 @@ type DetectorConfig struct {
 	// spike and the tracker follows the drift from there. NewDetector
 	// rejects a config without one.
 	ExpectedF0 float64
-	// BandBins is how many bins around the spike are summed.
-	BandBins int
 	// MinKeystroke filters out bursts shorter than this (30 ms in the
 	// paper: "a valid keystroke should take longer").
 	MinKeystroke sim.Time
-	// MergeGap joins activity separated by less than this, bridging
-	// brief dips inside one keystroke's handling.
-	MergeGap sim.Time
 	// MaxKeystroke caps a detection's length; longer activity is
 	// bulk processor work, not typing.
 	MaxKeystroke sim.Time
@@ -49,9 +51,7 @@ type DetectorConfig struct {
 func DefaultDetectorConfig() DetectorConfig {
 	return DetectorConfig{
 		Window:       2500 * sim.Microsecond,
-		BandBins:     3,
 		MinKeystroke: 30 * sim.Millisecond,
-		MergeGap:     15 * sim.Millisecond,
 		MaxKeystroke: 400 * sim.Millisecond,
 		TrackBlock:   2 * sim.Second,
 	}
@@ -62,10 +62,7 @@ func (c DetectorConfig) Validate() error {
 	if c.Window <= 0 {
 		return fmt.Errorf("keylog: Window must be positive")
 	}
-	if c.BandBins < 1 {
-		return fmt.Errorf("keylog: BandBins must be >= 1")
-	}
-	if c.MinKeystroke <= 0 || c.MergeGap < 0 {
+	if c.MinKeystroke <= 0 {
 		return fmt.Errorf("keylog: bad duration filters")
 	}
 	if c.MaxKeystroke <= c.MinKeystroke {
@@ -84,9 +81,6 @@ type Keystroke struct {
 
 // Duration returns the keystroke's detected length in seconds.
 func (k Keystroke) Duration() float64 { return k.End - k.Start }
-
-// Mid returns the keystroke's temporal midpoint.
-func (k Keystroke) Mid() float64 { return (k.Start + k.End) / 2 }
 
 // Detection is the detector's full output, retaining the intermediate
 // band-energy trace for the Fig. 11-style spectrogram rendering.
@@ -146,7 +140,7 @@ func planGeometry(cfg DetectorConfig, sampleRate float64) (g geometry, ok bool) 
 // frame's bandBins-wide band energy into out. mag holds the block's
 // STFT magnitude rows and out must have the same length. Returns the
 // re-acquired center for the next block.
-func scanBlock(mag [][]float64, out []float64, center, fftSize, searchBins, bandBins int) int {
+func scanBlock(mag [][]float64, out []float64, center, fftSize, searchBins int) int {
 	// Mean spectrum of the block, searched near the last center.
 	best, bestVal := center, -1.0
 	for d := -searchBins; d <= searchBins; d++ {
@@ -204,7 +198,7 @@ func finishDetection(band []float64, frameDT float64, blockFrames int, cfg Detec
 		return n
 	}
 	iv := dsp.ThresholdCrossings(det.Band, det.Threshold)
-	iv = dsp.MergeIntervals(iv, frames(cfg.MergeGap))
+	iv = dsp.MergeIntervals(iv, frames(mergeGap))
 	iv = dsp.FilterIntervals(iv, frames(cfg.MinKeystroke))
 	maxFrames := frames(cfg.MaxKeystroke)
 	for _, v := range iv {
@@ -365,7 +359,7 @@ func (d *Detector) flushBlock() {
 	}
 	lo := len(d.band)
 	d.band = append(d.band, make([]float64, len(d.rows))...)
-	d.center = scanBlock(d.rows, d.band[lo:], d.center, d.g.fftSize, d.g.searchBins, d.cfg.BandBins)
+	d.center = scanBlock(d.rows, d.band[lo:], d.center, d.g.fftSize, d.g.searchBins)
 	d.rows = d.rows[:0]
 }
 

@@ -87,19 +87,6 @@ func Rank(candidates []Candidate, word string) int {
 	return 0
 }
 
-// RecoverText runs the dictionary attack over every detected word group
-// and returns the best-scoring candidate per word ("" when no
-// same-length dictionary word exists).
-func RecoverText(groups [][]Keystroke, dictionary []string, cfg TypistConfig) []string {
-	out := make([]string, len(groups))
-	for i, g := range groups {
-		if c := RankWord(g, dictionary, cfg); len(c) > 0 {
-			out[i] = c[0].Word
-		}
-	}
-	return out
-}
-
 // CommonWords is a small built-in dictionary of frequent English words
 // for demonstrations; real attacks load a full wordlist.
 func CommonWords() []string {

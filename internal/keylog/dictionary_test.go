@@ -107,31 +107,6 @@ func TestDictionaryAttackBeatsChance(t *testing.T) {
 	}
 }
 
-func TestRecoverTextShape(t *testing.T) {
-	cfg := DefaultTypistConfig()
-	cfg.JitterFrac = 0.05
-	text := "horse battery"
-	groups := typeWordGroups(text, cfg, 7)
-	got := RecoverText(groups, CommonWords(), cfg)
-	if len(got) != 2 {
-		t.Fatalf("recovered %d words", len(got))
-	}
-	for i, w := range got {
-		truth := strings.Fields(text)[i]
-		if len(w) != len(truth) {
-			t.Fatalf("word %d: recovered %q for %q", i, w, truth)
-		}
-	}
-}
-
-func TestRecoverTextNoCandidates(t *testing.T) {
-	groups := [][]Keystroke{make([]Keystroke, 12)} // no 12-letter words in dict
-	got := RecoverText(groups, CommonWords(), DefaultTypistConfig())
-	if got[0] != "" {
-		t.Fatalf("invented a word: %q", got[0])
-	}
-}
-
 func TestCommonWordsSane(t *testing.T) {
 	words := CommonWords()
 	if len(words) < 150 {

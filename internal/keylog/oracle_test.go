@@ -27,7 +27,7 @@ func detectOracle(cap *sdr.Capture, cfg DetectorConfig) *Detection {
 		if hi > s.Frames() {
 			hi = s.Frames()
 		}
-		center = scanBlock(s.Mag[lo:hi], band[lo:hi], center, g.fftSize, g.searchBins, cfg.BandBins)
+		center = scanBlock(s.Mag[lo:hi], band[lo:hi], center, g.fftSize, g.searchBins)
 	}
 	return finishDetection(band, g.frameDT, g.blockFrames, cfg)
 }

@@ -67,11 +67,7 @@ func renderMaterialized(pulses []vrm.Pulse, horizon sim.Time, cfg em.Config, rng
 	driftPerSample := cfg.CarrierDriftHzPerS / cfg.SampleRate
 	var wander, wanderStep float64
 	if cfg.FreqDitherHz > 0 {
-		rate := cfg.FreqDitherRateHz
-		if rate <= 0 {
-			rate = 1000
-		}
-		wanderStep = cfg.FreqDitherHz * math.Sqrt(rate/cfg.SampleRate)
+		wanderStep = cfg.FreqDitherHz * math.Sqrt(1000/cfg.SampleRate)
 		wander = rng.Uniform(-cfg.FreqDitherHz, cfg.FreqDitherHz)
 	}
 	for i := 0; i < n; i++ {

@@ -56,26 +56,14 @@ func FromSeconds(s float64) Time {
 	return -Time(-s*float64(Second) + 0.5)
 }
 
-// Event is a scheduled callback. It can be cancelled before it fires.
-type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	index    int // heap index, -1 once popped
-	canceled bool
+// event is a scheduled callback.
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// At reports the instant the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired (or was already cancelled) is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether Cancel was called.
-func (e *Event) Canceled() bool { return e.canceled }
-
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -84,22 +72,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
@@ -125,61 +104,47 @@ func (s *Scheduler) Now() Time { return s.now }
 // detecting runaway models in tests.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending reports how many events are queued (including cancelled ones
-// that have not been reaped yet).
+// Pending reports how many events are queued.
 func (s *Scheduler) Pending() int { return len(s.events) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: a model doing that is broken and silently clamping would
 // corrupt experiment timelines.
-func (s *Scheduler) At(t Time, fn func()) *Event {
+func (s *Scheduler) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn}
+	heap.Push(&s.events, &event{at: t, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.events, e)
-	return e
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
-func (s *Scheduler) After(d Time, fn func()) *Event {
+func (s *Scheduler) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.At(s.now+d, fn)
+	s.At(s.now+d, fn)
 }
 
 // Step runs the single earliest pending event, advancing the clock to its
 // scheduled time. It returns false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*Event)
-		if e.canceled {
-			continue
-		}
-		s.now = e.at
-		s.fired++
-		e.fn()
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&s.events).(*event)
+	s.now = e.at
+	s.fired++
+	e.fn()
+	return true
 }
 
 // RunUntil executes events until the clock reaches t. Events scheduled
 // exactly at t do run. The clock always ends at t, even if the queue
 // drains early.
 func (s *Scheduler) RunUntil(t Time) {
-	for len(s.events) > 0 {
-		e := s.events[0]
-		if e.canceled {
-			heap.Pop(&s.events)
-			continue
-		}
-		if e.at > t {
-			break
-		}
-		heap.Pop(&s.events)
+	for len(s.events) > 0 && s.events[0].at <= t {
+		e := heap.Pop(&s.events).(*event)
 		s.now = e.at
 		s.fired++
 		e.fn()

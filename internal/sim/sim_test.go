@@ -136,22 +136,6 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestSchedulerCancel(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	e := s.At(10, func() { fired = true })
-	e.Cancel()
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-	s.Drain()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Cancelling twice is fine.
-	e.Cancel()
-}
-
 func TestSchedulerRunUntilAdvancesClock(t *testing.T) {
 	s := NewScheduler()
 	s.RunUntil(42 * Millisecond)
@@ -226,21 +210,6 @@ func TestSchedulerStepAndCounters(t *testing.T) {
 	}
 	if n != 2 || s.Fired() != 2 {
 		t.Fatalf("n=%d fired=%d", n, s.Fired())
-	}
-}
-
-func TestSchedulerCancelInterleavedWithStep(t *testing.T) {
-	s := NewScheduler()
-	var order []string
-	e2 := s.At(20, func() { order = append(order, "b") })
-	s.At(10, func() {
-		order = append(order, "a")
-		e2.Cancel()
-	})
-	s.At(30, func() { order = append(order, "c") })
-	s.Drain()
-	if len(order) != 2 || order[0] != "a" || order[1] != "c" {
-		t.Fatalf("order = %v", order)
 	}
 }
 

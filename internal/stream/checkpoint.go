@@ -3,7 +3,7 @@ package stream
 // Checkpoint/restore for the stream processors — the piece that extends
 // the repo's determinism contract across process death. A processor's
 // carried state is already compact by construction (the whole point of
-// streaming: O(FFTSize + n/DecimateFactor) floats, never raw IQ), and
+// streaming: a 1024-point PSD plus n/8 decimated samples, never raw IQ), and
 // covert.Receiver and keylog.Detector each expose it as a state
 // snapshot; a checkpoint is a versioned binary serialization of that
 // snapshot. Restoring it into a freshly constructed processor and

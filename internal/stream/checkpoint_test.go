@@ -247,9 +247,9 @@ func TestRestoreRequiresFreshProcessor(t *testing.T) {
 // TestCheckpointWriteErrorSurfacedNotFatal: an unwritable checkpoint
 // location (here a path under a regular file — robust even when the
 // test runs as root, unlike permission bits) must yield an error from
-// WriteCheckpoint, count on stream.checkpoint.errors, and — through the
-// daemon — surface on CheckpointErr while the stream itself still
-// completes and stays byte-identical.
+// WriteCheckpoint and count on stream.checkpoint.errors, also through
+// the daemon, while the stream itself still completes and stays
+// byte-identical.
 func TestCheckpointWriteErrorSurfacedNotFatal(t *testing.T) {
 	p := prepCovert(t, false, 1)
 	defer p.Cap.Recycle()
@@ -284,7 +284,8 @@ func TestCheckpointWriteErrorSurfacedNotFatal(t *testing.T) {
 	}
 
 	// Through the daemon: checkpoint writes fail every burst, the stream
-	// finishes anyway, and the failure is visible on CheckpointErr.
+	// finishes anyway, and the failures are counted.
+	errsBefore = telemetry.Capture().Counters["stream.checkpoint.errors"]
 	d := stream.NewDaemon(1, stream.WithCheckpoints(badDir, 1))
 	rx2 := freshCovert(t, p.RXCfg, p.Cap)
 	s := attach(t, d, "ckptfail", rx2, 4)
@@ -295,8 +296,8 @@ func TestCheckpointWriteErrorSurfacedNotFatal(t *testing.T) {
 	}
 	s.Close()
 	d.Drain()
-	if s.CheckpointErr() == nil {
-		t.Fatal("CheckpointErr is nil although every checkpoint write failed")
+	if got := telemetry.Capture().Counters["stream.checkpoint.errors"]; got <= errsBefore {
+		t.Fatalf("stream.checkpoint.errors = %d after the daemon run, want more than %d: every checkpoint write failed", got, errsBefore)
 	}
 	if s.Quarantined() {
 		t.Fatal("checkpoint write failures quarantined the stream")
@@ -314,7 +315,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	covCfg := covert.DefaultRXConfig()
 	covCfg.ExpectedF0 = 360e3
 	covCap := &sdr.Capture{
-		IQ:           make([]complex128, 6*covCfg.FFTSize),
+		IQ:           make([]complex128, 6*1024), // six of the receiver's 1024-point FFT windows
 		SampleRate:   2.4e6,
 		CenterFreqHz: 540e3,
 	}

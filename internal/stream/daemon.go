@@ -121,8 +121,8 @@ func WithShedPolicy(p ShedPolicy) DaemonOption {
 // dir/<name>.ckpt after every everyChunks processed chunks (minimum 1).
 // Writes happen on the worker inside the stream's exclusive dispatch
 // window, so the encoded state is always a consistent chunk-boundary
-// cut. Write failures are recorded (stream.checkpoint.errors, the
-// stream's CheckpointErr) and processing continues — losing checkpoint
+// cut. Write failures are counted on stream.checkpoint.errors, the one
+// place they surface, and processing continues — losing checkpoint
 // durability must not take down a healthy stream.
 func WithCheckpoints(dir string, everyChunks int) DaemonOption {
 	if everyChunks < 1 {
@@ -144,7 +144,6 @@ type DaemonStream struct {
 	running     bool
 	quarantined bool
 	err         error // quarantine cause
-	ckptErr     error // most recent checkpoint write failure
 	done        chan struct{}
 	sinceCkpt   int // chunks since the last checkpoint (worker-only)
 
@@ -293,17 +292,6 @@ func (s *DaemonStream) Err() error {
 	return s.err
 }
 
-// CheckpointErr returns the most recent checkpoint write failure (nil
-// if checkpoints are off or all writes succeeded). A failing checkpoint
-// directory degrades durability, not processing, so the error is
-// surfaced here and on stream.checkpoint.errors instead of stopping the
-// stream.
-func (s *DaemonStream) CheckpointErr() error {
-	s.d.mu.Lock()
-	defer s.d.mu.Unlock()
-	return s.ckptErr
-}
-
 // enqueue moves an idle stream with pending chunks onto the runnable
 // list. Called after every push; a stream already queued, running, or
 // quarantined is left alone (the running worker re-checks the ring
@@ -398,11 +386,10 @@ func (s *DaemonStream) maybeCheckpoint() {
 		return
 	}
 	s.sinceCkpt = 0
-	if err := WriteCheckpoint(s.d.ckptDir, s.name, s.ck); err != nil {
-		s.d.mu.Lock()
-		s.ckptErr = err
-		s.d.mu.Unlock()
-	}
+	// WriteCheckpoint counts a failed write on stream.checkpoint.errors;
+	// a failing checkpoint directory degrades durability, not
+	// processing, so the stream goes on.
+	_ = WriteCheckpoint(s.d.ckptDir, s.name, s.ck)
 }
 
 // worker is the dispatch loop: claim a runnable stream, feed it a

@@ -113,13 +113,14 @@ func abbreviateDemod(d *covert.Demod) covert.Demod {
 }
 
 // TestCovertStreamShortCapture pins the degenerate gate: a capture
-// shorter than 4 FFT windows decodes to the same empty Demod chunked and
-// whole, for chunk sizes below, at, and above the capture length.
+// shorter than 4 of the receiver's 1024-point FFT windows decodes to
+// the same empty Demod chunked and whole, for chunk sizes below, at,
+// and above the capture length.
 func TestCovertStreamShortCapture(t *testing.T) {
 	cfg := covert.DefaultRXConfig()
 	cfg.ExpectedF0 = 360e3
 	cap := &sdr.Capture{
-		IQ:           make([]complex128, 4*cfg.FFTSize-1),
+		IQ:           make([]complex128, 4*1024-1),
 		SampleRate:   2.4e6,
 		CenterFreqHz: 540e3,
 	}

@@ -19,9 +19,9 @@
 //     EMCK checkpoint/restore (checkpoint.go), so a killed daemon
 //     resumes byte-identically.
 //
-// The memory contract is the processors': a covert.Receiver holds
-// O(FFTSize + n/DecimateFactor) floats instead of the 16 n bytes of raw
-// IQ, and a keylog.Detector holds O(TrackBlock·rate + n/fftSize).
+// The memory contract is the processors': a covert.Receiver holds its
+// 1024-point PSD plus n/8 decimated samples instead of the 16 n bytes
+// of raw IQ, and a keylog.Detector holds O(TrackBlock·rate + n/fftSize).
 package stream
 
 import (
@@ -180,13 +180,6 @@ func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.count
-}
-
-// Closed reports whether Close has been called.
-func (r *Ring) Closed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
 }
 
 // Drained reports whether the ring is closed and empty — the stream's

@@ -73,6 +73,10 @@ func (s *SliceSource) Next() ([]complex128, error) {
 	return chunk, nil
 }
 
+// backoffJitter is the ± fraction applied to each retry delay: delays
+// fall in [0.5d, 1.5d), drawn from the seed-keyed substream.
+const backoffJitter = 0.5
+
 // SuperviseConfig tunes a supervised source's failure handling. The
 // zero value gets sane defaults from withDefaults; Seed keys the
 // backoff jitter substream so two runs with the same seed sleep the
@@ -88,9 +92,6 @@ type SuperviseConfig struct {
 	// it up to BackoffMax.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// BackoffJitter scales the ± fraction applied to each delay (0.5 →
-	// delays in [0.5d, 1.5d]), drawn from the seed-keyed substream.
-	BackoffJitter float64
 	// Seed keys the jitter substream together with the stream name.
 	Seed int64
 }
@@ -104,9 +105,6 @@ func (c SuperviseConfig) withDefaults() SuperviseConfig {
 	}
 	if c.BackoffMax == 0 {
 		c.BackoffMax = time.Second
-	}
-	if c.BackoffJitter == 0 {
-		c.BackoffJitter = 0.5
 	}
 	return c
 }
@@ -236,7 +234,7 @@ func (sv *Supervised) pump(src Source, cfg SuperviseConfig) {
 }
 
 // backoff returns the attempt-th retry delay: exponential from
-// BackoffBase, capped at BackoffMax, with ±BackoffJitter applied from
+// BackoffBase, capped at BackoffMax, with ±backoffJitter applied from
 // the stream's deterministic substream.
 func (sv *Supervised) backoff(rng *xrand.Lite, attempt int, cfg SuperviseConfig) time.Duration {
 	d := cfg.BackoffBase
@@ -246,9 +244,6 @@ func (sv *Supervised) backoff(rng *xrand.Lite, attempt int, cfg SuperviseConfig)
 	if d > cfg.BackoffMax {
 		d = cfg.BackoffMax
 	}
-	scale := 1 + cfg.BackoffJitter*(2*rng.Float64()-1)
-	if scale < 0 {
-		scale = 0
-	}
+	scale := 1 + backoffJitter*(2*rng.Float64()-1)
 	return time.Duration(float64(d) * scale)
 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -145,34 +144,6 @@ func (s HistogramSnapshot) Quantile(p float64) time.Duration {
 // contents; see HistogramSnapshot.Quantile for the semantics.
 func (h *Histogram) Quantile(p float64) time.Duration {
 	return h.snapshot().Quantile(p)
-}
-
-// Merge returns the combination of two snapshots as if every
-// observation of both had been recorded into one histogram. Bucket
-// counts add by boundary, so Merge is commutative and associative —
-// quantiles of a multi-way merge do not depend on the merge order.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{Count: s.Count + o.Count, SumNs: s.SumNs + o.SumNs}
-	byUpper := make(map[int64]uint64, len(s.Buckets)+len(o.Buckets))
-	for _, b := range s.Buckets {
-		byUpper[b.UpperNs] += b.Count
-	}
-	for _, b := range o.Buckets {
-		byUpper[b.UpperNs] += b.Count
-	}
-	if len(byUpper) == 0 {
-		return out
-	}
-	uppers := make([]int64, 0, len(byUpper))
-	for u := range byUpper {
-		uppers = append(uppers, u)
-	}
-	sort.Slice(uppers, func(i, j int) bool { return uppers[i] < uppers[j] })
-	out.Buckets = make([]HistogramBucket, 0, len(uppers))
-	for _, u := range uppers {
-		out.Buckets = append(out.Buckets, HistogramBucket{UpperNs: u, Count: byUpper[u]})
-	}
-	return out
 }
 
 // sub returns the change from an earlier snapshot prev to s, assuming s

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -87,58 +86,6 @@ func TestQuantileBasics(t *testing.T) {
 	}
 	if got := s2.Quantile(0.99); got != 4194304*time.Nanosecond {
 		t.Fatalf("p99 = %v, want ~4.2ms bound", got)
-	}
-}
-
-// TestQuantileMergeOrder is the determinism contract for merged
-// histograms: any association and permutation of Merge calls must
-// report the same quantile at every probe point, and the same as one
-// histogram that observed everything directly. emreport leans on this
-// when it aggregates chunk-latency histograms across run artifacts
-// loaded in directory order.
-func TestQuantileMergeOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	parts := make([]HistogramSnapshot, 7)
-	direct := &Histogram{}
-	for i := range parts {
-		h := &Histogram{}
-		for j := 0; j < 50+rng.Intn(200); j++ {
-			d := time.Duration(rng.Int63n(int64(20 * time.Millisecond)))
-			h.Observe(d)
-			direct.Observe(d)
-		}
-		parts[i] = h.snapshot()
-	}
-
-	merge := func(order []int) HistogramSnapshot {
-		var acc HistogramSnapshot
-		for _, i := range order {
-			acc = acc.Merge(parts[i])
-		}
-		return acc
-	}
-	forward := merge([]int{0, 1, 2, 3, 4, 5, 6})
-	reverse := merge([]int{6, 5, 4, 3, 2, 1, 0})
-	shuffled := merge([]int{3, 0, 6, 1, 5, 2, 4})
-	// A tree-shaped association, the shape a parallel reducer produces.
-	tree := parts[0].Merge(parts[1]).Merge(parts[2].Merge(parts[3])).
-		Merge(parts[4].Merge(parts[5]).Merge(parts[6]))
-
-	want := direct.snapshot()
-	probes := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
-	for _, p := range probes {
-		ref := want.Quantile(p)
-		for name, got := range map[string]HistogramSnapshot{
-			"forward": forward, "reverse": reverse, "shuffled": shuffled, "tree": tree,
-		} {
-			if q := got.Quantile(p); q != ref {
-				t.Errorf("%s merge: Quantile(%v) = %v, direct histogram = %v", name, p, q, ref)
-			}
-		}
-	}
-	if forward.Count != want.Count || forward.SumNs != want.SumNs {
-		t.Errorf("merged count/sum = %d/%d, direct = %d/%d",
-			forward.Count, forward.SumNs, want.Count, want.SumNs)
 	}
 }
 

@@ -104,9 +104,6 @@ func NewRegistry() *Registry {
 // operate on it.
 var std = NewRegistry()
 
-// Default returns the process-wide registry.
-func Default() *Registry { return std }
-
 // Counter returns the registered counter with the given name, creating
 // it on first use. Registering a name already used by another metric
 // kind panics: names are the snapshot's keys and must be unambiguous.

@@ -1,8 +1,7 @@
 // Package workload provides canned activity generators for the
-// simulated target: the micro-benchmark of Fig. 1, interactive
-// applications, periodic daemons, and compute jobs. Experiments and
-// examples use these to populate the victim machine with realistic
-// activity beyond the attack processes themselves.
+// simulated target: the micro-benchmark of Fig. 1 and interactive
+// applications. Experiments use these to populate the victim machine
+// with realistic activity beyond the attack processes themselves.
 package workload
 
 import (
@@ -58,50 +57,4 @@ func Bursty(k *kernel.Kernel, cfg BurstyConfig, seed int64) {
 			p.Busy(sim.Time(rng.Uniform(float64(cfg.BurstMin), float64(cfg.BurstMax))))
 		}
 	})
-}
-
-// Periodic spawns a daemon that wakes every interval and works for the
-// given duration — the classic heartbeat/telemetry pattern.
-func Periodic(k *kernel.Kernel, interval, work sim.Time) {
-	if interval <= 0 || work < 0 {
-		panic("workload: bad periodic parameters")
-	}
-	k.Spawn("periodic-daemon", func(p *kernel.Proc) {
-		for {
-			p.Sleep(interval)
-			if work > 0 {
-				p.Busy(work)
-			}
-		}
-	})
-}
-
-// Compute spawns a batch job that runs flat out for the given duration
-// and exits — the "long period of intense activity" the paper notes can
-// pause a covert transmission.
-func Compute(k *kernel.Kernel, duration sim.Time) {
-	if duration <= 0 {
-		panic("workload: bad compute duration")
-	}
-	k.Spawn("compute-job", func(p *kernel.Proc) {
-		p.Busy(duration)
-	})
-}
-
-// PageLoad injects the activity signature of rendering a page: a main
-// burst plus a few follow-up bursts (subresource handling, layout).
-func PageLoad(k *kernel.Kernel, at sim.Time, mainWork sim.Time, seed int64) {
-	if mainWork <= 0 {
-		panic("workload: bad page-load work")
-	}
-	rng := xrand.New(seed)
-	k.InjectBurst(at, mainWork)
-	cursor := at + mainWork
-	for i := 0; i < 3; i++ {
-		gap := sim.Time(rng.Uniform(float64(5*sim.Millisecond), float64(20*sim.Millisecond)))
-		work := sim.Time(rng.Uniform(float64(mainWork/20), float64(mainWork/8)))
-		cursor += gap
-		k.InjectBurst(cursor, work)
-		cursor += work
-	}
 }

@@ -68,71 +68,3 @@ func TestBurstyBadParamsPanic(t *testing.T) {
 	}()
 	Bursty(k, BurstyConfig{BurstMin: 2, BurstMax: 1, GapMean: 1}, 1)
 }
-
-func TestPeriodicTicksRegularly(t *testing.T) {
-	k := quietKernel()
-	defer k.Close()
-	Periodic(k, 10*sim.Millisecond, sim.Millisecond)
-	k.Run(105 * sim.Millisecond)
-	spans := k.Activity(105 * sim.Millisecond)
-	if len(spans) < 9 || len(spans) > 11 {
-		t.Fatalf("got %d periodic spans", len(spans))
-	}
-	for i := 1; i < len(spans); i++ {
-		gap := spans[i].Start - spans[i-1].Start
-		if gap < 10*sim.Millisecond || gap > 13*sim.Millisecond {
-			t.Fatalf("period %d = %v", i, gap)
-		}
-	}
-}
-
-func TestComputeRunsOnce(t *testing.T) {
-	k := quietKernel()
-	defer k.Close()
-	Compute(k, 50*sim.Millisecond)
-	k.Run(sim.Second)
-	spans := k.Activity(sim.Second)
-	if len(spans) != 1 || spans[0].Duration() != 50*sim.Millisecond {
-		t.Fatalf("spans = %v", spans)
-	}
-}
-
-func TestPageLoadSignature(t *testing.T) {
-	k := quietKernel()
-	defer k.Close()
-	PageLoad(k, 10*sim.Millisecond, 100*sim.Millisecond, 3)
-	k.Run(sim.Second)
-	spans := k.Activity(sim.Second)
-	if len(spans) < 2 || len(spans) > 4 {
-		t.Fatalf("got %d spans, want main burst + follow-ups", len(spans))
-	}
-	if spans[0].Start != 10*sim.Millisecond || spans[0].Duration() != 100*sim.Millisecond {
-		t.Fatalf("main burst = %v", spans[0])
-	}
-	// Follow-ups are much smaller than the main burst.
-	for _, s := range spans[1:] {
-		if s.Duration() > 20*sim.Millisecond {
-			t.Fatalf("follow-up too large: %v", s.Duration())
-		}
-	}
-}
-
-func TestPanicsOnBadParams(t *testing.T) {
-	cases := []func(k *kernel.Kernel){
-		func(k *kernel.Kernel) { Periodic(k, 0, 1) },
-		func(k *kernel.Kernel) { Compute(k, 0) },
-		func(k *kernel.Kernel) { PageLoad(k, 0, 0, 1) },
-	}
-	for i, fn := range cases {
-		k := quietKernel()
-		func() {
-			defer k.Close()
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			fn(k)
-		}()
-	}
-}

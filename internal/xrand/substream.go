@@ -57,14 +57,6 @@ func Sub(seed int64, key uint64) Lite {
 	return Lite{state: splitmix64(splitmix64(uint64(seed)) ^ key)}
 }
 
-// SubSource derives an independent full-state Source for (seed, key).
-// It is the heavyweight sibling of Sub for consumers that want
-// math/rand's generator quality (per-block model state, not per-cell
-// draws); construction costs a math/rand seeding pass.
-func SubSource(seed int64, key uint64) *Source {
-	return New(int64(splitmix64(splitmix64(uint64(seed))^key) >> 1))
-}
-
 // Uint64 returns the next 64 uniform bits.
 func (l *Lite) Uint64() uint64 {
 	l.state += 0x9e3779b97f4a7c15

@@ -172,17 +172,6 @@ func TestLiteNormal(t *testing.T) {
 	}
 }
 
-// TestSubSource: the heavyweight sibling is deterministic and
-// key-sensitive too.
-func TestSubSource(t *testing.T) {
-	if SubSource(5, 1).Int63() != SubSource(5, 1).Int63() {
-		t.Fatal("SubSource is not deterministic")
-	}
-	if SubSource(5, 1).Int63() == SubSource(5, 2).Int63() {
-		t.Fatal("SubSource keys 1 and 2 collide")
-	}
-}
-
 // TestZipf: CDF sanity — skew toward low ranks for s>0, uniformity for
 // s==0, exact coverage of [0,1) including the u->1 edge.
 func TestZipf(t *testing.T) {

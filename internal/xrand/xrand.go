@@ -71,14 +71,6 @@ func (s *Source) Rayleigh(sigma float64) float64 {
 	return sigma * math.Sqrt(-2*math.Log(u))
 }
 
-// PositiveSkew returns min plus a Rayleigh tail with scale sigma. This is
-// the sleep-overshoot model: usleep(d) never returns early, usually
-// returns a little late, and occasionally returns much later, exactly the
-// positively skewed shape the paper measures for signaling periods.
-func (s *Source) PositiveSkew(min, sigma float64) float64 {
-	return min + s.Rayleigh(sigma)
-}
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 

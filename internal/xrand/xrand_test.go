@@ -111,24 +111,15 @@ func TestRayleighMoments(t *testing.T) {
 	}
 }
 
-func TestPositiveSkewNeverBelowMin(t *testing.T) {
-	s := New(8)
-	for i := 0; i < 10000; i++ {
-		if v := s.PositiveSkew(10, 3); v < 10 {
-			t.Fatalf("PositiveSkew below min: %v", v)
-		}
-	}
-}
-
-func TestPositiveSkewIsSkewed(t *testing.T) {
-	// Skewness of the Rayleigh tail is positive (~0.63); verify the
-	// sample skewness is clearly positive.
+func TestRayleighIsSkewed(t *testing.T) {
+	// Skewness of the Rayleigh distribution is positive (~0.63); verify
+	// the sample skewness is clearly positive.
 	s := New(9)
 	const n = 100000
 	vals := make([]float64, n)
 	var sum float64
 	for i := range vals {
-		vals[i] = s.PositiveSkew(0, 1)
+		vals[i] = s.Rayleigh(1)
 		sum += vals[i]
 	}
 	mean := sum / n
