@@ -51,10 +51,9 @@ type serveOptions struct {
 }
 
 // serveStream is one attached capture stream: its prepared ground
-// truth, its incremental processor, and its daemon handle. The rx/kd
-// field always points at the CURRENT processor — recovery after a
-// quarantine swaps in a fresh one, and the report finalizes whatever is
-// current.
+// truth and its incremental processor. The rx/kd field always points at
+// the CURRENT processor — recovery after a quarantine swaps in a fresh
+// one, and the report finalizes whatever is current.
 type serveStream struct {
 	name string
 	// exactly one of the covert/keylog pairs is set
@@ -62,7 +61,6 @@ type serveStream struct {
 	rx *stream.CovertReceiver
 	pk *core.PreparedKeylog
 	kd *stream.KeylogDetector
-	ds *stream.DaemonStream
 }
 
 // newProc (re)constructs the stream's processor from its prepared
@@ -107,23 +105,29 @@ func (s *serveStream) capture() *sdr.Capture {
 	return s.pk.Cap
 }
 
+// stallDeadline bounds each source Next of a clean attempt. It is far
+// above a chunk's fetch time, so only a wedged source trips it, never a
+// scheduling hiccup on a loaded host.
+const stallDeadline = 2 * time.Second
+
 // chaosPlan maps a -chaos class name to its fault intensities and the
-// supervisor stall deadline that makes the class bite: the stall class
-// blocks well past the deadline (forcing retry → restart), the slow
-// class stays well under it (forcing pure backpressure).
+// stall deadline of the chaos-wrapped first attempt that makes the class
+// bite: the stall class blocks well past its deadline (quarantining the
+// stream, which resumes from its checkpoint), the slow class stays well
+// under it (pure backpressure). The corrupt class also schedules the
+// kill, so that a restore reads the checkpoint it rots.
 func chaosPlan(class string) (faults.ChaosConfig, time.Duration, error) {
-	const deadline = 2 * time.Second
 	switch class {
 	case "", "off":
-		return faults.ChaosConfig{}, deadline, nil
+		return faults.ChaosConfig{}, stallDeadline, nil
 	case "stall":
 		return faults.ChaosConfig{StallProb: 0.08, StallFor: 150 * time.Millisecond}, 25 * time.Millisecond, nil
 	case "slow":
-		return faults.ChaosConfig{SlowProb: 0.25, SlowFor: 2 * time.Millisecond}, deadline, nil
+		return faults.ChaosConfig{SlowProb: 0.25, SlowFor: 2 * time.Millisecond}, stallDeadline, nil
 	case "kill":
-		return faults.ChaosConfig{Kill: true, KillFrac: 0.6}, deadline, nil
+		return faults.ChaosConfig{Kill: true, KillFrac: 0.6}, stallDeadline, nil
 	case "corrupt":
-		return faults.ChaosConfig{CorruptCheckpoints: true}, deadline, nil
+		return faults.ChaosConfig{CorruptCheckpoints: true, Kill: true, KillFrac: 0.6}, stallDeadline, nil
 	default:
 		return faults.ChaosConfig{}, 0, fmt.Errorf("unknown -chaos class %q (off | stall | slow | kill | corrupt)", class)
 	}
@@ -148,7 +152,7 @@ func runServe(prof laptop.Profile, seed int64, distance float64, o serveOptions)
 		fmt.Fprintln(os.Stderr, "emscope: -streams, -workers, -chunk, and -queue must all be >= 1")
 		return 2
 	}
-	chaosCfg, stallDeadline, err := chaosPlan(o.chaos)
+	chaosCfg, chaosStall, err := chaosPlan(o.chaos)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "emscope: %v\n", err)
 		return 2
@@ -217,7 +221,6 @@ func runServe(prof laptop.Profile, seed int64, distance float64, o serveOptions)
 		dopts = append(dopts, stream.WithCheckpoints(o.checkpoint, o.ckptEvery))
 	}
 	d := stream.NewDaemon(o.workers, dopts...)
-	scfg := stream.SuperviseConfig{StallDeadline: stallDeadline, Seed: o.chaosSeed}
 
 	feedErrs := make([]error, len(streams))
 	var wg sync.WaitGroup
@@ -225,7 +228,7 @@ func runServe(prof laptop.Profile, seed int64, distance float64, o serveOptions)
 		wg.Add(1)
 		go func(i int, s *serveStream) {
 			defer wg.Done()
-			feedErrs[i] = feedStream(d, s, o, chaos, uint64(i), scfg)
+			feedErrs[i] = feedStream(d, s, o, chaos, uint64(i), chaosStall)
 		}(i, s)
 	}
 	wg.Wait()
@@ -299,23 +302,25 @@ func runServe(prof laptop.Profile, seed int64, distance float64, o serveOptions)
 
 // feedStream drives one stream to completion: restore from checkpoint
 // if one exists, feed the remaining samples through a supervised
-// source, and — when the stream is quarantined (a chaos kill, or a
-// source the supervisor gave up on) — rebuild the processor, restore
-// the last checkpoint, and replay from there, up to maxRecoveries
-// times. Chunk-size invariance is what makes this byte-exact: a
-// restored processor replaying iq[Consumed():] at any chunking finishes
-// identical to the uninterrupted run.
-func feedStream(d *stream.Daemon, s *serveStream, o serveOptions, chaos *faults.Chaos, key uint64, scfg stream.SuperviseConfig) error {
+// source, and — when the stream is quarantined (a processor panic, or a
+// source that stalled or failed) — rebuild the processor, restore the
+// last checkpoint, and replay from there, up to maxRecoveries times.
+// Chunk-size invariance is what makes this byte-exact: a restored
+// processor replaying iq[Consumed():] at any chunking finishes
+// identical to the uninterrupted run. chaosStall is the stall deadline
+// of the chaos-wrapped first attempt; every other attempt runs under
+// stallDeadline.
+func feedStream(d *stream.Daemon, s *serveStream, o serveOptions, chaos *faults.Chaos, key uint64, chaosStall time.Duration) error {
 	iq := s.capture().IQ
 	totalChunks := (len(iq) + o.chunk - 1) / o.chunk
 
-	restore := func() {
+	restore := func() error {
 		if o.checkpoint == "" {
-			return
+			return nil
 		}
 		path := stream.CheckpointPath(o.checkpoint, s.name)
 		if _, err := os.Stat(path); err != nil {
-			return // no checkpoint: start fresh from sample 0
+			return nil // no checkpoint: start fresh from sample 0
 		}
 		if chaos != nil {
 			// The corrupt class rots the checkpoint before restore; the
@@ -326,35 +331,33 @@ func feedStream(d *stream.Daemon, s *serveStream, o serveOptions, chaos *faults.
 		}
 		if err := stream.RestoreCheckpoint(o.checkpoint, s.name, s.ckpt()); err != nil {
 			fmt.Fprintf(os.Stderr, "emscoped: %s: checkpoint restore failed (%v), starting fresh\n", s.name, err)
-			if nerr := s.newProc(); nerr != nil {
-				// Construction succeeded once with the same config; a
-				// failure here is unrecoverable.
-				panic(nerr)
-			}
-			return
+			return s.newProc()
 		}
 		fmt.Fprintf(os.Stderr, "emscoped: %s: restored from checkpoint at sample %d/%d\n",
 			s.name, s.ckpt().Consumed(), len(iq))
+		return nil
 	}
-	restore()
+	if err := restore(); err != nil {
+		return err
+	}
 
 	const maxRecoveries = 3
 	for attempt := 0; ; attempt++ {
 		consumed := s.ckpt().Consumed()
 		var src stream.Source = stream.NewSliceSource(iq[consumed:], o.chunk)
-		proc := s.proc()
+		proc, stall := s.proc(), stallDeadline
 		if chaos != nil && attempt == 0 && consumed == 0 {
 			// Chaos applies to the first, from-scratch attempt only: the
 			// recovery and resume paths run clean, so every class
 			// converges to the uninterrupted result.
 			src = chaos.Source(key, src)
 			proc = chaos.Processor(key, totalChunks, proc)
+			stall = chaosStall
 		}
-		sv, err := d.Supervise(s.name, proc, o.queue, src, scfg)
+		sv, err := d.Supervise(s.name, proc, o.queue, src, stall)
 		if err != nil {
 			return err
 		}
-		s.ds = sv.DaemonStream
 		sv.Wait()
 		if !sv.Quarantined() {
 			return nil
@@ -367,7 +370,9 @@ func feedStream(d *stream.Daemon, s *serveStream, o serveOptions, chaos *faults.
 		if err := s.newProc(); err != nil {
 			return err
 		}
-		restore()
+		if err := restore(); err != nil {
+			return err
+		}
 	}
 }
 

@@ -15,10 +15,11 @@
 //
 //   - /healthz — liveness AND readiness as JSON: live is "is the
 //     process serving" (always true when you got an answer), ready is
-//     "is every stream healthy" — quarantined streams, shed chunks,
-//     retry giveups, and checkpoint write errors flip status from
-//     "ok" to "degraded" with the evidence in the body, so a probe
-//     distinguishes a healthy daemon from one silently losing work.
+//     "is every stream healthy" — quarantined streams (a processor
+//     panic, or a source that stalled or failed), shed chunks, and
+//     checkpoint write errors flip status from "ok" to "degraded" with
+//     the evidence in the body, so a probe distinguishes a healthy
+//     daemon from one silently losing work.
 //
 //   - /streams — the per-stream view of the capture daemon, assembled
 //     from the stream.daemon.<name>.* series: chunks, samples, stalls,
@@ -116,9 +117,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // HealthView is the /healthz response body. Live is plain liveness;
-// Ready means no stream is quarantined. Status summarizes: "ok" when
-// ready and nothing has been shed or given up, "degraded" otherwise —
-// a daemon that is up but has lost work says so rather than "ok".
+// Ready means no stream is quarantined, whether a processor panicked or
+// its source stalled or failed. Status summarizes: "ok" when ready and
+// no chunk was shed and no checkpoint write failed, "degraded"
+// otherwise — a daemon that is up but has lost work says so rather
+// than "ok".
 type HealthView struct {
 	Status           string   `json:"status"`
 	Live             bool     `json:"live"`
@@ -127,13 +130,12 @@ type HealthView struct {
 	Quarantined      []string `json:"quarantined"`
 	ShedChunks       uint64   `json:"shed_chunks"`
 	AttachRejected   uint64   `json:"attach_rejected"`
-	RetryGiveups     uint64   `json:"retry_giveups"`
 	CheckpointErrors uint64   `json:"checkpoint_errors"`
 }
 
 // BuildHealthView derives the degraded-state summary from a telemetry
 // snapshot: the per-stream stream.daemon.<name>.quarantined gauges name
-// the quarantined streams, and the stream.shed.* / stream.retry.* /
+// the quarantined streams, and the stream.shed.* and
 // stream.checkpoint.* totals quantify what was lost. Pure function of
 // the snapshot (UptimeMS is the caller's).
 func BuildHealthView(snap telemetry.Snapshot) HealthView {
@@ -142,7 +144,6 @@ func BuildHealthView(snap telemetry.Snapshot) HealthView {
 		Quarantined:      []string{},
 		ShedChunks:       snap.Counters["stream.shed.chunks"],
 		AttachRejected:   snap.Counters["stream.shed.attach_rejected"],
-		RetryGiveups:     snap.Counters["stream.retry.giveups"],
 		CheckpointErrors: snap.Counters["stream.checkpoint.errors"],
 	}
 	const prefix = "stream.daemon."
@@ -154,7 +155,7 @@ func BuildHealthView(snap telemetry.Snapshot) HealthView {
 	}
 	sort.Strings(view.Quarantined)
 	view.Ready = len(view.Quarantined) == 0
-	if view.Ready && view.ShedChunks == 0 && view.RetryGiveups == 0 && view.CheckpointErrors == 0 {
+	if view.Ready && view.ShedChunks == 0 && view.CheckpointErrors == 0 {
 		view.Status = "ok"
 	} else {
 		view.Status = "degraded"
@@ -194,7 +195,6 @@ type StreamInfo struct {
 	Samples     uint64 `json:"samples"`
 	Stalls      uint64 `json:"stalls"`
 	Shed        uint64 `json:"shed"`
-	Retries     uint64 `json:"retries"`
 	Quarantined bool   `json:"quarantined"`
 	QueueDepth  int64  `json:"queue_depth"`
 	// Chunk-latency digest from the dispatch-loop histogram. The
@@ -264,8 +264,6 @@ func BuildStreamsView(snap telemetry.Snapshot) StreamsView {
 			info.Stalls = v
 		case "shed":
 			info.Shed = v
-		case "retries":
-			info.Retries = v
 		}
 	}
 	for series, v := range scoped.Gauges {

@@ -186,7 +186,6 @@ func TestHealthzDegraded(t *testing.T) {
 	r.Gauge("stream.daemon.key1.quarantined").Set(1)
 	r.Gauge("stream.daemon.cov0.quarantined").Set(0)
 	r.Counter("stream.shed.chunks").Add(3)
-	r.Counter("stream.retry.giveups").Add(1)
 	srv := testServer(t, r)
 
 	var view HealthView
@@ -199,8 +198,8 @@ func TestHealthzDegraded(t *testing.T) {
 	if len(view.Quarantined) != 1 || view.Quarantined[0] != "key1" {
 		t.Fatalf("quarantined list = %v, want [key1]", view.Quarantined)
 	}
-	if view.ShedChunks != 3 || view.RetryGiveups != 1 {
-		t.Fatalf("loss counters = %+v, want shed 3, giveups 1", view)
+	if view.ShedChunks != 3 {
+		t.Fatalf("loss counters = %+v, want shed 3", view)
 	}
 
 	// /streams carries the same degradation per row.

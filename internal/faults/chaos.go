@@ -10,9 +10,9 @@
 // The classes map to the failure paths internal/stream supervises:
 //
 //   - stall — a Source.Next that blocks past the supervisor's deadline
-//     (exercises retry/backoff and Restart escalation);
+//     (exercises stall quarantine and the restore-and-resume path);
 //   - slow — a Source.Next that is late but within deadline
-//     (exercises backpressure, never the retry path);
+//     (exercises backpressure, never quarantine);
 //   - kill — a Processor.Push that panics at a scheduled chunk
 //     (exercises quarantine, and — combined with checkpoints — the
 //     restore-and-resume path);
@@ -50,11 +50,6 @@ type chunkCheckpointer interface {
 	EncodeState() []byte
 	RestoreState([]byte) error
 	Consumed() int
-}
-
-// chunkRestarter mirrors stream.Restarter.
-type chunkRestarter interface {
-	Restart() error
 }
 
 // Chaos telemetry: one counter per injected event class, so a chaos
@@ -149,24 +144,31 @@ const (
 )
 
 // Schedule returns the source-fault schedule for a stream's first n
-// chunks. The schedule draws exactly two values per chunk regardless of
-// outcome, so it is stable under any (StallProb, SlowProb) combination
-// — changing one probability never shifts which random values decide
-// the other chunks. Stall wins when both fire.
+// chunks: the faults a Source wrapper under the same key injects, in
+// order.
 func (c *Chaos) Schedule(key uint64, n int) []ChunkFault {
 	rng := xrand.Sub(c.seed, key<<8|chaosTagSource)
 	out := make([]ChunkFault, n)
 	for i := range out {
-		stall := rng.Float64() < c.cfg.StallProb
-		slow := rng.Float64() < c.cfg.SlowProb
-		switch {
-		case stall:
-			out[i] = FaultStall
-		case slow:
-			out[i] = FaultSlow
-		}
+		out[i] = c.draw(&rng)
 	}
 	return out
+}
+
+// draw decides one chunk's source fault. It draws exactly two values
+// regardless of outcome, so a schedule is stable under any (StallProb,
+// SlowProb) combination — changing one probability never shifts which
+// random values decide the other chunks. Stall wins when both fire.
+func (c *Chaos) draw(rng *xrand.Lite) ChunkFault {
+	stall := rng.Float64() < c.cfg.StallProb
+	slow := rng.Float64() < c.cfg.SlowProb
+	switch {
+	case stall:
+		return FaultStall
+	case slow:
+		return FaultSlow
+	}
+	return FaultNone
 }
 
 // KillChunk returns the 1-based chunk index at which the stream's
@@ -193,79 +195,31 @@ func (c *Chaos) KillChunk(key uint64, totalChunks int) int {
 	return 1 + rng.Intn(hi)
 }
 
-// Source wraps src with the stream's scheduled stall/slow faults. Each
-// fault fires once per chunk index: a stalled chunk blocks for StallFor
-// (or until a Restart kick arrives), a slow chunk sleeps SlowFor, and
-// delivery order is untouched — chaos perturbs timing, never data,
-// which is what lets a chaos run demand byte-identical output.
+// Source wraps src with the stream's scheduled stall/slow faults, drawn
+// chunk by chunk in Schedule's order: a stalled chunk sleeps StallFor, a
+// slow chunk sleeps SlowFor, and delivery order is untouched — chaos
+// perturbs timing, never data, which is what lets a chaos run demand
+// byte-identical output.
 func (c *Chaos) Source(key uint64, src ChunkSource) ChunkSource {
-	return &chaosSource{
-		inner: src,
-		sched: c,
-		key:   key,
-		kick:  make(chan struct{}, 1),
-	}
+	return &chaosSource{inner: src, chaos: c, rng: xrand.Sub(c.seed, key<<8|chaosTagSource)}
 }
 
 type chaosSource struct {
 	inner ChunkSource
-	sched *Chaos
-	key   uint64
+	chaos *Chaos
 	rng   xrand.Lite
-	idx   int
-	init  bool
-	kick  chan struct{}
-}
-
-// fault draws this chunk's fault class, advancing the substream exactly
-// two values (the same contract as Schedule, so a wrapped source and a
-// precomputed schedule agree draw for draw).
-func (s *chaosSource) fault() ChunkFault {
-	if !s.init {
-		s.rng = xrand.Sub(s.sched.seed, s.key<<8|chaosTagSource)
-		s.init = true
-	}
-	stall := s.rng.Float64() < s.sched.cfg.StallProb
-	slow := s.rng.Float64() < s.sched.cfg.SlowProb
-	switch {
-	case stall:
-		return FaultStall
-	case slow:
-		return FaultSlow
-	}
-	return FaultNone
 }
 
 func (s *chaosSource) Next() ([]complex128, error) {
-	switch s.fault() {
+	switch s.chaos.draw(&s.rng) {
 	case FaultStall:
 		cStalls.Inc()
-		timer := time.NewTimer(s.sched.cfg.StallFor)
-		select {
-		case <-timer.C:
-		case <-s.kick:
-			timer.Stop()
-		}
+		time.Sleep(s.chaos.cfg.StallFor)
 	case FaultSlow:
 		cSlows.Inc()
-		time.Sleep(s.sched.cfg.SlowFor)
+		time.Sleep(s.chaos.cfg.SlowFor)
 	}
-	s.idx++
 	return s.inner.Next()
-}
-
-// Restart kicks a stall (waking a blocked Next early) and delegates to
-// the inner source's Restarter if it has one — so supervision's
-// escalation path works against chaos exactly as against a real source.
-func (s *chaosSource) Restart() error {
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-	if r, ok := s.inner.(chunkRestarter); ok {
-		return r.Restart()
-	}
-	return nil
 }
 
 // Processor wraps proc with a one-shot scheduled panic at the stream's

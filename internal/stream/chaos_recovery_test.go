@@ -31,7 +31,6 @@ func TestChaosKillRecoveryConvergesToBatch(t *testing.T) {
 	total := (len(p.Cap.IQ) + chunkSize - 1) / chunkSize
 	dir := t.TempDir()
 	d := stream.NewDaemon(2, stream.WithCheckpoints(dir, 1))
-	scfg := stream.SuperviseConfig{StallDeadline: 2 * time.Second, Seed: 3}
 	const name = "chaos_conv"
 
 	rx := freshCovert(t, p.RXCfg, p.Cap)
@@ -45,7 +44,7 @@ func TestChaosKillRecoveryConvergesToBatch(t *testing.T) {
 		if attempt == 0 {
 			proc = chaos.Processor(1, total, rx) // schedules exactly one panic
 		}
-		sv, err := d.Supervise(name, proc, 4, stream.NewSliceSource(p.Cap.IQ[consumed:], chunkSize), scfg)
+		sv, err := d.Supervise(name, proc, 4, stream.NewSliceSource(p.Cap.IQ[consumed:], chunkSize), 2*time.Second)
 		if err != nil {
 			t.Fatalf("attempt %d: %v", attempt, err)
 		}

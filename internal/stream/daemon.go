@@ -8,8 +8,8 @@ import (
 )
 
 // Daemon-level telemetry. Per-stream series are registered dynamically
-// under stream.daemon.<name>.* when a stream attaches. The shed / retry
-// / quarantine families are the degradation dashboard: a daemon under
+// under stream.daemon.<name>.* when a stream attaches. The shed and
+// quarantine families are the degradation dashboard: a daemon under
 // overload or fault pressure must show it here, never degrade silently.
 var (
 	daemonDispatches = telemetry.NewCounter("stream.daemon.dispatches")
@@ -21,7 +21,6 @@ var (
 	quarPanics  = telemetry.NewCounter("stream.quarantine.panics")
 	quarStalls  = telemetry.NewCounter("stream.quarantine.stalls")
 	quarDropped = telemetry.NewCounter("stream.quarantine.dropped_chunks")
-	quarActive  = telemetry.NewGauge("stream.quarantine.active")
 )
 
 // drainBurst bounds how many chunks one dispatch feeds a stream before
@@ -68,9 +67,10 @@ const (
 // Supervision (this file plus supervise.go) keeps one stream's failure
 // one stream's problem:
 //
-//   - a processor that panics is quarantined — its ring aborted so
-//     producers unblock, its Done closed, the panic recorded — while
-//     the worker goroutine survives to serve every other stream;
+//   - a processor that panics, or a supervised source that stalls or
+//     fails, is quarantined — its ring aborted so producers unblock,
+//     its Done closed, the cause recorded — while the worker goroutine
+//     survives to serve every other stream;
 //   - checkpointing (WithCheckpoints) persists each Checkpointer
 //     processor's compact state at burst boundaries, so a killed
 //     process restores from disk and resumes byte-identically;
@@ -151,7 +151,6 @@ type DaemonStream struct {
 	samples *telemetry.Counter
 	stalls  *telemetry.Counter
 	shed    *telemetry.Counter
-	retries *telemetry.Counter
 	// depth mirrors the ring's buffered-chunk count at every
 	// enqueue/dequeue, so backpressure is visible on the admin plane
 	// before pushes start stalling; latency times each processor Push in
@@ -206,7 +205,6 @@ func (d *Daemon) AttachE(name string, proc Processor, queueCap int) (*DaemonStre
 		samples: telemetry.NewCounter(fmt.Sprintf("stream.daemon.%s.samples", name)),
 		stalls:  telemetry.NewCounter(fmt.Sprintf("stream.daemon.%s.stalls", name)),
 		shed:    telemetry.NewCounter(fmt.Sprintf("stream.daemon.%s.shed", name)),
-		retries: telemetry.NewCounter(fmt.Sprintf("stream.daemon.%s.retries", name)),
 		depth:   telemetry.NewGauge(fmt.Sprintf("stream.daemon.%s.queue_depth", name)),
 		quar:    telemetry.NewGauge(fmt.Sprintf("stream.daemon.%s.quarantined", name)),
 		latency: telemetry.NewHistogram(fmt.Sprintf("stream.daemon.%s.chunk", name)),
@@ -266,9 +264,6 @@ func (s *DaemonStream) Close() {
 // was quarantined. Quarantined reports which.
 func (s *DaemonStream) Done() <-chan struct{} { return s.done }
 
-// Name returns the stream's telemetry name.
-func (s *DaemonStream) Name() string { return s.name }
-
 // Pending returns the number of chunks buffered and not yet processed.
 func (s *DaemonStream) Pending() int { return s.ring.Len() }
 
@@ -276,9 +271,9 @@ func (s *DaemonStream) Pending() int { return s.ring.Len() }
 func (s *DaemonStream) Stalls() uint64 { return s.ring.Stalls() }
 
 // Quarantined reports whether the stream was isolated after a processor
-// panic or a given-up source. A quarantined stream's Done is closed,
-// its ring refuses pushes, and its processor must not be finalized —
-// its state is mid-chunk garbage. Err returns the cause.
+// panic or a stalled or failing source. A quarantined stream's Done is
+// closed, its ring refuses pushes, and its processor must not be
+// finalized — its state is mid-chunk garbage. Err returns the cause.
 func (s *DaemonStream) Quarantined() bool {
 	s.d.mu.Lock()
 	defer s.d.mu.Unlock()
@@ -330,9 +325,9 @@ func (s *DaemonStream) maybeFinishLocked() {
 // the worker pool: the ring is aborted (producers blocked in Push wake
 // and see the refusal; buffered chunks are dropped and counted), the
 // cause is recorded, the per-stream quarantined gauge flips for
-// /healthz, and Done closes so Drain and waiters proceed. cause tells
-// the telemetry family apart: quarPanics for processor panics,
-// quarStalls for sources the supervisor gave up on.
+// /healthz, and Done closes so Drain and waiters proceed. counter tells
+// the failure classes apart: quarPanics for processor panics,
+// quarStalls for sources that stalled past their deadline or failed.
 func (d *Daemon) quarantine(s *DaemonStream, cause error, counter *telemetry.Counter) {
 	if dropped := s.ring.Abort(); dropped > 0 {
 		quarDropped.Add(uint64(dropped))
@@ -343,7 +338,6 @@ func (d *Daemon) quarantine(s *DaemonStream, cause error, counter *telemetry.Cou
 		s.quarantined = true
 		s.err = cause
 		counter.Inc()
-		quarActive.Add(1)
 		s.quar.Set(1)
 		s.finishLocked()
 	}

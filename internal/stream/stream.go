@@ -13,8 +13,8 @@
 //     backpressure;
 //   - Daemon multiplexes many Ring→processor streams over a fixed worker
 //     pool, with panic quarantine, admission control and load shedding
-//     (daemon.go), and supervised sources with stall retry and restart
-//     (supervise.go);
+//     (daemon.go), and supervised sources whose stall or failure
+//     quarantines the stream the same way (supervise.go);
 //   - CovertReceiver and KeylogDetector wrap the two processors with
 //     EMCK checkpoint/restore (checkpoint.go), so a killed daemon
 //     resumes byte-identically.

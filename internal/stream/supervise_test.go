@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,30 +71,24 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-// stallSource serves fixed chunks but sleeps (or blocks on a channel)
-// before scheduled ones, and optionally fails some with a transient
-// error. A blocked Next is released either by closing its channel from
-// the test, or — when restartable — by Restart closing the kick
-// channel (maps are only ever touched from inside Next, which the
-// supervisor serializes, so there is no shared-map race with Restart).
+// stallSource serves fixed chunks but sleeps (or blocks on a channel
+// the test closes) before scheduled ones, or fails a scheduled one with
+// an error. The maps are only touched from inside Next, which the
+// supervisor never calls concurrently.
 type stallSource struct {
-	chunks      [][]complex128
-	idx         int
-	sleepAt     map[int]time.Duration
-	blockAt     map[int]chan struct{}
-	errAt       map[int]int // index -> remaining transient failures
-	restartable bool
-	kick        chan struct{} // closed by a successful Restart
-	restarts    int           // written in the pump, read after Wait
+	chunks  [][]complex128
+	idx     int
+	sleepAt map[int]time.Duration
+	blockAt map[int]chan struct{}
+	failAt  map[int]error
 }
 
 func (s *stallSource) Next() ([]complex128, error) {
 	if s.idx >= len(s.chunks) {
 		return nil, io.EOF
 	}
-	if n := s.errAt[s.idx]; n > 0 {
-		s.errAt[s.idx] = n - 1
-		return nil, errors.New("transient acquisition failure")
+	if err := s.failAt[s.idx]; err != nil {
+		return nil, err
 	}
 	if d, ok := s.sleepAt[s.idx]; ok {
 		delete(s.sleepAt, s.idx)
@@ -101,23 +96,11 @@ func (s *stallSource) Next() ([]complex128, error) {
 	}
 	if ch, ok := s.blockAt[s.idx]; ok {
 		delete(s.blockAt, s.idx)
-		select {
-		case <-ch:
-		case <-s.kick: // nil when not restartable: blocks forever
-		}
+		<-ch
 	}
 	c := s.chunks[s.idx]
 	s.idx++
 	return c, nil
-}
-
-func (s *stallSource) Restart() error {
-	if !s.restartable {
-		return errors.New("no re-acquisition available")
-	}
-	s.restarts++
-	close(s.kick)
-	return nil
 }
 
 func mkChunks(n, size int) [][]complex128 {
@@ -141,10 +124,7 @@ func TestSuperviseCleanRunMatchesBatch(t *testing.T) {
 	batch := covert.Demodulate(p.Cap, p.RXCfg)
 	d := stream.NewDaemon(2)
 	rx := freshCovert(t, p.RXCfg, p.Cap)
-	sv, err := d.Supervise("sup_clean", rx, 4, stream.NewSliceSource(p.Cap.IQ, 12345), stream.SuperviseConfig{
-		StallDeadline: 2 * time.Second,
-		Seed:          1,
-	})
+	sv, err := d.Supervise("sup_clean", rx, 4, stream.NewSliceSource(p.Cap.IQ, 12345), 2*time.Second)
 	if err != nil {
 		t.Fatalf("Supervise: %v", err)
 	}
@@ -158,100 +138,44 @@ func TestSuperviseCleanRunMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestSuperviseStallRetryRecovers: a source stall longer than the
-// deadline but shorter than the retry budget is absorbed — retries are
-// counted, the chunk eventually arrives, and the stream completes with
-// every chunk intact.
-func TestSuperviseStallRetryRecovers(t *testing.T) {
-	attemptsBefore := counter("stream.retry.attempts")
+// TestSuperviseSlowSourceWithinDeadline: a Next that is late but
+// inside the stall deadline is absorbed — no quarantine, no stall
+// counted, and every chunk delivered.
+func TestSuperviseSlowSourceWithinDeadline(t *testing.T) {
+	stallsBefore := counter("stream.quarantine.stalls")
 	chunks := mkChunks(6, 32)
-	src := &stallSource{chunks: chunks, sleepAt: map[int]time.Duration{2: 80 * time.Millisecond}}
+	src := &stallSource{chunks: chunks, sleepAt: map[int]time.Duration{2: 20 * time.Millisecond}}
 	proc := &countProc{}
 	d := stream.NewDaemon(1)
-	sv, err := d.Supervise("sup_stall", proc, 2, src, stream.SuperviseConfig{
-		StallDeadline: 15 * time.Millisecond,
-		MaxRetries:    10,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    4 * time.Millisecond,
-		Seed:          7,
-	})
+	sv, err := d.Supervise("sup_slow", proc, 2, src, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sv.Wait()
 	d.Drain()
 	if sv.Quarantined() {
-		t.Fatalf("recoverable stall quarantined the stream: %v", sv.Err())
+		t.Fatalf("a slow chunk within the deadline quarantined the stream: %v", sv.Err())
 	}
 	if proc.chunks != len(chunks) {
-		t.Fatalf("processed %d chunks, want %d (stall must not drop data)", proc.chunks, len(chunks))
+		t.Fatalf("processed %d chunks, want %d (a slow source must not drop data)", proc.chunks, len(chunks))
 	}
-	if got := counter("stream.retry.attempts"); got <= attemptsBefore {
-		t.Fatalf("stream.retry.attempts did not advance (%d -> %d)", attemptsBefore, got)
-	}
-	if got := counter("stream.daemon.sup_stall.retries"); got == 0 {
-		t.Fatal("per-stream retries counter is zero after a stall")
+	if got := counter("stream.quarantine.stalls"); got != stallsBefore {
+		t.Fatalf("stream.quarantine.stalls %d -> %d, want unchanged", stallsBefore, got)
 	}
 }
 
-// TestSuperviseRestartEscalation: a stall that outlives the whole retry
-// budget escalates to Restarter.Restart — the carrier re-acquisition
-// analogue — which unblocks the source; the stream then completes with
-// a refilled budget and no quarantine.
-func TestSuperviseRestartEscalation(t *testing.T) {
-	restartsBefore := counter("stream.retry.restarts")
-	chunks := mkChunks(5, 32)
-	src := &stallSource{
-		chunks:      chunks,
-		blockAt:     map[int]chan struct{}{1: make(chan struct{})},
-		restartable: true,
-		kick:        make(chan struct{}),
-	}
-	proc := &countProc{}
-	d := stream.NewDaemon(1)
-	sv, err := d.Supervise("sup_restart", proc, 2, src, stream.SuperviseConfig{
-		StallDeadline: 10 * time.Millisecond,
-		MaxRetries:    2,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    4 * time.Millisecond,
-		Seed:          7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv.Wait()
-	d.Drain()
-	if sv.Quarantined() {
-		t.Fatalf("restartable stall quarantined the stream: %v", sv.Err())
-	}
-	if src.restarts != 1 {
-		t.Fatalf("source restarted %d times, want exactly 1", src.restarts)
-	}
-	if proc.chunks != len(chunks) {
-		t.Fatalf("processed %d chunks, want %d", proc.chunks, len(chunks))
-	}
-	if got := counter("stream.retry.restarts"); got != restartsBefore+1 {
-		t.Fatalf("stream.retry.restarts %d -> %d, want +1", restartsBefore, got)
-	}
-}
-
-// TestSuperviseGiveupQuarantines: a source that never recovers and has
-// no restart path is given up on — the stream is quarantined with the
-// cause on Err, the giveup counted, Done closed (so Drain cannot hang)
-// — and once the wedged Next returns, no goroutine survives.
+// TestSuperviseGiveupQuarantines: a source that delivers nothing within
+// the deadline is given up on — the stream is quarantined with the
+// stall on Err and counted on stream.quarantine.stalls, Done closed (so
+// Drain cannot hang) — and once the wedged Next returns, no goroutine
+// survives.
 func TestSuperviseGiveupQuarantines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	giveupsBefore := counter("stream.retry.giveups")
+	stallsBefore := counter("stream.quarantine.stalls")
 	release := make(chan struct{})
 	src := &stallSource{chunks: mkChunks(4, 32), blockAt: map[int]chan struct{}{1: release}}
 	d := stream.NewDaemon(1)
-	sv, err := d.Supervise("sup_giveup", &countProc{}, 2, src, stream.SuperviseConfig{
-		StallDeadline: 10 * time.Millisecond,
-		MaxRetries:    2,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    4 * time.Millisecond,
-		Seed:          7,
-	})
+	sv, err := d.Supervise("sup_giveup", &countProc{}, 2, src, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,50 +183,51 @@ func TestSuperviseGiveupQuarantines(t *testing.T) {
 	if !sv.Quarantined() {
 		t.Fatal("permanently stalled source was not quarantined")
 	}
-	if sv.Err() == nil {
-		t.Fatal("quarantined stream has nil Err")
+	if err := sv.Err(); err == nil || !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("quarantine cause = %v, want the stall", err)
 	}
 	if sv.Push(make([]complex128, 4)) {
 		t.Fatal("Push into a quarantined stream succeeded")
 	}
-	if got := counter("stream.retry.giveups"); got != giveupsBefore+1 {
-		t.Fatalf("stream.retry.giveups %d -> %d, want +1", giveupsBefore, got)
+	if got := counter("stream.quarantine.stalls"); got != stallsBefore+1 {
+		t.Fatalf("stream.quarantine.stalls %d -> %d, want +1", stallsBefore, got)
 	}
 	if got := telemetry.Capture().Gauges["stream.daemon.sup_giveup.quarantined"]; got != 1 {
 		t.Fatalf("per-stream quarantined gauge = %d, want 1", got)
 	}
 	d.Drain()
-	// Unblock the abandoned Next so its watchdog goroutine can park its
-	// late result and exit; then nothing must remain.
+	// Unblock the abandoned Next so its fetch goroutine can park its late
+	// result and exit; then nothing must remain.
 	close(release)
 	waitNoLeak(t, before)
 }
 
-// TestSuperviseTransientSourceErrors: non-EOF errors from Next retry
-// like stalls and succeed once the source recovers — no data lost, no
-// quarantine.
-func TestSuperviseTransientSourceErrors(t *testing.T) {
-	chunks := mkChunks(5, 32)
-	src := &stallSource{chunks: chunks, errAt: map[int]int{0: 2, 3: 1}}
+// TestSuperviseSourceErrorQuarantines: a non-EOF error from Next
+// quarantines the stream like a stall, with the source's error as the
+// cause, and no chunk after the failure is delivered.
+func TestSuperviseSourceErrorQuarantines(t *testing.T) {
+	stallsBefore := counter("stream.quarantine.stalls")
+	errAcq := errors.New("acquisition failure")
+	src := &stallSource{chunks: mkChunks(5, 32), failAt: map[int]error{3: errAcq}}
 	proc := &countProc{}
 	d := stream.NewDaemon(1)
-	sv, err := d.Supervise("sup_err", proc, 2, src, stream.SuperviseConfig{
-		StallDeadline: time.Second,
-		MaxRetries:    5,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    2 * time.Millisecond,
-		Seed:          7,
-	})
+	sv, err := d.Supervise("sup_err", proc, 2, src, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sv.Wait()
 	d.Drain()
-	if sv.Quarantined() {
-		t.Fatalf("transient errors quarantined the stream: %v", sv.Err())
+	if !sv.Quarantined() {
+		t.Fatal("a failing source did not quarantine the stream")
 	}
-	if proc.chunks != len(chunks) {
-		t.Fatalf("processed %d chunks, want %d", proc.chunks, len(chunks))
+	if !errors.Is(sv.Err(), errAcq) {
+		t.Fatalf("quarantine cause = %v, want the source's error", sv.Err())
+	}
+	if got := counter("stream.quarantine.stalls"); got != stallsBefore+1 {
+		t.Fatalf("stream.quarantine.stalls %d -> %d, want +1", stallsBefore, got)
+	}
+	if proc.chunks > 3 {
+		t.Fatalf("processed %d chunks, want at most the 3 before the failure", proc.chunks)
 	}
 }
 
@@ -314,11 +239,11 @@ func TestSuperviseAdmission(t *testing.T) {
 	// checked: a source that could drain first would release the only
 	// admission slot and let the second stream in.
 	gate := &gateSource{release: make(chan struct{})}
-	sv, err := d.Supervise("sup_adm0", &countProc{}, 2, gate, stream.SuperviseConfig{})
+	sv, err := d.Supervise("sup_adm0", &countProc{}, 2, gate, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Supervise("sup_adm1", &countProc{}, 2, stream.NewSliceSource(make([]complex128, 64), 16), stream.SuperviseConfig{}); err == nil {
+	if _, err := d.Supervise("sup_adm1", &countProc{}, 2, stream.NewSliceSource(make([]complex128, 64), 16), 0); err == nil {
 		t.Fatal("Supervise ignored the admission limit")
 	}
 	close(gate.release)
